@@ -204,36 +204,30 @@ class _PrimeContext:
         return test_many
 
     def find_integral_subvector(self, phi):
-        """First proper nonzero subvector passing the O_p integrality test, or
-        None when all fail (proving indecomposability), or "unsupported"."""
+        """First proper nonzero subvector, in product order, passing the O_p
+        integrality test, or None when all fail (proving indecomposability).
+        Raises ValueError when the test is unsupported for this support."""
         support = tuple(i for i, m in enumerate(phi) if m)
-        mults = [phi[i] for i in support]
+        mults = tuple(phi[i] for i in support)
         tester = self._tester(support)
-        ranges = [range(m + 1) for m in mults]
-        total = 1
-        for m in mults:
-            total *= m + 1
-        batch = []
-        batch_rows = []
         CHUNK = 2048
-        for combo in itertools.product(*ranges):
-            if not any(combo) or list(combo) == mults:
-                continue
-            batch.append(combo)
-            if len(batch) == CHUNK:
-                batch_rows.append(np.array(batch, dtype=np.int64))
-                batch = []
-        if batch:
-            batch_rows.append(np.array(batch, dtype=np.int64))
-        for rows in batch_rows:
-            ok = self._tester(support)(rows)
+        combos = (
+            combo
+            for combo in itertools.product(*(range(m + 1) for m in mults))
+            if any(combo) and combo != mults
+        )
+        while True:
+            batch = list(itertools.islice(combos, CHUNK))
+            if not batch:
+                return None
+            rows = np.array(batch, dtype=np.int64)
+            ok = tester(rows)
             if ok.any():
                 idx = int(np.argmax(ok))
                 sub = [0] * len(phi)
                 for j, i in enumerate(support):
                     sub[i] = int(rows[idx][j])
                 return tuple(sub)
-        return None
 
 
 def _context(W, p) -> _PrimeContext:

@@ -76,7 +76,7 @@ def cmd_validate(args) -> int:
 
 def cmd_families(args) -> int:
     W = get_group(args.group)
-    if args.prime:
+    if args.prime is not None:
         partition, _ = hecke_blocks(W, args.prime)
         title = f"{W.name}: blocks at p={args.prime}"
     else:
@@ -174,6 +174,8 @@ def cmd_constructible(args) -> int:
 
 
 def cmd_symbols(args) -> int:
+    if args.rank < 0 or args.defect < 0:
+        raise ValueError("--rank and --defect must be nonnegative")
     parity = {
         "odd": lambda t: t % 2 == 1,
         "even0": lambda t: t % 4 == 0,
@@ -318,7 +320,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GroupDataError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # includes GroupDataError and JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

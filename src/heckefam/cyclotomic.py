@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from . import _kernel
 from .ntheory import cyclotomic_polynomial, euler_phi, factorize, lcm
 
 Rational = Fraction
@@ -41,12 +40,86 @@ def _reduction_table(n: int) -> tuple:
     return tuple(rows)
 
 
+# -- sparse coefficient maps -------------------------------------------------
+#
+# Maps are dicts {exponent: coefficient} with no zero values stored.  `table`
+# is the per-conductor rewrite table of _reduction_table.
+
+
+def _add_maps(a, b):
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = v
+        else:
+            s = s + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _reduce_map(raw, n, table):
+    out = {}
+    for k, v in raw.items():
+        if not v:
+            continue
+        k %= n
+        row = table[k]
+        if row is None:
+            s = out.get(k)
+            if s is None:
+                out[k] = v
+            else:
+                s = s + v
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        else:
+            for j, m in row:
+                s = out.get(j)
+                if s is None:
+                    out[j] = m * v
+                else:
+                    s = s + m * v
+                    if s:
+                        out[j] = s
+                    else:
+                        del out[j]
+    return out
+
+
+def _mul_reduce(a, b, n, table):
+    if not a or not b:
+        return {}
+    raw = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            if k >= n:
+                k -= n
+            v = va * vb
+            s = raw.get(k)
+            if s is None:
+                raw[k] = v
+            else:
+                raw[k] = s + v
+    return _reduce_map(raw, n, table)
+
+
 def _conjugate_map(c: dict, j: int, n: int) -> dict:
     raw: dict = {}
     for k, v in c.items():
         e = j * k % n
         raw[e] = raw.get(e, 0) + v
-    return _kernel.reduce_map(raw, n, _reduction_table(n))
+    return _reduce_map(raw, n, _reduction_table(n))
 
 
 @lru_cache(maxsize=None)
@@ -58,7 +131,7 @@ def _descent_solver(n: int, m: int):
     cols = []
     for j in range(phi_m):
         col = [Fraction(0)] * phi_n
-        for k, v in _kernel.reduce_map({step * j: 1}, n, table).items():
+        for k, v in _reduce_map({step * j: 1}, n, table).items():
             col[k] = Fraction(v)
         cols.append(col)
     # Gaussian elimination on [T | I]
@@ -112,7 +185,7 @@ def _minimize(n: int, c: dict) -> tuple[int, dict]:
             for k, v in c.items():
                 e = k * half % m
                 raw[e] = raw.get(e, 0) + (v if k % 2 == 0 else -v)
-            c = _kernel.reduce_map(raw, m, _reduction_table(m))
+            c = _reduce_map(raw, m, _reduction_table(m))
             n = m
             continue
         descended = False
@@ -148,7 +221,7 @@ class Cyclotomic:
 
     @staticmethod
     def _raw(n: int, raw: dict) -> "Cyclotomic":
-        c = _kernel.reduce_map(raw, n, _reduction_table(n))
+        c = _reduce_map(raw, n, _reduction_table(n))
         n, c = _minimize(n, c)
         return Cyclotomic(n, c, _canonical=True)
 
@@ -190,10 +263,10 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         if self._n == other._n:
-            n, c = _minimize(self._n, _kernel.add_maps(self._c, other._c))
+            n, c = _minimize(self._n, _add_maps(self._c, other._c))
             return Cyclotomic(n, c, _canonical=True)
         N = lcm(self._n, other._n)
-        raw = _kernel.add_maps(self._lift_raw(N), other._lift_raw(N))
+        raw = _add_maps(self._lift_raw(N), other._lift_raw(N))
         return Cyclotomic._raw(N, raw)
 
     __radd__ = __add__
@@ -216,12 +289,12 @@ class Cyclotomic:
             return NotImplemented
         if self._n == other._n:
             n = self._n
-            c = _kernel.mul_reduce(self._c, other._c, n, _reduction_table(n))
+            c = _mul_reduce(self._c, other._c, n, _reduction_table(n))
         else:
             n = lcm(self._n, other._n)
-            c = _kernel.mul_reduce(
-                _kernel.reduce_map(self._lift_raw(n), n, _reduction_table(n)),
-                _kernel.reduce_map(other._lift_raw(n), n, _reduction_table(n)),
+            c = _mul_reduce(
+                _reduce_map(self._lift_raw(n), n, _reduction_table(n)),
+                _reduce_map(other._lift_raw(n), n, _reduction_table(n)),
                 n,
                 _reduction_table(n),
             )
@@ -295,16 +368,6 @@ class Cyclotomic:
         if not self._c:
             return False
         return (self ** lcm(2, self._n)) == one
-
-    def root_of_unity_order(self) -> int:
-        if not self.is_root_of_unity():
-            raise ValueError(f"{self} is not a root of unity")
-        k = 1
-        x = self
-        while x != one:
-            x = x * self
-            k += 1
-        return k
 
     # -- protocol -----------------------------------------------------------
 

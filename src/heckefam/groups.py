@@ -9,7 +9,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .cyclotomic import Cyclotomic, from_literal, one, rat, zero, zeta
+from .cyclotomic import from_literal, one, rat, zero, zeta
 from .laurent import (
     LaurentPoly,
     RationalFunction,
@@ -295,43 +295,25 @@ def restrict(P: ParabolicEmbedding, v) -> tuple:
 # -- fake degrees (Molien) -------------------------------------------------------
 
 
-def _det_one_minus_xw(W: GroupDatum, m) -> LaurentPoly:
-    r = W.rank
-    entries = [
-        [LaurentPoly({0: one if i == j else zero, W.mu: -m[i][j]}, W.mu) for j in range(r)]
-        for i in range(r)
-    ]
-
-    def det(rows):
-        if not rows:
-            return LaurentPoly.const(one, W.mu)
-        if len(rows) == 1:
-            return rows[0][0]
-        out = LaurentPoly.const(zero, W.mu)
-        sign = 1
-        for j in range(len(rows)):
-            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-            term = rows[0][j] * det(minor)
-            out = out + (term if sign > 0 else -term)
-            sign = -sign
-        return out
-
-    return det(entries)
-
-
 def fake_degrees_molien(W: GroupDatum) -> tuple:
     """All fake degrees by the Molien sum; orientation chosen by validation.
 
     The two candidate orientations use chi(w) or chi(w^{-1}); exactly one must
     satisfy R_triv = 1 and R_chi(1) = chi(1) for all chi.
     """
-    prod = LaurentPoly.const(one, W.mu)
+    unit = LaurentPoly.const(one, W.mu)
+    prod = unit
     for d in W.degrees:
-        prod = prod * (LaurentPoly.const(one, W.mu) - LaurentPoly.x_power(d, W.mu))
+        prod = prod * (unit - LaurentPoly.x_power(d, W.mu))
+    r = W.rank
     per_class = []
     for size, word in W.classes:
         m = W.word_matrix(word)
-        per_class.append(poly_divexact(prod, _det_one_minus_xw(W, m)))
+        one_minus_xw = [
+            [LaurentPoly({0: one if i == j else zero, W.mu: -m[i][j]}, W.mu) for j in range(r)]
+            for i in range(r)
+        ]
+        per_class.append(poly_divexact(prod, _det(one_minus_xw, unit)))
 
     def molien(orient_conj: bool):
         out = []
@@ -428,7 +410,7 @@ def _validate(W: GroupDatum) -> GroupDatum:
     det_vals = []
     for size, word in W.classes:
         m = W.word_matrix(word)
-        det_vals.append(_matrix_det(m))
+        det_vals.append(_det(m, one))
     if tuple(W.irr[W.det_index]) != tuple(det_vals):
         raise GroupDataError(f"{name}: det_index does not match the determinant character")
     # fake degrees
@@ -527,19 +509,17 @@ def _validate(W: GroupDatum) -> GroupDatum:
     return W
 
 
-def _matrix_det(m) -> Cyclotomic:
-    n = len(m)
-    if n == 0:
+def _det(rows, one):
+    """Determinant by cofactor expansion along the first row, over any
+    commutative ring; `one` is returned for the empty matrix."""
+    if not rows:
         return one
-    if n == 1:
-        return m[0][0]
-    out = zero
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _matrix_det(minor)
-        out = out + (term if sign > 0 else -term)
-        sign = -sign
+    if len(rows) == 1:
+        return rows[0][0]
+    out = None
+    for j, a in enumerate(rows[0]):
+        term = a * _det([row[:j] + row[j + 1 :] for row in rows[1:]], one)
+        out = term if out is None else (out - term if j % 2 else out + term)
     return out
 
 
@@ -703,7 +683,7 @@ def load_group(doc) -> GroupDatum:
         parabolic_specs=tuple(paraspecs),
     )
     if W.det_index < 0:
-        det_vals = tuple(_matrix_det(W.word_matrix(word)) for _size, word in W.classes)
+        det_vals = tuple(_det(W.word_matrix(word), one) for _size, word in W.classes)
         for i, row in enumerate(W.irr):
             if tuple(row) == det_vals:
                 W.det_index = i

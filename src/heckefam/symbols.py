@@ -8,6 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .blocks import _UnionFind
+
 
 @dataclass(frozen=True)
 class Symbol:
@@ -296,24 +298,14 @@ def verify_family_finest(rank_bound: int, defect_bound: int, parity=None) -> dic
             # join of same-series relations over all relevant d
             max_entry = max(key) if key else 0
             ds = list(range(1, 2 * max_entry + 3))
-            idx = {unordered_key(s): i for i, s in enumerate(members)}
-            parent = list(range(len(members)))
-
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
+            uf = _UnionFind(len(members))
             for i, a in enumerate(members):
                 for j in range(i + 1, len(members)):
-                    b = members[j]
-                    if find(i) == find(j):
+                    if uf.find(i) == uf.find(j):
                         continue
-                    if any(same_series(a, b, d) for d in ds):
-                        ra, rb = find(i), find(j)
-                        parent[max(ra, rb)] = min(ra, rb)
-            comps = {find(i) for i in range(len(members))}
+                    if any(same_series(a, members[j], d) for d in ds):
+                        uf.union(i, j)
+            comps = uf.groups(len(members))
             if len(comps) > 1:
                 report["violations"].append(
                     {"rank": r, "family": key, "components": len(comps)}

@@ -1,6 +1,7 @@
 """The block algorithm: coarse bounds, projective candidates, linking,
 indecomposability proofs, per-prime blocks and families."""
 
+import numpy as np
 import pytest
 
 from heckefam.blocks import (
@@ -169,6 +170,22 @@ class TestIndecomposability:
         verdict, detail = indecomposability_check(phi, W, 3)
         assert verdict == "splittable"
         assert detail[0] == tuple(int(i == W.char_index("phi{3,2}")) for i in range(7))
+
+    def test_subset_search_streams_chunks_in_product_order(self, monkeypatch):
+        from heckefam.blocks import _context
+
+        W = dihedral_group(5)
+        ctx = _context(W, 5)
+        hits = {(50, 7), (80, 3)}  # rows 5006 and 8002 of the 99 x 99 product
+        chunk_sizes = []
+
+        def fake_tester(rows):
+            chunk_sizes.append(len(rows))
+            return np.array([tuple(r) in hits for r in rows.tolist()])
+
+        monkeypatch.setitem(ctx._testers, (2, 3), fake_tester)
+        assert ctx.find_integral_subvector((0, 0, 99, 99)) == (0, 0, 50, 7)
+        assert chunk_sizes == [2048, 2048, 2048]
 
     def test_weight_cap(self):
         W = dihedral_group(5)

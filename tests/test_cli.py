@@ -81,6 +81,28 @@ class TestExitCodes:
         code, _, err = run(capsys, "families", "--group", "nonexistent")
         assert code == 1 and "unknown group" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("decomp", "--group", "I2.5", "--prime", "4"), "4 is not prime"),
+            (("families", "--group", "G4", "--prime", "0"), "0 is not prime"),
+            (("families", "--group", "Z0"), "d >= 2"),
+            (("families", "--group", "I2.2"), "n >= 3"),
+        ],
+    )
+    def test_value_error_is_1(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "bounds", [("--rank", "-1", "--defect", "3"), ("--rank", "3", "--defect", "-1")]
+    )
+    def test_negative_symbol_bounds_is_1(self, capsys, bounds):
+        code, out, err = run(capsys, "symbols", "verify", *bounds)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "nonnegative" in err
+
     def test_validate_bad_file_is_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"format": 1}))
