@@ -17,8 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import one, zero
-from .laurent import LaurentPoly, factor_unit_part, poly_divexact, ratfun_reduce
+from .cyclotomic import one
+from .laurent import LaurentPoly, factor_unit_part
+from .memo import _memo
 from .ntheory import lcm
 from .schur import a_plus_A, bad_primes, compute_invariants
 from .valuation import (
@@ -33,6 +34,8 @@ from .valuation import (
 EXACT, UPPER = "exact", "upper-bound"
 
 SUBSET_WEIGHT_CAP = 20
+
+INT64_LIMIT = 2**63
 
 
 class BlockPartition:
@@ -147,6 +150,28 @@ class _PrimeContext:
 
     # subset integrality machinery ------------------------------------------------
 
+    def _numerators(self, support: tuple) -> list[LaurentPoly]:
+        """D/c_i for i in the (unit-shaped) support, D = prod (y - omega)^max the
+        common unit denominator.  With c_i = s y^k prod (y - omega)^m_i from the
+        factorization, D/c_i = s^-1 y^-k prod (y - omega)^(max - m_i): no division."""
+        mu = self.W.schur_elements[0].mu
+        maxmult: dict = {}
+        for i in support:
+            for omega, m in self.facts[i].unit_factors:
+                if maxmult.get(omega, 0) < m:
+                    maxmult[omega] = m
+        out = []
+        for i in support:
+            fact = self.facts[i]
+            mults = dict(fact.unit_factors)
+            npoly = LaurentPoly({-fact.y_power: fact.scalar.inverse()}, mu)
+            for omega, m in maxmult.items():
+                extra = m - mults.get(omega, 0)
+                if extra:
+                    npoly = npoly * LaurentPoly({1: one, 0: -omega}, mu) ** extra
+            out.append(npoly)
+        return out
+
     def _tester(self, support: tuple):
         if support in self._testers:
             return self._testers[support]
@@ -157,17 +182,7 @@ class _PrimeContext:
                     f"membership test unsupported: Schur element of "
                     f"{W.char_names[i]} has a non-unit part"
                 )
-        mu = W.schur_elements[0].mu
-        # common unit denominator: product of (y - omega)^max over the support
-        maxmult: dict = {}
-        for i in support:
-            for omega, m in self.facts[i].unit_factors:
-                if maxmult.get(omega, 0) < m:
-                    maxmult[omega] = m
-        D = LaurentPoly.const(one, mu)
-        for omega, m in sorted(maxmult.items(), key=lambda kv: str(kv[0])):
-            D = D * LaurentPoly({1: one, 0: -omega}, mu) ** m
-        numerators = [poly_divexact(D, W.schur_elements[i]) for i in support]
+        numerators = self._numerators(support)
         M = 1
         for npoly in numerators:
             for v in npoly.coeffs.values():
@@ -175,6 +190,8 @@ class _PrimeContext:
         vM = spec.e * _ord_int(M, spec.p)
         L = vM // spec.e + 2
         modulus = spec.p**L
+        if modulus >= INT64_LIMIT:
+            raise ValueError(f"subset test modulus {spec.p}^{L} does not fit in int64")
         comp = _completion(spec)
         slots = sorted({e for npoly in numerators for e in npoly.coeffs})
         slot_of = {e: k for k, e in enumerate(slots)}
@@ -186,7 +203,7 @@ class _PrimeContext:
                 digits = comp.image(
                     {k: int(c) for k, c in vi.coeffs.items()}, vi.conductor, L
                 )
-                A[ii, slot_of[e]] = (A[ii, slot_of[e]] + np.array(digits, dtype=np.int64)) % modulus
+                A[ii, slot_of[e]] = digits
         # threshold moduli per ramified digit k: val >= vM  <=>  digit_k = 0 mod p^ceil((vM-k)/e)
         tmods = np.ones((1, len(slots), spec.e, spec.f), dtype=np.int64)
         for k in range(spec.e):
@@ -197,6 +214,12 @@ class _PrimeContext:
 
         def test_many(subsets: np.ndarray) -> np.ndarray:
             """Rows are multiplicity vectors over `support`; True = passes integrality."""
+            # every entry of subsets @ flatA is at most weight * (modulus - 1)
+            weight = int(subsets.sum(axis=1).max())
+            if weight * (modulus - 1) >= INT64_LIMIT:
+                raise ValueError(
+                    f"subset test of weight {weight} modulo {spec.p}^{L} overflows int64"
+                )
             X = (subsets @ flatA) % modulus
             return ((X % flat_tmods) == 0).all(axis=1)
 
@@ -230,11 +253,9 @@ class _PrimeContext:
                 return tuple(sub)
 
 
+@_memo
 def _context(W, p) -> _PrimeContext:
-    key = ("prime_ctx", p)
-    if key not in W._caches:
-        W._caches[key] = _PrimeContext(W, p)
-    return W._caches[key]
+    return _PrimeContext(W, p)
 
 
 # -- the algorithm steps -----------------------------------------------------------
@@ -400,14 +421,12 @@ def indecomposability_check(phi, W, p: int, cap: int = SUBSET_WEIGHT_CAP):
     return ("splittable", (sub, rest))
 
 
+@_memo
 def hecke_blocks(W, p: int):
     """Steps (1)-(4): returns (BlockPartition, DecompApprox) for O_p H(W).
 
     The partition is the coarse upper bound with parts marked exact when the
     resolved-column linking closure reproduces them."""
-    key = ("hecke_blocks", p)
-    if key in W._caches:
-        return W._caches[key]
     coarse = coarse_partition(W, p)
     columns = candidate_projectives(W, p, coarse)
     resolved, notes = [], []
@@ -432,10 +451,7 @@ def hecke_blocks(W, p: int):
             status.append(EXACT)
         else:
             status.append(UPPER)
-    partition = BlockPartition(parts, status)
-    decomp = DecompApprox(columns, resolved, notes)
-    W._caches[key] = (partition, decomp)
-    return W._caches[key]
+    return BlockPartition(parts, status), DecompApprox(columns, resolved, notes)
 
 
 def families(W) -> BlockPartition:

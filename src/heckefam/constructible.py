@@ -6,18 +6,17 @@ from __future__ import annotations
 from .blocks import BlockPartition, families, monoid_minimal_generators
 from .cyclotomic import zero
 from .groups import induce
+from .memo import _memo
 from .schur import compute_invariants
 
 
+@_memo
 def constructible_chars(W) -> list[tuple]:
     """Constructible characters of W (the trivial character for the trivial
     group; otherwise the minimal generating set of the monoid spanned by all
     family projections of inductions of parabolic constructibles)."""
-    if "constructible" in W._caches:
-        return W._caches["constructible"]
     if W.order == 1:
-        W._caches["constructible"] = [(1,)]
-        return W._caches["constructible"]
+        return [(1,)]
     fam = families(W)
     if not fam.all_exact():
         raise ValueError(
@@ -31,9 +30,7 @@ def constructible_chars(W) -> list[tuple]:
                 cut = tuple(m if i in part else 0 for i, m in enumerate(ind))
                 if any(cut):
                     cands.add(cut)
-    out = monoid_minimal_generators(cands)
-    W._caches["constructible"] = out
-    return out
+    return monoid_minimal_generators(cands)
 
 
 def construc_pairing_check(W, phi, part) -> bool:

@@ -7,18 +7,18 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .cyclotomic import from_literal, one, rat, zero, zeta
 from .laurent import (
     LaurentPoly,
-    RationalFunction,
-    derivative_at_one,
     factor_unit_part,
     laurent_from_doc,
     poly_divexact,
     ratfun_reduce,
 )
+from .memo import _memo
 from .ntheory import lcm
 from .schur import cyclic_schur, dihedral_schur
 
@@ -63,6 +63,7 @@ class GroupDatum:
         self.spetsial = spetsial
         self.parabolic_specs = parabolic_specs
         self.parabolics: tuple[ParabolicEmbedding, ...] = ()
+        self.generic_degrees: tuple = ()      # P/c_chi, set by validation
         self._caches: dict = {}
 
     # -- simple accessors ---------------------------------------------------
@@ -78,16 +79,15 @@ class GroupDatum:
         return self.char_names.index(name)
 
     @property
+    @_memo
     def field_conductor(self) -> int:
-        if "field_conductor" not in self._caches:
-            n = 1
-            for row in self.irr:
-                for v in row:
-                    n = lcm(n, v.conductor)
-            for c in self.schur_elements:
-                n = lcm(n, c.conductor_lcm())
-            self._caches["field_conductor"] = n
-        return self._caches["field_conductor"]
+        n = 1
+        for row in self.irr:
+            for v in row:
+                n = lcm(n, v.conductor)
+        for c in self.schur_elements:
+            n = lcm(n, c.conductor_lcm())
+        return n
 
     def poincare(self) -> LaurentPoly:
         out = LaurentPoly.const(one, self.mu)
@@ -115,85 +115,82 @@ class GroupDatum:
             m = self._matmul(m, self.generators[g - 1])
         return m
 
+    @_memo
     def elements(self) -> dict:
         """Map matrix -> shortest word, enumerated by BFS (spec bound enforced)."""
-        if "elements" not in self._caches:
-            ident = self._identity()
-            words = {ident: ()}
-            frontier = [ident]
+        ident = self._identity()
+        words = {ident: ()}
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for m in frontier:
+                for gi, g in enumerate(self.generators, start=1):
+                    mm = self._matmul(m, g)
+                    if mm not in words:
+                        if len(words) >= ENUMERATION_BOUND:
+                            raise GroupDataError(
+                                f"{self.name}: enumeration bound {ENUMERATION_BOUND} exceeded"
+                            )
+                        words[mm] = words[m] + (gi,)
+                        nxt.append(mm)
+            frontier = nxt
+        if len(words) != self.order:
+            raise GroupDataError(
+                f"{self.name}: generated group has order {len(words)}, datum says {self.order}"
+            )
+        return words
+
+    @_memo
+    def class_index_map(self) -> dict:
+        """Map every element matrix to its class index (orbit closure from reps)."""
+        words = self.elements()
+        gens = self.generators
+        inv = {}
+        # generator inverses: g^(order-1) found by cycling
+        for g in gens:
+            m, prev = g, self._identity()
+            while m != self._identity():
+                prev = m
+                m = self._matmul(m, g)
+            inv[g] = prev
+        cmap: dict = {}
+        for ci, (size, word) in enumerate(self.classes):
+            rep = self.word_matrix(word)
+            orbit = {rep}
+            frontier = [rep]
             while frontier:
                 nxt = []
                 for m in frontier:
-                    for gi, g in enumerate(self.generators, start=1):
-                        mm = self._matmul(m, g)
-                        if mm not in words:
-                            if len(words) >= ENUMERATION_BOUND:
-                                raise GroupDataError(
-                                    f"{self.name}: enumeration bound {ENUMERATION_BOUND} exceeded"
-                                )
-                            words[mm] = words[m] + (gi,)
+                    for g in gens:
+                        mm = self._matmul(inv[g], self._matmul(m, g))
+                        if mm not in orbit:
+                            orbit.add(mm)
                             nxt.append(mm)
                 frontier = nxt
-            if len(words) != self.order:
+            if len(orbit) != size:
                 raise GroupDataError(
-                    f"{self.name}: generated group has order {len(words)}, datum says {self.order}"
+                    f"{self.name}: class {ci} has size {len(orbit)}, datum says {size}"
                 )
-            self._caches["elements"] = words
-        return self._caches["elements"]
+            for m in orbit:
+                if m in cmap:
+                    raise GroupDataError(f"{self.name}: classes {cmap[m]} and {ci} overlap")
+                cmap[m] = ci
+        if len(cmap) != self.order:
+            raise GroupDataError(f"{self.name}: classes do not cover the group")
+        return cmap
 
-    def class_index_map(self) -> dict:
-        """Map every element matrix to its class index (orbit closure from reps)."""
-        if "class_index" not in self._caches:
-            words = self.elements()
-            gens = self.generators
-            inv = {}
-            # generator inverses: g^(order-1) found by cycling
-            for g in gens:
-                m, prev = g, self._identity()
-                while m != self._identity():
-                    prev = m
-                    m = self._matmul(m, g)
-                inv[g] = prev
-            cmap: dict = {}
-            for ci, (size, word) in enumerate(self.classes):
-                rep = self.word_matrix(word)
-                orbit = {rep}
-                frontier = [rep]
-                while frontier:
-                    nxt = []
-                    for m in frontier:
-                        for g in gens:
-                            mm = self._matmul(inv[g], self._matmul(m, g))
-                            if mm not in orbit:
-                                orbit.add(mm)
-                                nxt.append(mm)
-                    frontier = nxt
-                if len(orbit) != size:
-                    raise GroupDataError(
-                        f"{self.name}: class {ci} has size {len(orbit)}, datum says {size}"
-                    )
-                for m in orbit:
-                    if m in cmap:
-                        raise GroupDataError(f"{self.name}: classes {cmap[m]} and {ci} overlap")
-                    cmap[m] = ci
-            if len(cmap) != self.order:
-                raise GroupDataError(f"{self.name}: classes do not cover the group")
-            self._caches["class_index"] = cmap
-        return self._caches["class_index"]
-
+    @_memo
     def reflection_counts(self) -> tuple[int, int]:
         """(number of reflecting hyperplanes, number of reflections), by enumeration."""
-        if "refl" not in self._caches:
-            words = self.elements()
-            nref = 0
-            hyperplanes = set()
-            for m in words:
-                fixed = self._fixed_space_echelon(m)
-                if len(fixed) == self.rank - 1:
-                    nref += 1
-                    hyperplanes.add(fixed)
-            self._caches["refl"] = (len(hyperplanes), nref)
-        return self._caches["refl"]
+        words = self.elements()
+        nref = 0
+        hyperplanes = set()
+        for m in words:
+            fixed = self._fixed_space_echelon(m)
+            if len(fixed) == self.rank - 1:
+                nref += 1
+                hyperplanes.add(fixed)
+        return len(hyperplanes), nref
 
     def _fixed_space_echelon(self, m) -> tuple:
         """Canonical (RREF) basis of ker(m - 1), hashable."""
@@ -432,8 +429,7 @@ def _validate(W: GroupDatum) -> GroupDatum:
     # Schur identities
     if len(W.schur_elements) != k:
         raise GroupDataError(f"{name}: expected {k} Schur elements")
-    gate = LaurentPoly.const(zero, W.mu)
-    gate_rf = None
+    generic = []
     for i, c in enumerate(W.schur_elements):
         val_at_1 = c.eval_y(rat(1))
         if val_at_1 != rat(Fraction(W.order, W.char_degree(i))):
@@ -442,25 +438,21 @@ def _validate(W: GroupDatum) -> GroupDatum:
                 f"(got {val_at_1})"
             )
         try:
-            delta = poly_divexact(P, c)
+            generic.append(poly_divexact(P, c))
         except ArithmeticError:
             if W.spetsial:
                 raise GroupDataError(
                     f"{name}: generic degree P/c is not a Laurent polynomial "
                     f"for {W.char_names[i]}"
                 )
-            if gate_rf is None:
-                gate_rf = ratfun_reduce(gate, LaurentPoly.const(one, W.mu))
-            gate_rf = gate_rf + ratfun_reduce(P * rat(W.char_degree(i)), c)
-            continue
-        if gate_rf is None:
-            gate = gate + delta * W.irr[i][0]
-        else:
-            gate_rf = gate_rf + ratfun_reduce(delta * W.irr[i][0], LaurentPoly.const(one, W.mu))
-    if gate_rf is not None:
-        if gate_rf != ratfun_reduce(P, LaurentPoly.const(one, W.mu)):
-            raise GroupDataError(f"{name}: symmetrizing-form gate sum deg/c != 1 fails")
-    elif gate != P:
+            generic.append(ratfun_reduce(P, c))
+    # symmetrizing form: sum_chi deg(chi) * P/c_chi = P
+    gate = LaurentPoly.const(zero, W.mu)
+    if not all(isinstance(delta, LaurentPoly) for delta in generic):
+        gate = ratfun_reduce(gate, LaurentPoly.const(one, W.mu))
+    for delta, row in zip(generic, W.irr):
+        gate = gate + delta * row[0]
+    if gate != P:
         raise GroupDataError(f"{name}: symmetrizing-form gate sum deg/c != 1 fails")
     if W.spetsial:
         for i, c in enumerate(W.schur_elements):
@@ -506,6 +498,7 @@ def _validate(W: GroupDatum) -> GroupDatum:
         emb.induction_matrix = (tuple(W.char_degree(i) for i in range(k)),)
         paras.append(emb)
     W.parabolics = tuple(paras)
+    W.generic_degrees = tuple(generic)
     return W
 
 
@@ -526,106 +519,98 @@ def _det(rows, one):
 # -- built-in catalog -----------------------------------------------------------------
 
 
-_catalog_cache: dict = {}
-
-
+@cache
 def trivial_group() -> GroupDatum:
-    if "1" not in _catalog_cache:
-        W = GroupDatum(
-            name="1", order=1, mu=1, rank=0, generators=(), degrees=(),
-            classes=((1, ()),), char_names=("phi{1,0}",), irr=((one,),),
-            fake_degrees=(LaurentPoly.const(one),), schur_elements=(LaurentPoly.const(one),),
-            conj_perm=(0,), det_index=0, spetsial=True,
-        )
-        _catalog_cache["1"] = _validate(W)
-    return _catalog_cache["1"]
+    W = GroupDatum(
+        name="1", order=1, mu=1, rank=0, generators=(), degrees=(),
+        classes=((1, ()),), char_names=("phi{1,0}",), irr=((one,),),
+        fake_degrees=(LaurentPoly.const(one),), schur_elements=(LaurentPoly.const(one),),
+        conj_perm=(0,), det_index=0, spetsial=True,
+    )
+    return _validate(W)
 
 
+@cache
 def cyclic_group(d: int) -> GroupDatum:
     """Z_d with its one-parameter cyclotomic Hecke data."""
     if d < 2:
         raise ValueError("cyclic_group expects d >= 2")
-    key = f"Z{d}"
-    if key not in _catalog_cache:
-        z = zeta(d)
-        gens = (((z,),),)
-        classes = tuple((1, (1,) * k) for k in range(d))
-        irr = tuple(tuple(z ** (i * k) for k in range(d)) for i in range(d))
-        # chi_i has fake degree x^{d-i} (coinvariants of the dual space)
-        names = tuple(f"phi{{1,{(d - i) % d}}}" for i in range(d))
-        conj_perm = tuple((-i) % d for i in range(d))
-        W = GroupDatum(
-            name=key, order=d, mu=1, rank=1, generators=gens, degrees=(d,),
-            classes=classes, char_names=names, irr=irr, fake_degrees=(),
-            schur_elements=tuple(cyclic_schur(d)), conj_perm=conj_perm,
-            det_index=1, spetsial=True,
-        )
-        _catalog_cache[key] = _validate(W)
-    return _catalog_cache[key]
+    z = zeta(d)
+    gens = (((z,),),)
+    classes = tuple((1, (1,) * k) for k in range(d))
+    irr = tuple(tuple(z ** (i * k) for k in range(d)) for i in range(d))
+    # chi_i has fake degree x^{d-i} (coinvariants of the dual space)
+    names = tuple(f"phi{{1,{(d - i) % d}}}" for i in range(d))
+    conj_perm = tuple((-i) % d for i in range(d))
+    W = GroupDatum(
+        name=f"Z{d}", order=d, mu=1, rank=1, generators=gens, degrees=(d,),
+        classes=classes, char_names=names, irr=irr, fake_degrees=(),
+        schur_elements=tuple(cyclic_schur(d)), conj_perm=conj_perm,
+        det_index=1, spetsial=True,
+    )
+    return _validate(W)
 
 
+@cache
 def dihedral_group(n: int) -> GroupDatum:
     """I2(n), n >= 3, generated by two reflections."""
     if n < 3:
         raise ValueError("dihedral_group expects n >= 3")
-    key = f"I2({n})"
-    if key not in _catalog_cache:
-        z = zeta(n)
-        s = ((zero, one), (one, zero))
-        t = ((zero, z.inverse()), (z, zero))
-        m = n // 2
-        classes = [(1, ())]
-        rot_range = range(1, m + 1) if n % 2 == 1 else range(1, m)
-        for k in rot_range:
-            classes.append((2, (1, 2) * k))
+    z = zeta(n)
+    s = ((zero, one), (one, zero))
+    t = ((zero, z.inverse()), (z, zero))
+    m = n // 2
+    classes = [(1, ())]
+    rot_range = range(1, m + 1) if n % 2 == 1 else range(1, m)
+    for k in rot_range:
+        classes.append((2, (1, 2) * k))
+    if n % 2 == 0:
+        classes.append((1, (1, 2) * m))
+        classes.append((n // 2, (1,)))
+        classes.append((n // 2, (2,)))
+    else:
+        classes.append((n, (1,)))
+    classes = tuple(classes)
+
+    def rot_val(j, k):
+        return z ** (j * k) + z ** (-j * k)
+
+    chars = []
+    names = []
+    nrot = m if n % 2 == 1 else m - 1
+    # trivial
+    chars.append(tuple([one] + [one] * nrot + ([one, one, one] if n % 2 == 0 else [one])))
+    names.append("phi{1,0}")
+    # sign
+    chars.append(
+        tuple([one] + [one] * nrot + ([one, -one, -one] if n % 2 == 0 else [-one]))
+    )
+    names.append(f"phi{{1,{n}}}")
+    if n % 2 == 0:
+        eps = [one] + [(-one) ** k for k in range(1, m)] + [(-one) ** m]
+        chars.append(tuple(eps + [one, -one]))
+        names.append(f"phi{{1,{m}}}'")
+        chars.append(tuple(eps + [-one, one]))
+        names.append(f"phi{{1,{m}}}''")
+    for j in range(1, nrot + 1):
+        row = [rat(2)] + [rot_val(j, k) for k in range(1, nrot + 1)]
         if n % 2 == 0:
-            classes.append((1, (1, 2) * m))
-            classes.append((n // 2, (1,)))
-            classes.append((n // 2, (2,)))
+            row += [rat(2) * (-one) ** j, zero, zero]
         else:
-            classes.append((n, (1,)))
-        classes = tuple(classes)
-
-        def rot_val(j, k):
-            return z ** (j * k) + z ** (-j * k)
-
-        chars = []
-        names = []
-        nrot = m if n % 2 == 1 else m - 1
-        # trivial
-        chars.append(tuple([one] + [one] * nrot + ([one, one, one] if n % 2 == 0 else [one])))
-        names.append("phi{1,0}")
-        # sign
-        chars.append(
-            tuple([one] + [one] * nrot + ([one, -one, -one] if n % 2 == 0 else [-one]))
-        )
-        names.append(f"phi{{1,{n}}}")
-        if n % 2 == 0:
-            eps = [one] + [(-one) ** k for k in range(1, m)] + [(-one) ** m]
-            chars.append(tuple(eps + [one, -one]))
-            names.append(f"phi{{1,{m}}}'")
-            chars.append(tuple(eps + [-one, one]))
-            names.append(f"phi{{1,{m}}}''")
-        for j in range(1, nrot + 1):
-            row = [rat(2)] + [rot_val(j, k) for k in range(1, nrot + 1)]
-            if n % 2 == 0:
-                row += [rat(2) * (-one) ** j, zero, zero]
-            else:
-                row += [zero]
-            chars.append(tuple(row))
-            names.append(f"phi{{2,{j}}}")
-        conj_perm = tuple(range(len(chars)))  # all values real
-        parabolics = [{"datum": cyclic_group(2), "generators": ((1,),)}]
-        if n % 2 == 0:
-            parabolics.append({"datum": cyclic_group(2), "generators": ((2,),)})
-        W = GroupDatum(
-            name=key, order=2 * n, mu=1, rank=2, generators=(s, t), degrees=(2, n),
-            classes=classes, char_names=tuple(names), irr=tuple(chars), fake_degrees=(),
-            schur_elements=tuple(dihedral_schur(n)), conj_perm=conj_perm,
-            det_index=1, spetsial=True, parabolic_specs=tuple(parabolics),
-        )
-        _catalog_cache[key] = _validate(W)
-    return _catalog_cache[key]
+            row += [zero]
+        chars.append(tuple(row))
+        names.append(f"phi{{2,{j}}}")
+    conj_perm = tuple(range(len(chars)))  # all values real
+    parabolics = [{"datum": cyclic_group(2), "generators": ((1,),)}]
+    if n % 2 == 0:
+        parabolics.append({"datum": cyclic_group(2), "generators": ((2,),)})
+    W = GroupDatum(
+        name=f"I2({n})", order=2 * n, mu=1, rank=2, generators=(s, t), degrees=(2, n),
+        classes=classes, char_names=tuple(names), irr=tuple(chars), fake_degrees=(),
+        schur_elements=tuple(dihedral_schur(n)), conj_perm=conj_perm,
+        det_index=1, spetsial=True, parabolic_specs=tuple(parabolics),
+    )
+    return _validate(W)
 
 
 def _data_dir() -> Path:
@@ -706,10 +691,9 @@ def _infer_conj_perm(irr) -> tuple:
     return tuple(out)
 
 
+@cache
 def g4_group() -> GroupDatum:
-    if "G4" not in _catalog_cache:
-        _catalog_cache["G4"] = load_group(_data_dir() / "g4.json")
-    return _catalog_cache["G4"]
+    return load_group(_data_dir() / "g4.json")
 
 
 def get_group(name: str) -> GroupDatum:

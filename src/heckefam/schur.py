@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, one, rat, zeta, zero
 from .laurent import LaurentPoly, RationalFunction, derivative_at_one, poly_divexact, ratfun_reduce
-from .ntheory import factorize, lcm
+from .memo import _memo
+from .ntheory import factorize
 from .valuation import laurent_content_val, primes_above
 
 
@@ -65,7 +66,8 @@ def f_of(c: LaurentPoly) -> Cyclotomic:
     return c.lowest_coeff()
 
 
-def bad_primes(W) -> set[int]:
+@_memo
+def bad_primes(W) -> frozenset[int]:
     """Primes dividing some Schur element (positive content at a prime above p)."""
     candidates: set[int] = set()
     for c in W.schur_elements:
@@ -79,7 +81,7 @@ def bad_primes(W) -> set[int]:
             if any(laurent_content_val(c, sp) > 0 for sp in specs):
                 out.add(p)
                 break
-    return out
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -94,18 +96,9 @@ class InvariantRecord:
 
 
 def generic_degree(W, i: int):
-    """delta_chi = P(W)/c_chi, as a Laurent polynomial when it is one."""
-    P = W.poincare()
-    c = W.schur_elements[i]
-    try:
-        return poly_divexact(P, c)
-    except ArithmeticError:
-        if W.spetsial:
-            raise ValueError(
-                f"{W.name}: generic degree of {W.char_names[i]} is not a polynomial "
-                "(inconsistent spetsial data)"
-            )
-        return ratfun_reduce(P, c)
+    """delta_chi = P(W)/c_chi, as a Laurent polynomial when it is one
+    (computed once, when the group is validated)."""
+    return W.generic_degrees[i]
 
 
 def compute_invariants(W) -> list[InvariantRecord]:

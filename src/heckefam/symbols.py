@@ -215,65 +215,45 @@ def defect_bridge(sym: Symbol) -> tuple[Symbol, int]:
 # -- exhaustive family verification ---------------------------------------------------
 
 
-def _rows_with_sum(length: int, total: int):
-    """Strictly increasing nonnegative tuples of the given length and sum."""
-    if length == 0:
-        if total == 0:
-            yield ()
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts of at most `largest`, as nonincreasing tuples."""
+    if n == 0:
+        yield ()
         return
-
-    def rec(prefix, remaining, minimum, k):
-        if k == 0:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        # minimal completion: minimum, minimum+1, ...
-        v = minimum
-        while v * k + k * (k - 1) // 2 <= remaining:
-            yield from rec(prefix + [v], remaining - v, v + 1, k - 1)
-            v += 1
-
-    yield from rec([], total, 0, length)
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
-def _min_row_sum(length: int, start: int) -> int:
-    return length * start + length * (length - 1) // 2
+def _beta_set(lam: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """The strictly increasing row of the given length that encodes lam."""
+    padded = lam + (0,) * (length - len(lam))
+    return tuple(part + j for j, part in enumerate(reversed(padded)))
 
 
 def _symbols_of_rank(r: int, max_defect: int, parity):
-    """All normalized unordered symbols of the given rank and defect bound."""
-    seen = {}
-    size = 1
-    while True:
-        total = r + (size - 1) ** 2 // 4
-        feasible = False
-        for a in range(size + 1):
-            b = size - a
-            if abs(a - b) > max_defect or not parity(abs(a - b)):
-                continue
-            # cheapest normalized configuration: the larger row starts at 0
-            best = min(
-                _min_row_sum(a, 0) + _min_row_sum(b, 1) if b else _min_row_sum(a, 0),
-                _min_row_sum(b, 0) + _min_row_sum(a, 1) if a else _min_row_sum(b, 0),
-            )
-            if best > total:
-                continue
-            feasible = True
-            for ssum in range(_min_row_sum(a, 0), total + 1):
-                for S in _rows_with_sum(a, ssum):
-                    for T in _rows_with_sum(b, total - ssum):
-                        if a and b and S[0] == 0 and T[0] == 0:
-                            continue  # not shift-reduced
-                        sym = Symbol(S, T)
-                        if sym.rank() != r:
-                            continue
-                        key = unordered_key(sym)
-                        if key not in seen:
-                            seen[key] = normalize(sym)
-        if not feasible and size > 2 * (r + max_defect) + 2:
-            break
-        size += 1
-    return list(seen.values())
+    """All normalized unordered symbols of the given rank and defect bound,
+    the empty symbol excepted.
+
+    Symbols of rank r and defect d correspond one-to-one to bipartitions
+    (lam, mu) of r - floor(d^2/4) (Lusztig, Characters of reductive groups
+    over a finite field, 1984): the rows are the beta-sets of lam and mu of
+    lengths m + d and m.  The least m that holds both leaves a row without 0,
+    so the symbol is shift-reduced; for d = 0 the pair is unordered."""
+    out = []
+    for d in range(max_defect + 1):
+        n = r - d * d // 4
+        if n < 0 or not parity(d) or (n == 0 and d == 0):
+            continue
+        partitions = [list(_partitions(k, k)) for k in range(n + 1)]
+        for k in range(n + 1):
+            for lam in partitions[k]:
+                for mu in partitions[n - k]:
+                    if d == 0 and lam > mu:
+                        continue  # (mu, lam) gives the same unordered symbol
+                    m = max(len(lam) - d, len(mu))
+                    out.append(Symbol(_beta_set(lam, m + d), _beta_set(mu, m)))
+    return out
 
 
 def verify_family_finest(rank_bound: int, defect_bound: int, parity=None) -> dict:

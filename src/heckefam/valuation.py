@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 
 from .cyclotomic import Cyclotomic, _reduction_table, coerce
@@ -310,13 +310,9 @@ def _hensel_step(phi, h, g, u, v, q, m2, p):
     return h2, g2, u2, v2
 
 
-_completions: dict[PrimeIdealSpec, _Completion] = {}
-
-
+@cache
 def _completion(spec: PrimeIdealSpec) -> _Completion:
-    if spec not in _completions:
-        _completions[spec] = _Completion(spec)
-    return _completions[spec]
+    return _Completion(spec)
 
 
 # -- valuations -------------------------------------------------------------------
@@ -422,16 +418,7 @@ def op_member(S: RationalFunction, spec: PrimeIdealSpec, max_order: int | None =
     times root-of-unity linear factors.  Everything arising from the bundled
     Schur elements has this shape; anything else answers "unsupported".
     """
-    if S.is_zero():
-        return YES
-    fact = factor_unit_part(S.den, max_order)
-    if not fact.is_unit():
-        return UNSUPPORTED
-    v_den = val(spec, fact.scalar)
-    for c in S.num.coeffs.values():
-        if not val_at_least(spec, c, v_den):
-            return NO
-    return YES
+    return in_ideal(S, spec, 0, max_order)
 
 
 def in_ideal(S: RationalFunction, spec: PrimeIdealSpec, power: int = 1,

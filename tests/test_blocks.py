@@ -17,8 +17,8 @@ from heckefam.blocks import (
     linking_closure,
     monoid_minimal_generators,
 )
-from heckefam.groups import cyclic_group, dihedral_group, g4_group, trivial_group
-from heckefam.laurent import LaurentPoly, ratfun_reduce
+from heckefam.groups import cyclic_group, dihedral_group, g4_group, get_group, trivial_group
+from heckefam.laurent import LaurentPoly, poly_divexact, ratfun_reduce
 from heckefam.schur import bad_primes, compute_invariants, a_plus_A, relative_trace_scalar
 from heckefam.valuation import YES, op_member, in_ideal, primes_above
 
@@ -191,6 +191,46 @@ class TestIndecomposability:
         W = dihedral_group(5)
         verdict, reason = indecomposability_check((0, 0, 30, 30), W, 5, cap=20)
         assert verdict == "unknown" and "cap" in reason
+
+    @pytest.mark.parametrize("ord_M, modulus", [(40, "5^42"), (25, "5^27")])
+    def test_int64_overflow_degrades_to_unknown(self, monkeypatch, ord_M, modulus):
+        # a large common denominator forces the subset test modulo 5^L:
+        # 5^42 does not fit in int64 at all; 5^27 does, but a subset of
+        # weight 2 or more could wrap in the matrix product
+        import heckefam.blocks as blocks
+
+        W = dihedral_group(5)
+        ctx = blocks._context(W, 5)
+        monkeypatch.setattr(ctx, "_testers", {})
+        monkeypatch.setattr(blocks, "_ord_int", lambda q, p: ord_M)
+        verdict, reason = indecomposability_check((1, 1, 1, 1), W, 5)
+        assert verdict == "unknown"
+        assert modulus in reason and "int64" in reason
+
+
+class TestTesterNumerators:
+    @pytest.mark.parametrize("name, p", [("G4", 2), ("G4", 3), ("I2.5", 5), ("I2.12", 2), ("I2.12", 3)])
+    def test_built_from_factors_equal_long_division(self, name, p):
+        from heckefam.blocks import _context
+
+        W = get_group(name)
+        assert p in bad_primes(W)
+        ctx = _context(W, p)
+        _, decomp = hecke_blocks(W, p)
+        supports = {tuple(i for i, m in enumerate(col) if m) for col in decomp.columns}
+        supports.add(tuple(range(W.n_irr)))
+        mu = W.schur_elements[0].mu
+        for support in sorted(supports):
+            # reference: multiply out D = prod (y - omega)^max, divide by each c_i
+            maxmult = {}
+            for i in support:
+                for omega, m in ctx.facts[i].unit_factors:
+                    maxmult[omega] = max(maxmult.get(omega, 0), m)
+            D = LaurentPoly.const(1, mu)
+            for omega, m in maxmult.items():
+                D = D * LaurentPoly({1: 1, 0: -omega}, mu) ** m
+            want = [poly_divexact(D, W.schur_elements[i]) for i in support]
+            assert ctx._numerators(support) == want, support
 
 
 class TestHeckeBlocks:

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from heckefam.cyclotomic import one, rat, zeta, zero
-from heckefam.groups import cyclic_group, dihedral_group, g4_group
+from heckefam.groups import (
+    cyclic_group,
+    dihedral_group,
+    g4_group,
+    get_group,
+    group_to_doc,
+    load_group,
+)
 from heckefam.laurent import LaurentPoly, poly_divexact, ratfun_reduce
 from heckefam.schur import (
     a_plus_A,
@@ -14,6 +21,7 @@ from heckefam.schur import (
     cyclic_schur,
     dihedral_schur,
     f_of,
+    generic_degree,
     omega_pi_exponent,
     relative_trace_scalar,
 )
@@ -84,6 +92,29 @@ class TestDihedralSchur:
         # would have raised, so all we check here is that it runs for many n
         for n in range(3, 16):
             dihedral_schur(n)
+
+
+class TestGenericDegrees:
+    @staticmethod
+    def assert_stored_degrees_divide(W):
+        P = W.poincare()
+        assert len(W.generic_degrees) == W.n_irr
+        for i, c in enumerate(W.schur_elements):
+            assert W.generic_degrees[i] == poly_divexact(P, c), W.char_names[i]
+            assert generic_degree(W, i) is W.generic_degrees[i]
+
+    @pytest.mark.parametrize(
+        "name", ["1", "G4", "Z2", "Z3", "Z4", "Z6", "I2.3", "I2.4", "I2.5", "I2.6", "I2.9", "I2.12"]
+    )
+    def test_bundled(self, name):
+        self.assert_stored_degrees_divide(get_group(name))
+
+    def test_g4_ingested_not_spetsial(self):
+        doc = group_to_doc(g4_group())
+        doc["spetsial"] = False
+        W = load_group(doc)
+        assert not W.spetsial
+        self.assert_stored_degrees_divide(W)
 
 
 class TestFOf:

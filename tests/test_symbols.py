@@ -204,3 +204,88 @@ class TestProperties:
         assert d_core(c, d) == c
         cc = e_cocore(s, d)
         assert e_cocore(cc, d) == cc
+
+
+# -- reference oracle: the row enumerator that _symbols_of_rank replaced ---------
+
+
+def _reference_rows_with_sum(length, total):
+    """Strictly increasing nonnegative tuples of the given length and sum."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+
+    def rec(prefix, remaining, minimum, k):
+        if k == 0:
+            if remaining == 0:
+                yield tuple(prefix)
+            return
+        v = minimum
+        while v * k + k * (k - 1) // 2 <= remaining:
+            yield from rec(prefix + [v], remaining - v, v + 1, k - 1)
+            v += 1
+
+    yield from rec([], total, 0, length)
+
+
+def _reference_min_row_sum(length, start):
+    return length * start + length * (length - 1) // 2
+
+
+def _reference_symbols_of_rank(r, max_defect, parity):
+    """Enumerate rows by sum for every row-length split, keep rank r."""
+    seen = {}
+    size = 1
+    while True:
+        total = r + (size - 1) ** 2 // 4
+        feasible = False
+        for a in range(size + 1):
+            b = size - a
+            if abs(a - b) > max_defect or not parity(abs(a - b)):
+                continue
+            best = min(
+                _reference_min_row_sum(a, 0) + _reference_min_row_sum(b, 1)
+                if b else _reference_min_row_sum(a, 0),
+                _reference_min_row_sum(b, 0) + _reference_min_row_sum(a, 1)
+                if a else _reference_min_row_sum(b, 0),
+            )
+            if best > total:
+                continue
+            feasible = True
+            for ssum in range(_reference_min_row_sum(a, 0), total + 1):
+                for S in _reference_rows_with_sum(a, ssum):
+                    for T in _reference_rows_with_sum(b, total - ssum):
+                        if a and b and S[0] == 0 and T[0] == 0:
+                            continue
+                        sym = Symbol(S, T)
+                        if sym.rank() == r:
+                            seen.setdefault(unordered_key(sym), normalize(sym))
+        if not feasible and size > 2 * (r + max_defect) + 2:
+            break
+        size += 1
+    return set(seen)
+
+
+PARITIES = {
+    "odd": ODD,
+    "even0": lambda t: t % 4 == 0,
+    "even2": lambda t: t % 4 == 2,
+    "all": lambda t: True,
+}
+
+
+class TestSymbolsFromBipartitions:
+    @pytest.mark.parametrize("parity", sorted(PARITIES))
+    def test_matches_row_enumeration(self, parity):
+        cases = [(r, d) for r in range(7) for d in range(7)] + [(3, 9)]
+        for r, d in cases:
+            syms = _symbols_of_rank(r, d, PARITIES[parity])
+            keys = [unordered_key(s) for s in syms]
+            assert len(keys) == len(set(keys)), (r, d)
+            assert set(keys) == _reference_symbols_of_rank(r, d, PARITIES[parity]), (r, d)
+            assert all(s == normalize(s) and s.rank() == r for s in syms), (r, d)
+
+    def test_empty_symbol_is_not_listed(self):
+        # the row enumeration started at one entry and never listed it
+        assert _symbols_of_rank(0, 0, PARITIES["all"]) == []
