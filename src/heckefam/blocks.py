@@ -186,7 +186,7 @@ class _PrimeContext:
         M = 1
         for npoly in numerators:
             for v in npoly.coeffs.values():
-                M = lcm(M, v.denominator_lcm())
+                M = lcm(M, v.denominator)
         vM = spec.e * _ord_int(M, spec.p)
         L = vM // spec.e + 2
         modulus = spec.p**L
@@ -198,10 +198,9 @@ class _PrimeContext:
         A = np.zeros((len(support), len(slots), spec.e, spec.f), dtype=np.int64)
         for ii, npoly in enumerate(numerators):
             for e, v in npoly.coeffs.items():
-                vi = v * M
-                assert vi.denominator_lcm() == 1
+                scale = M // v.denominator
                 digits = comp.image(
-                    {k: int(c) for k, c in vi.coeffs.items()}, vi.conductor, L
+                    {k: c * scale for k, c in v.numerators.items()}, v.conductor, L
                 )
                 A[ii, slot_of[e]] = digits
         # threshold moduli per ramified digit k: val >= vM  <=>  digit_k = 0 mod p^ceil((vM-k)/e)
@@ -229,19 +228,33 @@ class _PrimeContext:
     def find_integral_subvector(self, phi):
         """First proper nonzero subvector, in product order, passing the O_p
         integrality test, or None when all fail (proving indecomposability).
-        Raises ValueError when the test is unsupported for this support."""
+        Raises ValueError when the test is unsupported for this support.
+
+        Only the subvectors s with s <= phi - s lexicographically are tested,
+        which halves the search:
+
+        * s passes exactly when its complement phi - s does.  The test asks
+          whether s @ A vanishes modulo fixed prime powers, so the passing
+          vectors form a subgroup, and phi is in it because phi is projective.
+        * itertools.product over ascending ranges yields tuples in
+          lexicographic order, so of s and phi - s the smaller comes first.
+          The first passing s in product order therefore lies in the half
+          searched, and the subvector reported is the one the full search
+          would report.
+
+        When the half holds no passing s, phi itself is tested before
+        indecomposability is claimed; if phi fails, the symmetry does not hold
+        and ValueError is raised instead of a proof."""
         support = tuple(i for i, m in enumerate(phi) if m)
         mults = tuple(phi[i] for i in support)
         tester = self._tester(support)
         CHUNK = 2048
-        combos = (
-            combo
-            for combo in itertools.product(*(range(m + 1) for m in mults))
-            if any(combo) and combo != mults
-        )
+        combos = (combo for combo in _lower_half(mults) if any(combo))
         while True:
             batch = list(itertools.islice(combos, CHUNK))
             if not batch:
+                if not tester(np.array([mults], dtype=np.int64))[0]:
+                    raise ValueError(f"{tuple(phi)} fails the integrality test itself")
                 return None
             rows = np.array(batch, dtype=np.int64)
             ok = tester(rows)
@@ -251,6 +264,19 @@ class _PrimeContext:
                 for j, i in enumerate(support):
                     sub[i] = int(rows[idx][j])
                 return tuple(sub)
+
+
+def _lower_half(mults: tuple):
+    """The vectors 0 <= s <= mults with s <= mults - s lexicographically, in
+    product order."""
+    if not mults:
+        yield ()
+        return
+    m, rest = mults[0], mults[1:]
+    yield from itertools.product(range((m + 1) // 2), *(range(k + 1) for k in rest))
+    if m % 2 == 0:
+        for tail in _lower_half(rest):
+            yield (m // 2, *tail)
 
 
 @_memo

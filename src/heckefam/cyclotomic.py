@@ -1,12 +1,45 @@
 """Exact arithmetic in cyclotomic number fields Q(zeta_n).
 
-Elements are stored on the power basis {zeta_n^k : 0 <= k < phi(n)} after
-reduction modulo the n-th cyclotomic polynomial, at the minimal possible
-conductor (a conductor congruent to 2 mod 4 is never stored, mirroring the
-field equality Q(zeta_2m) = Q(zeta_m) for odd m).  Because the basis and the
-conductor are both canonical, two values are equal exactly when their
-representations coincide, which makes hashing and golden-file comparison
-safe.
+Representation.  An element is a triple (n, c, d): the conductor n, a dict
+c = {k: integer} of nonzero numerators on the power basis
+{zeta_n^k : 0 <= k < phi(n)} (reduced modulo the n-th cyclotomic polynomial),
+and one positive denominator d with gcd(d, all numerators) = 1, so the value
+is sum(c[k] * zeta_n^k) / d.  Zero is (1, {}, 1).  Addition scales both
+sides to the common denominator, multiplication works on the integers before
+the reduction modulo Phi_n, and a single gcd pass normalizes the result.
+
+Canonical conductor.  Every value is stored at its minimal conductor, and a
+conductor congruent to 2 mod 4 is never stored (Q(zeta_2m) = Q(zeta_m) for
+odd m).  Because the basis, the conductor and the normalized denominator are
+all canonical, two values are equal exactly when their representations
+coincide, which makes hashing and golden-file comparison safe.  After each
+operation `_minimize` tests each prime p dividing n, and each test is exact:
+
+* n prime: the only proper cyclotomic subfield is Q, and a value lies in Q
+  exactly when its only exponent is 0.
+* p^2 | n: Phi_n(x) = Phi_{n/p}(x^p), so the power basis of Q(zeta_{n/p}) is
+  the part of the power basis of Q(zeta_n) whose exponents are divisible by
+  p; a value descends exactly when all its exponents are, and the rewrite
+  divides them by p.
+* p || n, n = p*m: split zeta_n^k = zeta_m^(k*a) * zeta_p^(k*b) with
+  a*p + b*m = 1 mod n and group the terms as sum_j A_j zeta_p^j with A_j in
+  Q(zeta_m).  Since zeta_p, ..., zeta_p^(p-1) is a basis of Q(zeta_n) over
+  Q(zeta_m) and 1 = -(zeta_p + ... + zeta_p^(p-1)), the value lies in
+  Q(zeta_m) exactly when A_1 = ... = A_(p-1), and then it equals A_0 - A_1.
+  This is fixedness under the generator s of Gal(Q(zeta_n)/Q(zeta_m))
+  without computing a conjugate; for p = 2 it is the 2 mod 4 rule and always
+  holds.  For odd p a one-point check runs first: zeta_n -> w is a ring map
+  to F_l for a prime l = 1 mod n and w of order n, and c(w) != s(c)(w) there
+  proves that s moves the value, so most values that do not descend are
+  rejected by one dot product mod l.
+
+Every rewrite has integer matrices and keeps the content of the numerators
+(Z[zeta_n] meets Q(zeta_m) in Z[zeta_m]), so the denominator is unchanged.
+
+Inverse.  For a = A/d, 1/a = d*P/N where P is the product of the conjugates
+of A other than A and N = A*P is its norm, an integer.  P is built on the
+integer maps by doubling along generators of (Z/n)^*, with O(log phi(n))
+products, and Q(1/a) = Q(a) keeps the conductor.
 """
 
 from __future__ import annotations
@@ -15,9 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .ntheory import cyclotomic_polynomial, euler_phi, factorize, lcm
-
-Rational = Fraction
+from .ntheory import cyclotomic_polynomial, euler_phi, factorize, is_prime, lcm
 
 
 @lru_cache(maxsize=None)
@@ -40,24 +71,23 @@ def _reduction_table(n: int) -> tuple:
     return tuple(rows)
 
 
-# -- sparse coefficient maps -------------------------------------------------
+# -- sparse integer coefficient maps -----------------------------------------
 #
-# Maps are dicts {exponent: coefficient} with no zero values stored.  `table`
-# is the per-conductor rewrite table of _reduction_table.
+# Maps are dicts {exponent: integer} with no zero values stored.  `table` is
+# the per-conductor rewrite table of _reduction_table.
 
 
-def _add_maps(a, b):
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
+def _combine(a, sa, b, sb):
+    """The map sa*a + sb*b."""
+    out = {k: v * sa for k, v in a.items()} if sa != 1 else dict(a)
     for k, v in b.items():
+        if sb != 1:
+            v *= sb
         s = out.get(k)
         if s is None:
             out[k] = v
         else:
-            s = s + v
+            s += v
             if s:
                 out[k] = s
             else:
@@ -77,7 +107,7 @@ def _reduce_map(raw, n, table):
             if s is None:
                 out[k] = v
             else:
-                s = s + v
+                s += v
                 if s:
                     out[k] = s
                 else:
@@ -88,7 +118,7 @@ def _reduce_map(raw, n, table):
                 if s is None:
                     out[j] = m * v
                 else:
-                    s = s + m * v
+                    s += m * v
                     if s:
                         out[j] = s
                     else:
@@ -97,21 +127,27 @@ def _reduce_map(raw, n, table):
 
 
 def _mul_reduce(a, b, n, table):
+    """Product of two reduced maps; the raw product is dense, of degree < 2*phi(n) - 1."""
     if not a or not b:
         return {}
-    raw = {}
+    phi = euler_phi(n)
+    raw = [0] * (2 * phi - 1)
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = ka + kb
+            raw[ka + kb] += va * vb
+    out = raw[:phi]
+    for k in range(phi, 2 * phi - 1):
+        v = raw[k]
+        if v:
             if k >= n:
                 k -= n
-            v = va * vb
-            s = raw.get(k)
-            if s is None:
-                raw[k] = v
+            row = table[k]
+            if row is None:
+                out[k] += v
             else:
-                raw[k] = s + v
-    return _reduce_map(raw, n, table)
+                for j, m in row:
+                    out[j] += m * v
+    return {k: v for k, v in enumerate(out) if v}
 
 
 def _conjugate_map(c: dict, j: int, n: int) -> dict:
@@ -123,107 +159,165 @@ def _conjugate_map(c: dict, j: int, n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _descent_solver(n: int, m: int):
-    """Row-reduction data expressing conductor-n vectors over the zeta_m powers."""
-    phi_n, phi_m = euler_phi(n), euler_phi(m)
-    table = _reduction_table(n)
-    step = n // m
-    cols = []
-    for j in range(phi_m):
-        col = [Fraction(0)] * phi_n
-        for k, v in _reduce_map({step * j: 1}, n, table).items():
-            col[k] = Fraction(v)
-        cols.append(col)
-    # Gaussian elimination on [T | I]
-    rows = [[cols[j][i] for j in range(phi_m)] for i in range(phi_n)]
-    aug = [[Fraction(int(i == r)) for i in range(phi_n)] for r in range(phi_n)]
-    pivots = []
-    r = 0
-    for col in range(phi_m):
-        pr = next(i for i in range(r, phi_n) if rows[i][col])
-        rows[r], rows[pr] = rows[pr], rows[r]
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(phi_n):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(r)
-        r += 1
-    return pivots, aug
+def _primitive_root(q: int) -> int:
+    """The least primitive root modulo the odd prime q."""
+    r = q - 1
+    return next(g for g in range(2, q) if all(pow(g, r // s, q) != 1 for s in factorize(r)))
 
 
-def _rewrite_to_subfield(c: dict, n: int, m: int) -> dict:
-    pivots, aug = _descent_solver(n, m)
-    phi_n, phi_m = euler_phi(n), euler_phi(m)
-    v = [Fraction(0)] * phi_n
-    for k, val in c.items():
-        v[k] = val
-    w = [sum(row[k] * v[k] for k in range(phi_n) if v[k]) for row in aug]
-    for i in range(phi_m, phi_n):
-        if w[i]:
-            raise ArithmeticError("subfield rewrite applied to a non-member")
-    return {j: w[pivots[j]] for j in range(phi_m) if w[pivots[j]]}
+@lru_cache(maxsize=None)
+def _evaluation_point(n: int) -> tuple[int, int]:
+    """(l, w): the least prime l = 1 mod n above 2^20 and an element w of
+    order n modulo l, so that zeta_n -> w is a ring map Z[zeta_n] -> F_l."""
+    ell = (2**20 // n + 1) * n + 1
+    while not is_prime(ell):
+        ell += n
+    qs = factorize(n)
+    for h in range(2, ell):
+        w = pow(h, (ell - 1) // n, ell)
+        if all(pow(w, n // q, ell) != 1 for q in qs):
+            return ell, w
+    raise ArithmeticError("no element of order n")  # unreachable: F_l^* is cyclic
+
+
+@lru_cache(maxsize=None)
+def _descent_plan(n: int) -> tuple:
+    """((p, None) for p^2 | n, then (p, (m, a, b, check)) for p || n,
+    n = p*m, a*p + b*m = 1 mod n); empty when n is 1 or prime.
+
+    check = (l, diff) with diff[k] = w^k - w^(s*k) mod l, where (l, w) is the
+    evaluation point of n and s = 1 mod m generates Gal(Q(zeta_n)/Q(zeta_m));
+    None for p = 2, where that group is trivial."""
+    fac = factorize(n)
+    if n == 1 or fac == {n: 1}:
+        return ()
+    plan: list = [(p, None) for p, e in sorted(fac.items()) if e > 1]
+    for p, e in sorted(fac.items()):
+        if e == 1:
+            m = n // p
+            a, b = pow(p, -1, m), pow(m, -1, p)
+            check = None
+            if p > 2:
+                ell, w = _evaluation_point(n)
+                s = 1 + m * ((_primitive_root(p) - 1) * b % p)
+                diff = tuple(
+                    (pow(w, k, ell) - pow(w, s * k % n, ell)) % ell for k in range(euler_phi(n))
+                )
+                check = (ell, diff)
+            plan.append((p, (m, a, b, check)))
+    return tuple(plan)
+
+
+def _descend_coprime(c: dict, p: int, m: int, a: int, b: int):
+    """c at conductor p*m (p prime to m) rewritten at conductor m, or None
+    when the value does not lie in Q(zeta_m)."""
+    groups: list = [{} for _ in range(p)]
+    for k, v in c.items():
+        g = groups[k * b % p]
+        e = k * a % m
+        g[e] = g.get(e, 0) + v
+    table = _reduction_table(m)
+    first = _reduce_map(groups[1], m, table)
+    for j in range(2, p):
+        if _reduce_map(groups[j], m, table) != first:
+            return None
+    return _combine(_reduce_map(groups[0], m, table), 1, first, -1)
 
 
 def _minimize(n: int, c: dict) -> tuple[int, dict]:
     while True:
-        if not c:
-            return 1, {}
-        if n == 1:
+        if not c or n == 1:
             return 1, c
-        if set(c) == {0}:
-            return 1, dict(c)
-        if n % 4 == 2:
-            # Q(zeta_n) = Q(zeta_{n/2}); substitute zeta_n = -zeta_{n/2}^{(n/2+1)/2}
-            m = n // 2
-            half = (m + 1) // 2
-            raw: dict = {}
-            for k, v in c.items():
-                e = k * half % m
-                raw[e] = raw.get(e, 0) + (v if k % 2 == 0 else -v)
-            c = _reduce_map(raw, m, _reduction_table(m))
-            n = m
-            continue
-        descended = False
-        for p in sorted(factorize(n)):
-            m = n // p
-            fixed = all(
-                _conjugate_map(c, j, n) == c
-                for j in range(m + 1, n, m)
-                if gcd(j, n) == 1
-            )
-            if fixed:
-                c = _rewrite_to_subfield(c, n, m)
-                n = m
-                descended = True
-                break
-        if not descended:
+        if len(c) == 1 and 0 in c:
+            return 1, c
+        for p, split in _descent_plan(n):
+            if split is None:
+                if all(k % p == 0 for k in c):
+                    c = {k // p: v for k, v in c.items()}
+                    n //= p
+                    break
+            else:
+                m, a, b, check = split
+                if check is not None:
+                    # c(w) != s(c)(w) in F_l shows that s moves c
+                    ell, diff = check
+                    if sum(v * diff[k] for k, v in c.items()) % ell:
+                        continue
+                sub = _descend_coprime(c, p, m, a, b)
+                if sub is not None:
+                    c = sub
+                    n = m
+                    break
+        else:
             return n, c
+
+
+@lru_cache(maxsize=None)
+def _unit_generators(n: int) -> tuple:
+    """(g, r) pairs with (Z/n)^* the direct product of the cyclic groups <g> of order r."""
+    out = []
+    for q, e in sorted(factorize(n).items()):
+        Q = q**e
+        M = n // Q
+        if q == 2:
+            local = [(Q - 1, 2)] if e >= 2 else []
+            if e >= 3:
+                local.append((5, Q // 4))
+        else:
+            g = _primitive_root(q)
+            if e > 1 and pow(g, q - 1, q * q) == 1:
+                g += q
+            local = [(g, (q - 1) * Q // q)]
+        for g, order in local:
+            # lift g mod Q to n, trivial on the prime-to-q part
+            out.append(((1 + M * ((g - 1) * pow(M, -1, Q) % Q)) % n, order))
+    return tuple(out)
+
+
+def _norm_and_cofactor(c: dict, n: int) -> tuple[int, dict]:
+    """(N, P) with P the product of the conjugates of c other than c itself
+    and N = c * P its norm, for an integer map c at conductor n."""
+    table = _reduction_table(n)
+
+    def mul(x, y):
+        return _mul_reduce(x, y, n, table)
+
+    cof, cur = {0: 1}, c
+    for g, r in _unit_generators(n):
+        # F(k) = prod_{i<k} g^i(cur) by doubling; the new cofactor is g(F(r - 1))
+        f, k = cur, 1
+        for bit in bin(r - 1)[3:]:
+            f = mul(f, _conjugate_map(f, pow(g, k, n), n))
+            k *= 2
+            if bit == "1":
+                f = mul(cur, _conjugate_map(f, g, n))
+                k += 1
+        part = _conjugate_map(f, g, n)
+        cof = mul(cof, part)
+        cur = mul(cur, part)
+    if len(cur) != 1 or 0 not in cur:
+        raise ArithmeticError("norm is not rational")
+    return cur[0], cof
+
+
+def _canonical(n: int, c: dict, d: int) -> "Cyclotomic":
+    """The reduced map c / d at its minimal conductor."""
+    n, c = _minimize(n, c)
+    return _normalized(n, c, d)
 
 
 class Cyclotomic:
     """Immutable element of a cyclotomic field, canonical form."""
 
-    __slots__ = ("_n", "_c", "_hash")
+    __slots__ = ("_n", "_c", "_d", "_hash")
 
-    def __init__(self, n: int, coeffs: dict, _canonical: bool = False):
+    def __init__(self, n: int, coeffs: dict, den: int, _canonical: bool = False):
         if not _canonical:
             raise TypeError("use make()/zeta()/rat() to build Cyclotomic values")
         self._n = n
         self._c = coeffs
+        self._d = den
         self._hash = None
-
-    # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def _raw(n: int, raw: dict) -> "Cyclotomic":
-        c = _reduce_map(raw, n, _reduction_table(n))
-        n, c = _minimize(n, c)
-        return Cyclotomic(n, c, _canonical=True)
 
     # -- basic introspection ----------------------------------------------
 
@@ -233,7 +327,18 @@ class Cyclotomic:
 
     @property
     def coeffs(self) -> dict:
+        d = self._d
+        return {k: Fraction(v, d) for k, v in self._c.items()}
+
+    @property
+    def numerators(self) -> dict:
+        """Integer numerators over the power basis; the value is numerators / denominator."""
         return dict(self._c)
+
+    @property
+    def denominator(self) -> int:
+        """The least positive integer d with d * self in Z[zeta_conductor]."""
+        return self._d
 
     def is_zero(self) -> bool:
         return not self._c
@@ -244,13 +349,7 @@ class Cyclotomic:
     def as_rational(self) -> Fraction:
         if self._n != 1:
             raise ValueError(f"{self} is not rational")
-        return self._c.get(0, Fraction(0))
-
-    def denominator_lcm(self) -> int:
-        out = 1
-        for v in self._c.values():
-            out = lcm(out, v.denominator)
-        return out
+        return Fraction(self._c.get(0, 0), self._d)
 
     # -- ring operations ----------------------------------------------------
 
@@ -262,17 +361,25 @@ class Cyclotomic:
         other = coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        da, db = self._d, other._d
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        d = da * sa
         if self._n == other._n:
-            n, c = _minimize(self._n, _add_maps(self._c, other._c))
-            return Cyclotomic(n, c, _canonical=True)
-        N = lcm(self._n, other._n)
-        raw = _add_maps(self._lift_raw(N), other._lift_raw(N))
-        return Cyclotomic._raw(N, raw)
+            return _canonical(self._n, _combine(self._c, sa, other._c, sb), d)
+        if self._n == 1 or other._n == 1:
+            # adding a rational keeps the conductor of the other term
+            return _normalized(max(self._n, other._n), _combine(self._c, sa, other._c, sb), d)
+        n = lcm(self._n, other._n)
+        c = _reduce_map(
+            _combine(self._lift_raw(n), sa, other._lift_raw(n), sb), n, _reduction_table(n)
+        )
+        return _canonical(n, c, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self._n, {k: -v for k, v in self._c.items()}, _canonical=True)
+        return Cyclotomic(self._n, {k: -v for k, v in self._c.items()}, self._d, _canonical=True)
 
     def __sub__(self, other):
         other = coerce(other)
@@ -287,33 +394,42 @@ class Cyclotomic:
         other = coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self._c or not other._c:
+            return zero
+        d = self._d * other._d
+        if self._n == 1 or other._n == 1:
+            # a nonzero rational factor keeps the conductor of the other one
+            a, b = (self, other) if other._n == 1 else (other, self)
+            q = b._c[0]
+            return _normalized(a._n, {k: v * q for k, v in a._c.items()}, d)
         if self._n == other._n:
             n = self._n
-            c = _mul_reduce(self._c, other._c, n, _reduction_table(n))
+            table = _reduction_table(n)
+            c = _mul_reduce(self._c, other._c, n, table)
         else:
             n = lcm(self._n, other._n)
+            table = _reduction_table(n)
             c = _mul_reduce(
-                _reduce_map(self._lift_raw(n), n, _reduction_table(n)),
-                _reduce_map(other._lift_raw(n), n, _reduction_table(n)),
+                _reduce_map(self._lift_raw(n), n, table),
+                _reduce_map(other._lift_raw(n), n, table),
                 n,
-                _reduction_table(n),
+                table,
             )
-        n, c = _minimize(n, c)
-        return Cyclotomic(n, c, _canonical=True)
+        return _canonical(n, c, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """1/a = d * P / N, where a = A/d, P is the product of the other
+        conjugates of A and N = A * P its norm; Q(1/a) = Q(a), so the
+        conductor is unchanged."""
         if not self._c:
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        if self._n == 1:
-            return rat(1 / self._c[0])
-        num = one
-        for j in range(2, self._n):
-            if gcd(j, self._n) == 1:
-                num = num * Cyclotomic(self._n, _conjugate_map(self._c, j, self._n), _canonical=True)
-        nrm = (self * num).as_rational()
-        return num * (1 / nrm)
+        N, cof = _norm_and_cofactor(self._c, self._n)
+        d = self._d
+        if N < 0:
+            N, d = -N, -d
+        return _normalized(self._n, {k: v * d for k, v in cof.items()}, N)
 
     def __truediv__(self, other):
         other = coerce(other)
@@ -343,7 +459,9 @@ class Cyclotomic:
         """Image under zeta_n -> zeta_n^j; j must be prime to the conductor."""
         if gcd(j, self._n) != 1:
             raise ValueError(f"{j} is not prime to conductor {self._n}")
-        return Cyclotomic(self._n, _conjugate_map(self._c, j % self._n, self._n), _canonical=True)
+        return Cyclotomic(
+            self._n, _conjugate_map(self._c, j % self._n, self._n), self._d, _canonical=True
+        )
 
     def conjugates(self) -> list["Cyclotomic"]:
         return [self.galois(j) for j in range(1, self._n + 1) if gcd(j, self._n) == 1]
@@ -354,10 +472,11 @@ class Cyclotomic:
 
     def norm(self, conductor: int | None = None) -> Fraction:
         """Product of all Galois conjugates over Q, by default at the minimal conductor."""
-        out = one
-        for a in self.conjugates():
-            out = out * a
-        value = out.as_rational()
+        if self._c:
+            N, _ = _norm_and_cofactor(self._c, self._n)
+            value = Fraction(N, self._d ** euler_phi(self._n))
+        else:
+            value = Fraction(0)
         if conductor is not None:
             if conductor % self._n:
                 raise ValueError("norm conductor must be a multiple of the element's conductor")
@@ -375,11 +494,16 @@ class Cyclotomic:
         other = coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._n == other._n and self._c == other._c
+        return self._n == other._n and self._d == other._d and self._c == other._c
 
     def __hash__(self):
+        # the hash of the (conductor, sorted Fraction coefficients) key, as
+        # integers hash like the equal Fractions
         if self._hash is None:
-            self._hash = hash((self._n, tuple(sorted(self._c.items()))))
+            items = sorted(self._c.items())
+            if self._d != 1:
+                items = [(k, Fraction(v, self._d)) for k, v in items]
+            self._hash = hash((self._n, tuple(items)))
         return self._hash
 
     def __bool__(self):
@@ -390,16 +514,17 @@ class Cyclotomic:
         import cmath
 
         z = cmath.exp(2j * cmath.pi / self._n)
-        return sum(float(v) * z**k for k, v in self._c.items()) if self._c else 0j
+        return sum(v / self._d * z**k for k, v in self._c.items()) if self._c else 0j
 
     def __repr__(self):
         if not self._c:
             return "0"
+        c = self.coeffs
         if self._n == 1:
-            return str(self._c[0])
+            return str(c[0])
         terms = []
-        for k in sorted(self._c):
-            v = self._c[k]
+        for k in sorted(c):
+            v = c[k]
             base = "1" if k == 0 else (f"z{self._n}" if k == 1 else f"z{self._n}^{k}")
             if k == 0:
                 terms.append(str(v))
@@ -415,6 +540,18 @@ class Cyclotomic:
         return out
 
 
+def _normalized(n: int, c: dict, d: int) -> Cyclotomic:
+    """c / d at a conductor n known to be canonical for it; normalizes d."""
+    if not c:
+        return zero
+    if d != 1:
+        g = gcd(d, *c.values())
+        if g != 1:
+            d //= g
+            c = {k: v // g for k, v in c.items()}
+    return Cyclotomic(n, c, d, _canonical=True)
+
+
 def coerce(x) -> Cyclotomic:
     if isinstance(x, Cyclotomic):
         return x
@@ -424,8 +561,10 @@ def coerce(x) -> Cyclotomic:
 
 
 def rat(q) -> Cyclotomic:
-    q = Fraction(q)
-    return Cyclotomic(1, {0: q} if q else {}, _canonical=True)
+    if not isinstance(q, int):
+        q = Fraction(q)
+        return Cyclotomic(1, {0: q.numerator} if q else {}, q.denominator, _canonical=True)
+    return Cyclotomic(1, {0: int(q)} if q else {}, 1, _canonical=True)
 
 
 zero = rat(0)
@@ -436,7 +575,7 @@ def zeta(n: int, k: int = 1) -> Cyclotomic:
     """The root of unity zeta_n^k."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    return Cyclotomic._raw(n, {k % n: Fraction(1)})
+    return _canonical(n, _reduce_map({k % n: 1}, n, _reduction_table(n)), 1)
 
 
 def make(n: int, raw: dict) -> Cyclotomic:
@@ -445,10 +584,13 @@ def make(n: int, raw: dict) -> Cyclotomic:
         raise ValueError("conductor must be positive")
     merged: dict = {}
     for k, v in raw.items():
-        v = Fraction(v)
         e = int(k) % n
-        merged[e] = merged.get(e, Fraction(0)) + v
-    return Cyclotomic._raw(n, {k: v for k, v in merged.items() if v})
+        merged[e] = merged.get(e, 0) + Fraction(v)
+    d = 1
+    for v in merged.values():
+        d = lcm(d, v.denominator)
+    c = {k: int(v * d) for k, v in merged.items()}
+    return _canonical(n, _reduce_map(c, n, _reduction_table(n)), d)
 
 
 def sqrt_minus(m: int) -> Cyclotomic:

@@ -101,7 +101,9 @@ def generic_degree(W, i: int):
     return W.generic_degrees[i]
 
 
-def compute_invariants(W) -> list[InvariantRecord]:
+@_memo
+def compute_invariants(W) -> tuple[InvariantRecord, ...]:
+    """One record per character, built once per group."""
     out = []
     for i in range(W.n_irr):
         c = W.schur_elements[i]
@@ -122,7 +124,7 @@ def compute_invariants(W) -> list[InvariantRecord]:
             special=Fraction(lo, W.mu) == Fraction(R.min_exp(), W.mu),
         )
         out.append(rec)
-    return out
+    return tuple(out)
 
 
 def a_plus_A(W, i: int, records=None) -> Fraction:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd
 
-from .cyclotomic import Cyclotomic, _reduction_table, coerce
+from .cyclotomic import _reduction_table, coerce
 from .laurent import LaurentPoly, RationalFunction, factor_unit_part
 from .ntheory import euler_phi, multiplicative_order, prime_to_part, is_prime
 
@@ -318,12 +318,6 @@ def _completion(spec: PrimeIdealSpec) -> _Completion:
 # -- valuations -------------------------------------------------------------------
 
 
-def _int_coeffs(a: Cyclotomic) -> tuple[dict[int, int], int]:
-    """Clear denominators: returns (integer coefficient dict, denominator)."""
-    q = a.denominator_lcm()
-    return {k: int(v * q) for k, v in a.coeffs.items()}, q
-
-
 def _digit_min_val(digits: list[list[int]], e: int, p: int, L: int):
     best = None
     for k, row in enumerate(digits):
@@ -350,7 +344,7 @@ def val(spec: PrimeIdealSpec, a) -> int | float:
         raise ValueError(
             f"conductor {a.conductor} incompatible with prime spec at {spec.conductor}"
         )
-    coeffs, q = _int_coeffs(a)
+    coeffs, q = a.numerators, a.denominator
     shift = spec.e * _ord_int(q, spec.p)
     comp = _completion(spec)
     L = 32
@@ -381,7 +375,7 @@ def val_at_least(spec: PrimeIdealSpec, a, bound: int) -> bool:
         raise ValueError(
             f"conductor {a.conductor} incompatible with prime spec at {spec.conductor}"
         )
-    coeffs, q = _int_coeffs(a)
+    coeffs, q = a.numerators, a.denominator
     target = bound + spec.e * _ord_int(q, spec.p)
     if target <= 0:
         return True

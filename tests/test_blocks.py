@@ -176,16 +176,76 @@ class TestIndecomposability:
 
         W = dihedral_group(5)
         ctx = _context(W, 5)
-        hits = {(50, 7), (80, 3)}  # rows 5006 and 8002 of the 99 x 99 product
+        # closed under s -> (99, 99) - s, as the passing subvectors of a
+        # projective are; (45, 7) is row 4506 of the searched half s1 <= 49
+        hits = {(45, 7), (54, 92), (48, 3), (51, 96)}
         chunk_sizes = []
+        seen = []
 
         def fake_tester(rows):
             chunk_sizes.append(len(rows))
+            seen.extend(rows.tolist())
             return np.array([tuple(r) in hits for r in rows.tolist()])
 
         monkeypatch.setitem(ctx._testers, (2, 3), fake_tester)
-        assert ctx.find_integral_subvector((0, 0, 99, 99)) == (0, 0, 50, 7)
-        assert chunk_sizes == [2048, 2048, 2048]
+        assert ctx.find_integral_subvector((0, 0, 99, 99)) == (0, 0, 45, 7)
+        assert chunk_sizes == [2048, 2048, 903]
+        assert max(r[0] for r in seen) == 49
+
+    def test_lower_half_is_the_lexicographically_smaller_half(self):
+        from itertools import product
+
+        from heckefam.blocks import _lower_half
+
+        for mults in [(), (1,), (2,), (3, 1), (2, 2), (2, 0, 3), (4, 2, 2), (1, 1, 1, 1)]:
+            full = list(product(*(range(m + 1) for m in mults)))
+            want = [s for s in full if s <= tuple(m - x for m, x in zip(mults, s))]
+            assert list(_lower_half(mults)) == want, mults
+
+    @pytest.mark.parametrize("name, p", [("G4", 2), ("G4", 3), ("I2.5", 5), ("I2.12", 2), ("I2.12", 3)])
+    def test_half_search_matches_full_search(self, name, p):
+        from itertools import product
+
+        from heckefam.blocks import _context
+
+        W = get_group(name)
+        ctx = _context(W, p)
+        _, decomp = hecke_blocks(W, p)
+        cases = set(decomp.columns)
+        for col in decomp.columns:
+            cases.add(tuple(2 * m for m in col))
+            cases.add(tuple(3 * m for m in col))
+        if len(decomp.columns) > 1:
+            cases.add(tuple(map(sum, zip(*decomp.columns[:2]))))
+        outcomes = set()
+        for phi in sorted(cases):
+            if sum(phi) > 12:
+                continue
+            support = tuple(i for i, m in enumerate(phi) if m)
+            mults = tuple(phi[i] for i in support)
+            tester = ctx._tester(support)
+            want = None
+            for combo in product(*(range(m + 1) for m in mults)):
+                if any(combo) and combo != mults and tester(np.array([combo]))[0]:
+                    want = [0] * len(phi)
+                    for j, i in enumerate(support):
+                        want[i] = combo[j]
+                    want = tuple(want)
+                    break
+            assert ctx.find_integral_subvector(phi) == want, phi
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_phi_failing_its_own_test_is_not_proved(self, monkeypatch):
+        from heckefam.blocks import _context
+
+        W = dihedral_group(5)
+        ctx = _context(W, 5)
+        monkeypatch.setitem(ctx._testers, (2, 3), lambda rows: np.zeros(len(rows), dtype=bool))
+        with pytest.raises(ValueError, match="fails the integrality test"):
+            ctx.find_integral_subvector((0, 0, 2, 3))
+        verdict, reason = indecomposability_check((0, 0, 2, 3), W, 5)
+        assert verdict == "unknown" and "integrality" in reason
 
     def test_weight_cap(self):
         W = dihedral_group(5)

@@ -178,6 +178,13 @@ class TestInvariants:
         assert r.N == 5
         assert a_plus_A(W, W.char_index("phi{2,1}")) == 5
 
+    def test_records_are_built_once_per_group(self):
+        for W in (dihedral_group(12), g4_group(), cyclic_group(6)):
+            recs = compute_invariants(W)
+            assert isinstance(recs, tuple)
+            assert compute_invariants(W) is recs
+            assert recs == tuple(compute_invariants.__wrapped__(W))
+
 
 class TestOmegaPi:
     def test_triv(self):

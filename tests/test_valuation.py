@@ -23,6 +23,14 @@ from heckefam.valuation import (
 L = LaurentPoly.from_x_coeffs
 
 
+def v_p(m: int, p: int) -> int:
+    m, out = abs(m), 0
+    while m % p == 0:
+        m //= p
+        out += 1
+    return out
+
+
 class TestPrimesAbove:
     def test_split_prime(self):
         specs = primes_above(7, 3)
@@ -114,6 +122,31 @@ class TestValProperties:
             if not a.is_zero() and not b.is_zero():
                 assert val(s, a * b) == va + vb
             assert val(s, a + b) >= min(va, vb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((5, 8, 12, 15)).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.dictionaries(
+                    st.integers(0, n - 1),
+                    st.fractions(min_value=-6, max_value=6, max_denominator=10),
+                    min_size=1,
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    def test_valuations_sum_to_the_norm_valuation(self, x):
+        # v_p(N(a)) = sum over the primes P above p of f_P * val_P(a)
+        n, raw = x
+        a = make(n, raw)
+        if a.is_zero():
+            return
+        nrm = a.norm(conductor=n)
+        for p in (2, 3, 5, 7, 11):
+            want = v_p(nrm.numerator, p) - v_p(nrm.denominator, p)
+            assert sum(s.f * val(s, a) for s in primes_above(p, n)) == want, (a, p)
 
     def test_galois_robustness(self):
         # answers at the two primes above 7 in Q(zeta_3) are exchanged by Galois
