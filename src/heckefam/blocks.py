@@ -212,7 +212,11 @@ class _PrimeContext:
         flat_tmods = tmods.reshape(1, -1)
 
         def test_many(subsets: np.ndarray) -> np.ndarray:
-            """Rows are multiplicity vectors over `support`; True = passes integrality."""
+            """Rows are multiplicity vectors over `support`; True = passes integrality.
+            Rows of dtype object are tested in Python integers, without a bound."""
+            if subsets.dtype == object:
+                X = (subsets @ flatA.astype(object)) % modulus
+                return ((X % flat_tmods) == 0).all(axis=1)
             # every entry of subsets @ flatA is at most weight * (modulus - 1)
             weight = int(subsets.sum(axis=1).max())
             if weight * (modulus - 1) >= INT64_LIMIT:
@@ -244,7 +248,9 @@ class _PrimeContext:
 
         When the half holds no passing s, phi itself is tested before
         indecomposability is claimed; if phi fails, the symmetry does not hold
-        and ValueError is raised instead of a proof."""
+        and ValueError is raised instead of a proof.  phi is the one row
+        heavier than any proper subvector, so it is tested in Python integers
+        and the int64 bound of the search does not apply to it."""
         support = tuple(i for i, m in enumerate(phi) if m)
         mults = tuple(phi[i] for i in support)
         tester = self._tester(support)
@@ -253,7 +259,7 @@ class _PrimeContext:
         while True:
             batch = list(itertools.islice(combos, CHUNK))
             if not batch:
-                if not tester(np.array([mults], dtype=np.int64))[0]:
+                if not tester(np.array([mults], dtype=object))[0]:
                     raise ValueError(f"{tuple(phi)} fails the integrality test itself")
                 return None
             rows = np.array(batch, dtype=np.int64)

@@ -177,20 +177,18 @@ class TestIndecomposability:
         W = dihedral_group(5)
         ctx = _context(W, 5)
         # closed under s -> (99, 99) - s, as the passing subvectors of a
-        # projective are; (45, 7) is row 4506 of the searched half s1 <= 49
-        hits = {(45, 7), (54, 92), (48, 3), (51, 96)}
+        # projective are; (25, 7) is row 2506 of the searched half, in the
+        # second of its three chunks
+        hits = {(25, 7), (74, 92)}
         chunk_sizes = []
-        seen = []
 
         def fake_tester(rows):
             chunk_sizes.append(len(rows))
-            seen.extend(rows.tolist())
             return np.array([tuple(r) in hits for r in rows.tolist()])
 
         monkeypatch.setitem(ctx._testers, (2, 3), fake_tester)
-        assert ctx.find_integral_subvector((0, 0, 99, 99)) == (0, 0, 45, 7)
-        assert chunk_sizes == [2048, 2048, 903]
-        assert max(r[0] for r in seen) == 49
+        assert ctx.find_integral_subvector((0, 0, 99, 99)) == (0, 0, 25, 7)
+        assert chunk_sizes == [2048, 2048]
 
     def test_lower_half_is_the_lexicographically_smaller_half(self):
         from itertools import product
@@ -246,6 +244,26 @@ class TestIndecomposability:
             ctx.find_integral_subvector((0, 0, 2, 3))
         verdict, reason = indecomposability_check((0, 0, 2, 3), W, 5)
         assert verdict == "unknown" and "integrality" in reason
+
+    def test_phi_itself_is_tested_past_the_int64_bound(self, monkeypatch):
+        # with the bound between 1 * (p^L - 1) and 2 * (p^L - 1), every row of
+        # the half search of (1, 1) has weight 1 and fits, and phi of weight 2
+        # is still decided
+        from math import lcm
+
+        import heckefam.blocks as blocks
+
+        W = dihedral_group(5)
+        ctx = blocks._context(W, 5)
+        monkeypatch.setattr(ctx, "_testers", {})
+        M = 1
+        for npoly in ctx._numerators((2, 3)):
+            for v in npoly.coeffs.values():
+                M = lcm(M, v.denominator)
+        modulus = 5 ** (blocks._ord_int(M, 5) + 2)
+        monkeypatch.setattr(blocks, "INT64_LIMIT", 2 * (modulus - 1))
+        verdict, _ = indecomposability_check((0, 0, 1, 1), W, 5)
+        assert verdict == "indecomposable"
 
     def test_weight_cap(self):
         W = dihedral_group(5)

@@ -113,7 +113,7 @@ small_rationals = st.fractions(
 
 
 @st.composite
-def cyclotomics(draw, conductors=(1, 3, 4, 5, 8, 12)):
+def cyclotomics(draw, conductors=(1, 3, 4, 5, 8, 12, 19, 9, 27, 15, 21, 24, 6, 10, 30, 38)):
     n = draw(st.sampled_from(conductors))
     size = draw(st.integers(0, 3))
     raw = {
@@ -131,6 +131,7 @@ class TestProperties:
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+        assert a - a == 0 and a * 1 == a and a + 0 == a
 
     @settings(max_examples=100, deadline=None)
     @given(cyclotomics(), cyclotomics())
@@ -178,7 +179,10 @@ class TestProperties:
     @given(cyclotomics())
     def test_inverse(self, a):
         if not a.is_zero():
-            assert a * a.inverse() == 1
+            inv = a.inverse()
+            assert a * inv == 1
+            assert inv.conductor == a.conductor
+            assert inv.inverse() == a
 
 
 class TestLiteral:
