@@ -58,8 +58,8 @@ class GroupDatum:
         self.irr = irr                        # rows: characters, cols: classes
         self.fake_degrees = fake_degrees
         self.schur_elements = schur_elements
-        self.conj_perm = conj_perm
-        self.det_index = det_index
+        self.conj_perm = conj_perm            # None: inferred by validation
+        self.det_index = det_index            # None: inferred by validation
         self.spetsial = spetsial
         self.parabolic_specs = parabolic_specs
         self.parabolics: tuple[ParabolicEmbedding, ...] = ()
@@ -90,11 +90,10 @@ class GroupDatum:
         return n
 
     def poincare(self) -> LaurentPoly:
+        """prod_i (1 + x + ... + x^(d_i - 1)) over the degrees d_i."""
         out = LaurentPoly.const(one, self.mu)
-        ones = LaurentPoly.const(one, self.mu)
-        xm1 = LaurentPoly.x_power(1, self.mu) - ones
         for d in self.degrees:
-            out = out * poly_divexact(LaurentPoly.x_power(d, self.mu) - ones, xm1)
+            out = out * LaurentPoly.from_x_coeffs([1] * d, self.mu)
         return out
 
     # -- enumeration ----------------------------------------------------------
@@ -116,34 +115,34 @@ class GroupDatum:
         return m
 
     @_memo
-    def elements(self) -> dict:
-        """Map matrix -> shortest word, enumerated by BFS (spec bound enforced)."""
+    def elements(self) -> frozenset:
+        """The set of element matrices, enumerated by BFS (spec bound enforced)."""
         ident = self._identity()
-        words = {ident: ()}
+        seen = {ident}
         frontier = [ident]
         while frontier:
             nxt = []
             for m in frontier:
-                for gi, g in enumerate(self.generators, start=1):
+                for g in self.generators:
                     mm = self._matmul(m, g)
-                    if mm not in words:
-                        if len(words) >= ENUMERATION_BOUND:
+                    if mm not in seen:
+                        if len(seen) >= ENUMERATION_BOUND:
                             raise GroupDataError(
                                 f"{self.name}: enumeration bound {ENUMERATION_BOUND} exceeded"
                             )
-                        words[mm] = words[m] + (gi,)
+                        seen.add(mm)
                         nxt.append(mm)
             frontier = nxt
-        if len(words) != self.order:
+        if len(seen) != self.order:
             raise GroupDataError(
-                f"{self.name}: generated group has order {len(words)}, datum says {self.order}"
+                f"{self.name}: generated group has order {len(seen)}, datum says {self.order}"
             )
-        return words
+        return frozenset(seen)
 
     @_memo
     def class_index_map(self) -> dict:
         """Map every element matrix to its class index (orbit closure from reps)."""
-        words = self.elements()
+        self.elements()  # the generated order is checked before the orbits
         gens = self.generators
         inv = {}
         # generator inverses: g^(order-1) found by cycling
@@ -181,46 +180,25 @@ class GroupDatum:
 
     @_memo
     def reflection_counts(self) -> tuple[int, int]:
-        """(number of reflecting hyperplanes, number of reflections), by enumeration."""
-        words = self.elements()
+        """(number of reflecting hyperplanes, number of reflections), by enumeration.
+
+        m is a reflection exactly when m - 1 has rank one; its hyperplane
+        ker(m - 1) is then the kernel of the first nonzero row of m - 1, and
+        that row, scaled to lead with 1, is the hyperplane's key."""
+        r = self.rank
         nref = 0
         hyperplanes = set()
-        for m in words:
-            fixed = self._fixed_space_echelon(m)
-            if len(fixed) == self.rank - 1:
-                nref += 1
-                hyperplanes.add(fixed)
-        return len(hyperplanes), nref
-
-    def _fixed_space_echelon(self, m) -> tuple:
-        """Canonical (RREF) basis of ker(m - 1), hashable."""
-        r = self.rank
-        rows = [[m[i][j] - (one if i == j else zero) for j in range(r)] for i in range(r)]
-        # column echelon of the kernel: solve rows * v = 0 via RREF of rows
-        pivots = []
-        rr = 0
-        for col in range(r):
-            pr = next((i for i in range(rr, r) if rows[i][col]), None)
-            if pr is None:
+        for m in self.elements():
+            rows = [[m[i][j] - one if i == j else m[i][j] for j in range(r)] for i in range(r)]
+            a = next((row for row in rows if any(row)), None)
+            if a is None:
                 continue
-            rows[rr], rows[pr] = rows[pr], rows[rr]
-            inv = rows[rr][col].inverse()
-            rows[rr] = [v * inv for v in rows[rr]]
-            for i in range(r):
-                if i != rr and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [v - f * w for v, w in zip(rows[i], rows[rr])]
-            pivots.append(col)
-            rr += 1
-        free = [c for c in range(r) if c not in pivots]
-        basis = []
-        for fc in free:
-            vec = [zero] * r
-            vec[fc] = one
-            for pi, pc in enumerate(pivots):
-                vec[pc] = -rows[pi][fc]
-            basis.append(tuple(vec))
-        return tuple(sorted(basis, key=lambda v: tuple(str(x) for x in v)))
+            p = next(j for j, v in enumerate(a) if v)
+            if all(b[j] * a[p] == b[p] * a[j] for b in rows for j in range(r)):
+                nref += 1
+                inv = a[p].inverse()
+                hyperplanes.add(tuple(v * inv for v in a))
+        return len(hyperplanes), nref
 
 
 # -- class fusion and induction ------------------------------------------------
@@ -252,10 +230,11 @@ def induction_matrix_from_fusion(W: GroupDatum, sub: GroupDatum, fusion) -> tupl
             ind_vals.append(tot * Fraction(W.order, size * sub.order))
         # inner products with Irr(W)
         row = []
-        for chi in W.irr:
+        for j in range(W.n_irr):
+            chi_bar = W.irr[W.conj_perm[j]]
             ip = zero
             for ci, (size, _w) in enumerate(W.classes):
-                ip = ip + ind_vals[ci] * chi[ci].conjugate() * size
+                ip = ip + ind_vals[ci] * chi_bar[ci] * size
             ip = ip * Fraction(1, W.order)
             if not ip.is_rational() or ip.as_rational().denominator != 1 or ip.as_rational() < 0:
                 raise GroupDataError(
@@ -295,8 +274,13 @@ def restrict(P: ParabolicEmbedding, v) -> tuple:
 def fake_degrees_molien(W: GroupDatum) -> tuple:
     """All fake degrees by the Molien sum; orientation chosen by validation.
 
-    The two candidate orientations use chi(w) or chi(w^{-1}); exactly one must
-    satisfy R_triv = 1 and R_chi(1) = chi(1) for all chi.
+    The two candidate orientations sum chi(w) or conj(chi(w)) = chi(w^{-1})
+    against prod(1 - x^d_i)/det(1 - xw); exactly one must give integral
+    series with R_triv = 1, R_chi(1) = chi(1) and x^N for the determinant
+    character.  Since conj(chi_i) = chi_{conj_perm[i]}, the conjugate
+    orientation is the plain one permuted by conj_perm, so only one sum is
+    taken.  That holds only for a checked conj_perm and det_index:
+    `_validate` checks both before it calls this function.
     """
     unit = LaurentPoly.const(one, W.mu)
     prod = unit
@@ -312,15 +296,13 @@ def fake_degrees_molien(W: GroupDatum) -> tuple:
         ]
         per_class.append(poly_divexact(prod, _det(one_minus_xw, unit)))
 
-    def molien(orient_conj: bool):
-        out = []
-        for chi in W.irr:
-            tot = LaurentPoly.const(zero, W.mu)
-            for ci, (size, _w) in enumerate(W.classes):
-                v = chi[ci].conjugate() if orient_conj else chi[ci]
-                tot = tot + per_class[ci] * (v * Fraction(size, W.order))
-            out.append(tot)
-        return out
+    plain = []
+    for chi in W.irr:
+        tot = LaurentPoly.const(zero, W.mu)
+        for ci, (size, _w) in enumerate(W.classes):
+            tot = tot + per_class[ci] * (chi[ci] * Fraction(size, W.order))
+        plain.append(tot)
+    conj = [plain[j] for j in W.conj_perm]
 
     n_refl = W.reflection_counts()[1]
 
@@ -336,11 +318,10 @@ def fake_degrees_molien(W: GroupDatum) -> tuple:
             if all(v == one for v in W.irr[i]) and f != LaurentPoly.const(one, W.mu):
                 return False  # R_triv must be 1
         # the determinant character carries the top coinvariant degree
-        if W.det_index >= 0 and fds[W.det_index] != LaurentPoly.x_power(n_refl, W.mu):
+        if fds[W.det_index] != LaurentPoly.x_power(n_refl, W.mu):
             return False
         return True
 
-    plain, conj = molien(False), molien(True)
     ok_plain, ok_conj = valid(plain), valid(conj)
     if ok_plain and ok_conj and plain != conj:
         raise GroupDataError(f"{W.name}: Molien orientation ambiguous")
@@ -376,12 +357,14 @@ def _validate(W: GroupDatum) -> GroupDatum:
         deg_prod *= d
     if deg_prod != W.order:
         raise GroupDataError(f"{name}: product of degrees {deg_prod} != |W| = {W.order}")
+    _check_indices(W)
+    conj_irr = [tuple(v.conjugate() for v in row) for row in W.irr]
     # row orthogonality
     for i in range(k):
         for j in range(i, k):
             ip = zero
             for ci, (size, _w) in enumerate(W.classes):
-                ip = ip + W.irr[i][ci] * W.irr[j][ci].conjugate() * size
+                ip = ip + W.irr[i][ci] * conj_irr[j][ci] * size
             expect = rat(W.order) if i == j else zero
             if ip != expect:
                 raise GroupDataError(
@@ -398,17 +381,25 @@ def _validate(W: GroupDatum) -> GroupDatum:
     # enumeration-backed checks
     W.elements()
     W.class_index_map()
-    # conj_perm
+    # conj_perm, inferred when the document leaves it out
+    if W.conj_perm is None:
+        try:
+            W.conj_perm = tuple(W.irr.index(row) for row in conj_irr)
+        except ValueError:
+            raise GroupDataError(
+                "character table is not closed under complex conjugation"
+            ) from None
     for i in range(k):
-        conj_row = tuple(v.conjugate() for v in W.irr[i])
-        if tuple(W.irr[W.conj_perm[i]]) != conj_row:
+        if W.irr[W.conj_perm[i]] != conj_irr[i]:
             raise GroupDataError(f"{name}: conj_perm wrong at {W.char_names[i]}")
-    # det character
-    det_vals = []
-    for size, word in W.classes:
-        m = W.word_matrix(word)
-        det_vals.append(_det(m, one))
-    if tuple(W.irr[W.det_index]) != tuple(det_vals):
+    # det character, inferred when the document leaves it out
+    det_vals = tuple(_det(W.word_matrix(word), one) for _size, word in W.classes)
+    if W.det_index is None:
+        try:
+            W.det_index = W.irr.index(det_vals)
+        except ValueError:
+            raise GroupDataError(f"{name}: determinant character not found in the table") from None
+    if W.irr[W.det_index] != det_vals:
         raise GroupDataError(f"{name}: det_index does not match the determinant character")
     # fake degrees
     molien = fake_degrees_molien(W)
@@ -502,6 +493,38 @@ def _validate(W: GroupDatum) -> GroupDatum:
     return W
 
 
+def _check_indices(W: GroupDatum) -> None:
+    """Reject every index of the datum that would point outside what it
+    indexes: generator shapes, word letters, parabolic words, conj_perm,
+    det_index and the number of fake degrees."""
+    name, k, r = W.name, W.n_irr, W.rank
+    ngen = len(W.generators)
+    for gi, g in enumerate(W.generators, start=1):
+        if len(g) != r or any(len(row) != r for row in g):
+            raise GroupDataError(f"{name}: generator {gi} is not {r} x {r}")
+    words = [(f"class {ci}", word) for ci, (_size, word) in enumerate(W.classes)]
+    for pspec in W.parabolic_specs:
+        sub = pspec["datum"]
+        if len(pspec["generators"]) != len(sub.generators):
+            raise GroupDataError(
+                f"{name}: parabolic {sub.name} has {len(pspec['generators'])} generator "
+                f"words for {len(sub.generators)} generators"
+            )
+        words += [(f"parabolic {sub.name}", word) for word in pspec["generators"]]
+    for where, word in words:
+        if any(not 1 <= g <= ngen for g in word):
+            raise GroupDataError(
+                f"{name}: {where} word {list(word)} names a generator outside 1..{ngen}"
+            )
+    if W.conj_perm is not None and sorted(W.conj_perm) != list(range(k)):
+        raise GroupDataError(f"{name}: conj_perm {list(W.conj_perm)} is not a permutation "
+                             f"of the {k} characters")
+    if W.det_index is not None and not 0 <= W.det_index < k:
+        raise GroupDataError(f"{name}: det_index {W.det_index} is not one of the {k} characters")
+    if len(W.fake_degrees) not in (0, k):
+        raise GroupDataError(f"{name}: {len(W.fake_degrees)} fake degrees for {k} characters")
+
+
 def _det(rows, one):
     """Determinant by cofactor expansion along the first row, over any
     commutative ring; `one` is returned for the empty matrix."""
@@ -535,10 +558,9 @@ def cyclic_group(d: int) -> GroupDatum:
     """Z_d with its one-parameter cyclotomic Hecke data."""
     if d < 2:
         raise ValueError("cyclic_group expects d >= 2")
-    z = zeta(d)
-    gens = (((z,),),)
+    gens = (((zeta(d),),),)
     classes = tuple((1, (1,) * k) for k in range(d))
-    irr = tuple(tuple(z ** (i * k) for k in range(d)) for i in range(d))
+    irr = tuple(tuple(zeta(d, i * k) for k in range(d)) for i in range(d))
     # chi_i has fake degree x^{d-i} (coinvariants of the dual space)
     names = tuple(f"phi{{1,{(d - i) % d}}}" for i in range(d))
     conj_perm = tuple((-i) % d for i in range(d))
@@ -556,9 +578,8 @@ def dihedral_group(n: int) -> GroupDatum:
     """I2(n), n >= 3, generated by two reflections."""
     if n < 3:
         raise ValueError("dihedral_group expects n >= 3")
-    z = zeta(n)
     s = ((zero, one), (one, zero))
-    t = ((zero, z.inverse()), (z, zero))
+    t = ((zero, zeta(n, -1)), (zeta(n), zero))
     m = n // 2
     classes = [(1, ())]
     rot_range = range(1, m + 1) if n % 2 == 1 else range(1, m)
@@ -573,7 +594,7 @@ def dihedral_group(n: int) -> GroupDatum:
     classes = tuple(classes)
 
     def rot_val(j, k):
-        return z ** (j * k) + z ** (-j * k)
+        return zeta(n, j * k) + zeta(n, -j * k)
 
     chars = []
     names = []
@@ -645,50 +666,29 @@ def load_group(doc) -> GroupDatum:
         )
         fake = tuple(laurent_from_doc(f) for f in doc.get("fake_degrees", []))
         schur = tuple(laurent_from_doc(cdoc) for cdoc in doc["schur_elements"])
+        parabolics = [
+            (p["name"], tuple(tuple(int(w) for w in word) for word in p["generators"]),
+             p.get("induction_matrix"))
+            for p in doc.get("parabolics", [])
+        ]
+        conj_perm = tuple(int(j) for j in doc["conj_perm"]) if "conj_perm" in doc else None
+        det_index = int(doc["det_index"]) if "det_index" in doc else None
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupDataError(f"malformed group document: {exc}") from exc
     mu = int(doc.get("mu", 1))
-    paraspecs = []
-    for p in doc.get("parabolics", []):
-        paraspecs.append(
-            {
-                "datum": get_group(p["name"]),
-                "generators": tuple(tuple(int(w) for w in word) for word in p["generators"]),
-                "induction_matrix": p.get("induction_matrix"),
-            }
-        )
-    conj_perm = tuple(doc["conj_perm"]) if "conj_perm" in doc else _infer_conj_perm(irr)
+    paraspecs = tuple(
+        {"datum": get_group(pname), "generators": words, "induction_matrix": matrix}
+        for pname, words, matrix in parabolics
+    )
     W = GroupDatum(
         name=doc["name"], order=int(doc["order"]), mu=mu, rank=int(doc["rank"]),
         generators=generators, degrees=tuple(int(d) for d in doc["degrees"]),
         classes=classes, char_names=names, irr=irr, fake_degrees=fake,
-        schur_elements=schur, conj_perm=conj_perm,
-        det_index=int(doc["det_index"]) if "det_index" in doc else -1,
+        schur_elements=schur, conj_perm=conj_perm, det_index=det_index,
         spetsial=bool(doc.get("spetsial", False)),
-        parabolic_specs=tuple(paraspecs),
+        parabolic_specs=paraspecs,
     )
-    if W.det_index < 0:
-        det_vals = tuple(_det(W.word_matrix(word), one) for _size, word in W.classes)
-        for i, row in enumerate(W.irr):
-            if tuple(row) == det_vals:
-                W.det_index = i
-                break
-        else:
-            raise GroupDataError(f"{W.name}: determinant character not found in the table")
     return _validate(W)
-
-
-def _infer_conj_perm(irr) -> tuple:
-    out = []
-    for row in irr:
-        target = tuple(v.conjugate() for v in row)
-        for j, other in enumerate(irr):
-            if tuple(other) == target:
-                out.append(j)
-                break
-        else:
-            raise GroupDataError("character table is not closed under complex conjugation")
-    return tuple(out)
 
 
 @cache

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, one, rat, zeta, zero
-from .laurent import LaurentPoly, RationalFunction, derivative_at_one, poly_divexact, ratfun_reduce
+from .laurent import LaurentPoly, RationalFunction, derivative_at_one, ratfun_reduce
 from .memo import _memo
 from .ntheory import factorize
 from .valuation import laurent_content_val, primes_above
@@ -20,11 +20,11 @@ def cyclic_schur(d: int) -> list[LaurentPoly]:
     sum_i lambda_i^k / c_i = delta_{k0}."""
     if d < 2:
         raise ValueError("cyclic_schur expects d >= 2")
-    z = zeta(d)
     out = [LaurentPoly.from_x_coeffs([1] * d)]  # c_0 = 1 + x + ... + x^{d-1}
     for i in range(1, d):
-        gamma = rat(d) * (one - z**i).inverse()
-        out.append(LaurentPoly({1: gamma, 0: -gamma * z**i}).shift(-1))
+        z = zeta(d, i)
+        gamma = rat(d) * (one - z).inverse()
+        out.append(LaurentPoly({1: gamma, 0: -gamma * z}).shift(-1))
     return out
 
 
@@ -32,14 +32,11 @@ def dihedral_schur(n: int) -> list[LaurentPoly]:
     """Schur elements of I2(n), ordered as the catalog characters:
     trivial, sign, [the two extra linear characters when n is even], rho_j.
 
-    Validated by the global identity sum deg(chi)/c_chi = 1."""
+    The group validation checks the identity sum deg(chi)/c_chi = 1 on them."""
     if n < 3:
         raise ValueError("dihedral_schur expects n >= 3")
-    z = zeta(n)
-    P = poly_divexact(
-        (LaurentPoly.from_x_coeffs([-1, 0, 1])) * (LaurentPoly.x_power(n) - 1),
-        LaurentPoly.from_x_coeffs([-1, 1]) ** 2,
-    )
+    # P = (1 + x)(1 + x + ... + x^{n-1}), the Poincare polynomial of I2(n)
+    P = LaurentPoly.from_x_coeffs([1, 1]) * LaurentPoly.from_x_coeffs([1] * n)
     out = [P, P.shift(-n)]
     m = n // 2
     if n % 2 == 0:
@@ -47,15 +44,9 @@ def dihedral_schur(n: int) -> list[LaurentPoly]:
         out += [lin, lin]
     nrot = m if n % 2 == 1 else m - 1
     for j in range(1, nrot + 1):
-        f = rat(n) * ((one - z**j) * (one - z ** (-j))).inverse()
-        out.append(LaurentPoly({2: one, 1: -(z**j + z ** (-j)), 0: one}).shift(-1) * f)
-    # hard validation gate
-    gate = LaurentPoly.const(zero)
-    degs = [1, 1] + ([1, 1] if n % 2 == 0 else []) + [2] * nrot
-    for deg, c in zip(degs, out):
-        gate = gate + poly_divexact(P, c) * deg
-    if gate != P:
-        raise ArithmeticError(f"dihedral Schur identity gate failed for n={n}")
+        trace = zeta(n, j) + zeta(n, -j)
+        f = rat(n) * (rat(2) - trace).inverse()  # n / ((1 - z^j)(1 - z^-j))
+        out.append(LaurentPoly({2: one, 1: -trace, 0: one}).shift(-1) * f)
     return out
 
 

@@ -1,8 +1,10 @@
 """Group catalog, ingestion validation, fusion, induction, fake degrees."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from test_acceptance import BUNDLED
 
 from heckefam.cyclotomic import one, rat, zeta, zero
 from heckefam.groups import (
@@ -20,7 +22,7 @@ from heckefam.groups import (
     restrict,
     trivial_group,
 )
-from heckefam.laurent import LaurentPoly
+from heckefam.laurent import LaurentPoly, poly_divexact
 
 L = LaurentPoly.from_x_coeffs
 
@@ -54,6 +56,18 @@ class TestCatalog:
     def test_trivial(self):
         W = trivial_group()
         assert W.order == 1 and W.n_irr == 1 and W.parabolics == ()
+
+
+class TestReflections:
+    @pytest.mark.parametrize("name,ctor,arg", BUNDLED, ids=[b[0] for b in BUNDLED])
+    def test_counts_match_degrees_and_hyperplanes(self, name, ctor, arg):
+        W = ctor(arg) if arg is not None else ctor()
+        n_hyp, n_refl = W.reflection_counts()
+        assert n_refl == sum(d - 1 for d in W.degrees)  # Shephard-Todd
+        assert n_hyp == (1 if name.startswith("Z") else 4 if name == "G4" else arg)
+
+    def test_ingested_dihedral(self):
+        assert load_group(group_to_doc(dihedral_group(7))).reflection_counts() == (7, 7)
 
 
 class TestFusion:
@@ -138,6 +152,37 @@ class TestFakeDegrees:
         W = g4_group()
         for i in range(W.n_irr):
             assert fake_degree(W, i).eval_x(rat(1)) == W.irr[i][0]
+
+    @staticmethod
+    def molien_orientations(W):
+        """sum_w chi(w) and sum_w conj(chi(w)) against prod(1 - x^d)/det(1 - xw),
+        over the classes of a group of rank 1 or 2."""
+        x = LaurentPoly.x_power(1, W.mu)
+        num = LaurentPoly.const(one, W.mu)
+        for d in W.degrees:
+            num = num * (1 - LaurentPoly.x_power(d, W.mu))
+        terms = []
+        for size, word in W.classes:
+            m = W.word_matrix(word)
+            if W.rank == 1:
+                den = 1 - x * m[0][0]
+            else:
+                den = (1 - x * m[0][0]) * (1 - x * m[1][1]) - x * x * (m[0][1] * m[1][0])
+            terms.append(poly_divexact(num, den) * Fraction(size, W.order))
+        zero_poly = LaurentPoly.const(zero, W.mu)
+        plain = [sum((t * chi[ci] for ci, t in enumerate(terms)), zero_poly) for chi in W.irr]
+        conj = [sum((t * chi[ci].conjugate() for ci, t in enumerate(terms)), zero_poly)
+                for chi in W.irr]
+        return plain, conj
+
+    @pytest.mark.parametrize("name", [f"Z{d}" for d in range(3, 9)] + ["G4", "I2.5", "I2.12"])
+    def test_conjugate_orientation_is_the_plain_one_permuted(self, name):
+        W = get_group(name)
+        plain, conj = self.molien_orientations(W)
+        fake = list(W.fake_degrees)
+        assert fake in (plain, conj)
+        other = conj if fake == plain else plain
+        assert other == [fake[j] for j in W.conj_perm]
 
 
 class TestPoincare:

@@ -48,6 +48,75 @@ class TestRejection:
         with pytest.raises(GroupDataError, match="induction"):
             load_group(doc)
 
+    def test_wrong_conj_perm_names_the_character(self):
+        doc = group_to_doc(cyclic_group(4))
+        doc["conj_perm"] = [0, 1, 2, 3]
+        with pytest.raises(GroupDataError, match="conj_perm wrong"):
+            load_group(doc)
+
+    def test_wrong_det_index(self):
+        doc = group_to_doc(cyclic_group(4))
+        doc["det_index"] = 2
+        with pytest.raises(GroupDataError, match="det_index does not match"):
+            load_group(doc)
+
+    def test_fake_degrees_of_the_other_orientation(self):
+        # phi{1,1} and phi{1,2} of Z3 swapped: the conjugate Molien orientation
+        doc = group_to_doc(cyclic_group(3))
+        doc["fake_degrees"][1], doc["fake_degrees"][2] = doc["fake_degrees"][2], doc["fake_degrees"][1]
+        with pytest.raises(GroupDataError, match="disagrees with Molien"):
+            load_group(doc)
+
+    def test_omitted_conj_perm_and_det_index_are_inferred(self):
+        doc = group_to_doc(cyclic_group(4))
+        del doc["conj_perm"], doc["det_index"]
+        W = load_group(doc)
+        assert W.conj_perm == (0, 3, 2, 1) == cyclic_group(4).conj_perm
+        assert W.det_index == 1 == cyclic_group(4).det_index
+
+
+# (path into the document, new value or a function of the document)
+MALFORMED = {
+    "class word names generator 3 of 2": (("classes", 1, "word"), [1, 3]),
+    "class word letter 0": (("classes", 3, "word"), [0]),
+    "parabolic word names generator 7": (("parabolics", 0, "generators"), [[7]]),
+    "1x1 generator at rank 2": (("generators", 0), lambda d: [[d["generators"][0][0][0]]]),
+    "rank 3 with 2x2 generators": (("rank",), 3),
+    "det_index 9": (("det_index",), 9),
+    "conj_perm of length 3": (("conj_perm",), [0, 1, 2]),
+    "conj_perm entry 7": (("conj_perm",), [0, 1, 2, 7]),
+    "2 fake degrees for 4 characters": (("fake_degrees",), lambda d: d["fake_degrees"][:2]),
+    "parabolic words do not match its generators":
+        (("parabolics",), [{"name": "I2.5", "generators": [[1]]}]),
+    "parabolic without a name": (("parabolics",), [{"generators": [[1]]}]),
+}
+
+
+def _malformed(path, value):
+    doc = group_to_doc(dihedral_group(5))
+    *outer, key = path
+    node = doc
+    for step in outer:
+        node = node[step]
+    node[key] = value(doc) if callable(value) else value
+    return doc
+
+
+class TestMalformedIndices:
+    """Indices that point outside what they index are rejected by name, not
+    by an IndexError (or, for the letter 0, silently read as the last
+    generator)."""
+
+    @pytest.mark.parametrize("path,value", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_rejected_with_group_data_error(self, path, value, tmp_path, capsys):
+        doc = _malformed(path, value)
+        with pytest.raises(GroupDataError):
+            load_group(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("INVALID: ")
+
 
 class TestIngestedComputation:
     def test_families_from_external_file(self, tmp_path, capsys):

@@ -88,10 +88,17 @@ class TestDihedralSchur:
             assert f_of(cs[2]).inverse() == rat(Fraction(2, n))
 
     def test_gate_enforced(self):
-        # the constructor itself validates sum deg/c = 1; a wrong closed form
-        # would have raised, so all we check here is that it runs for many n
+        # the symmetrizing-form identity sum deg(chi) * P/c_chi = P, checked
+        # on the constructor's own output against P = (x^2-1)(x^n-1)/(x-1)^2
         for n in range(3, 16):
-            dihedral_schur(n)
+            cs = dihedral_schur(n)
+            P = poly_divexact(L([-1, 0, 1]) * (LaurentPoly.x_power(n) - 1), L([-1, 1]) ** 2)
+            nrot = (n - 1) // 2
+            degs = [1] * (len(cs) - nrot) + [2] * nrot
+            total = LaurentPoly.const(zero)
+            for deg, c in zip(degs, cs):
+                total = total + poly_divexact(P, c) * deg
+            assert total == P, n
 
 
 class TestGenericDegrees:
