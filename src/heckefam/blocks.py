@@ -12,10 +12,8 @@ subset-search proof.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-
-import numpy as np
+from math import gcd
 
 from .cyclotomic import one
 from .laurent import LaurentPoly, factor_unit_part
@@ -34,8 +32,6 @@ from .valuation import (
 EXACT, UPPER = "exact", "upper-bound"
 
 SUBSET_WEIGHT_CAP = 20
-
-INT64_LIMIT = 2**63
 
 
 class BlockPartition:
@@ -143,7 +139,7 @@ class _PrimeContext:
                     f"{W.name}: Schur element of {W.char_names[i]} is not integral at p={p}"
                 )
             self.f_val.append(v)
-        self._testers = {}
+        self._lattices = {}
 
     def defect_zero(self, i: int) -> bool:
         return self.f_val[i] == 0
@@ -172,9 +168,10 @@ class _PrimeContext:
             out.append(npoly)
         return out
 
-    def _tester(self, support: tuple):
-        if support in self._testers:
-            return self._testers[support]
+    def _test_columns(self, support: tuple):
+        """(rows, moduli) with rows[i][j] the j-th completion digit of the i-th
+        tester numerator: s passes the O_p integrality test exactly when
+        sum_i s_i rows[i][j] = 0 mod moduli[j] for every j."""
         W, spec = self.W, self.spec
         for i in support:
             if not self.unit_shaped[i]:
@@ -189,100 +186,137 @@ class _PrimeContext:
                 M = lcm(M, v.denominator)
         vM = spec.e * _ord_int(M, spec.p)
         L = vM // spec.e + 2
-        modulus = spec.p**L
-        if modulus >= INT64_LIMIT:
-            raise ValueError(f"subset test modulus {spec.p}^{L} does not fit in int64")
         comp = _completion(spec)
         slots = sorted({e for npoly in numerators for e in npoly.coeffs})
-        slot_of = {e: k for k, e in enumerate(slots)}
-        A = np.zeros((len(support), len(slots), spec.e, spec.f), dtype=np.int64)
-        for ii, npoly in enumerate(numerators):
-            for e, v in npoly.coeffs.items():
-                scale = M // v.denominator
-                digits = comp.image(
-                    {k: c * scale for k, c in v.numerators.items()}, v.conductor, L
+        zero = [[0] * spec.f] * spec.e
+        rows = []
+        for npoly in numerators:
+            digits = {
+                e: comp.image(
+                    {k: c * (M // v.denominator) for k, c in v.numerators.items()}, v.conductor, L
                 )
-                A[ii, slot_of[e]] = digits
-        # threshold moduli per ramified digit k: val >= vM  <=>  digit_k = 0 mod p^ceil((vM-k)/e)
-        tmods = np.ones((1, len(slots), spec.e, spec.f), dtype=np.int64)
-        for k in range(spec.e):
-            t_k = max(0, -(-(vM - k) // spec.e))
-            tmods[0, :, k, :] = spec.p**t_k
-        flatA = A.reshape(len(support), -1)
-        flat_tmods = tmods.reshape(1, -1)
+                for e, v in npoly.coeffs.items()
+            }
+            rows.append([x for e in slots for row in digits.get(e, zero) for x in row])
+        # threshold per ramified digit k: val >= vM  <=>  digit_k = 0 mod p^ceil((vM-k)/e)
+        tmods = [spec.p ** max(0, -(-(vM - k) // spec.e)) for k in range(spec.e)]
+        return rows, [tmods[k] for _e in slots for k in range(spec.e) for _i in range(spec.f)]
 
-        def test_many(subsets: np.ndarray) -> np.ndarray:
-            """Rows are multiplicity vectors over `support`; True = passes integrality.
-            Rows of dtype object are tested in Python integers, without a bound."""
-            if subsets.dtype == object:
-                X = (subsets @ flatA.astype(object)) % modulus
-                return ((X % flat_tmods) == 0).all(axis=1)
-            # every entry of subsets @ flatA is at most weight * (modulus - 1)
-            weight = int(subsets.sum(axis=1).max())
-            if weight * (modulus - 1) >= INT64_LIMIT:
-                raise ValueError(
-                    f"subset test of weight {weight} modulo {spec.p}^{L} overflows int64"
-                )
-            X = (subsets @ flatA) % modulus
-            return ((X % flat_tmods) == 0).all(axis=1)
-
-        self._testers[support] = test_many
-        return test_many
+    def _lattice(self, support: tuple):
+        """Hermite normal form of the lattice of vectors over `support` that
+        pass the integrality test."""
+        if support not in self._lattices:
+            rows, moduli = self._test_columns(support)
+            self._lattices[support] = _kernel_hnf(rows, moduli, len(support))
+        return self._lattices[support]
 
     def find_integral_subvector(self, phi):
         """First proper nonzero subvector, in product order, passing the O_p
         integrality test, or None when all fail (proving indecomposability).
-        Raises ValueError when the test is unsupported for this support.
+        Raises ValueError when the test is unsupported for this support, or
+        when phi itself fails it.
 
-        Only the subvectors s with s <= phi - s lexicographically are tested,
-        which halves the search:
-
-        * s passes exactly when its complement phi - s does.  The test asks
-          whether s @ A vanishes modulo fixed prime powers, so the passing
-          vectors form a subgroup, and phi is in it because phi is projective.
-        * itertools.product over ascending ranges yields tuples in
-          lexicographic order, so of s and phi - s the smaller comes first.
-          The first passing s in product order therefore lies in the half
-          searched, and the subvector reported is the one the full search
-          would report.
-
-        When the half holds no passing s, phi itself is tested before
-        indecomposability is claimed; if phi fails, the symmetry does not hold
-        and ValueError is raised instead of a proof.  phi is the one row
-        heavier than any proper subvector, so it is tested in Python integers
-        and the int64 bound of the search does not apply to it."""
+        The subvectors that pass are the points in the box [0, phi] of the
+        lattice of `_lattice`.  A point x @ h of its Hermite basis h has
+        coordinate c equal to x_c h[c][c] plus an offset fixed by x_1 ..
+        x_{c-1}, that is by the coordinates before c, so coordinate c runs
+        through one residue class modulo h[c][c].  `_box_points` takes each
+        coordinate in ascending order, the later ones varying fastest: that
+        is lexicographic order, the order of itertools.product over the
+        ranges range(phi_c + 1).  After 0, its first point is therefore the
+        first passing subvector of the exhaustive search, and phi, the last
+        vector of the box, comes first only when no proper subvector
+        passes.  That argument needs phi in the lattice, which is tested
+        first."""
         support = tuple(i for i, m in enumerate(phi) if m)
         mults = tuple(phi[i] for i in support)
-        tester = self._tester(support)
-        CHUNK = 2048
-        combos = (combo for combo in _lower_half(mults) if any(combo))
-        while True:
-            batch = list(itertools.islice(combos, CHUNK))
-            if not batch:
-                if not tester(np.array([mults], dtype=object))[0]:
-                    raise ValueError(f"{tuple(phi)} fails the integrality test itself")
-                return None
-            rows = np.array(batch, dtype=np.int64)
-            ok = tester(rows)
-            if ok.any():
-                idx = int(np.argmax(ok))
-                sub = [0] * len(phi)
-                for j, i in enumerate(support):
-                    sub[i] = int(rows[idx][j])
-                return tuple(sub)
+        hnf = self._lattice(support)
+        if not _in_lattice(hnf, mults):
+            raise ValueError(f"{tuple(phi)} fails the integrality test itself")
+        first = next((s for s in _box_points(hnf, mults) if any(s)), mults)
+        if first == mults:
+            return None
+        sub = [0] * len(phi)
+        for j, i in enumerate(support):
+            sub[i] = first[j]
+        return tuple(sub)
 
 
-def _lower_half(mults: tuple):
-    """The vectors 0 <= s <= mults with s <= mults - s lexicographically, in
-    product order."""
-    if not mults:
-        yield ()
-        return
-    m, rest = mults[0], mults[1:]
-    yield from itertools.product(range((m + 1) // 2), *(range(k + 1) for k in rest))
-    if m % 2 == 0:
-        for tail in _lower_half(rest):
-            yield (m // 2, *tail)
+def _kernel_hnf(rows, moduli, k: int) -> list[list[int]]:
+    """Upper-triangular Hermite normal form of the lattice
+    {s in Z^k : sum_i s_i rows[i][j] = 0 mod moduli[j] for all j}, where the
+    moduli are powers of one prime (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4).
+
+    Column j is scaled by q / moduli[j], q the largest modulus, so every
+    condition reads modulo q, and the lattice contains q Z^k.  The rows
+    [scaled rows[i] | e_i] generate a Z/q-module that is echelonized column
+    by column, pivoting on the entry of least p-valuation.  Eliminating a
+    column keeps (q / a) times its pivot row, for a the p-part of the
+    pivot entry, so the generators left after the test columns span the
+    kernel, and their pivot rows on the last k columns form the Hermite
+    form, with q e_c where no generator reaches column c.  Entries above
+    the diagonal are then reduced so that 0 <= h[i][c] < h[c][c]."""
+    q = max(moduli, default=1)
+    m = len(moduli)
+    gens = [
+        [x * (q // mod) % q for x, mod in zip(row, moduli)] + [int(i == j) % q for j in range(k)]
+        for i, row in enumerate(rows)
+    ]
+    hnf = []
+    for c in range(m + k):
+        piv = min((g for g in gens if g[c]), key=lambda g: gcd(g[c], q), default=None)
+        if piv is None:
+            if c >= m:
+                hnf.append([q * int(j == c - m) for j in range(k)])
+            continue
+        gens.remove(piv)
+        a = gcd(piv[c], q)
+        inv = pow(piv[c] // a, -1, q)
+        piv = [x * inv % q for x in piv]
+        gens = [[(x - g[c] // a * y) % q for x, y in zip(g, piv)] if g[c] else g
+                for g in gens]
+        gens.append([x * (q // a) % q for x in piv])
+        if c >= m:
+            hnf.append(piv[m:])
+    for c in range(k):
+        d = hnf[c][c]
+        for i in range(c):
+            r = hnf[i][c] // d
+            if r:
+                hnf[i] = [x - r * y for x, y in zip(hnf[i], hnf[c])]
+    return hnf
+
+
+def _in_lattice(hnf, s) -> bool:
+    """Whether s is an integer combination of the rows of the triangular hnf."""
+    s = list(s)
+    for c, row in enumerate(hnf):
+        x, r = divmod(s[c], row[c])
+        if r:
+            return False
+        if x:
+            s = [a - x * b for a, b in zip(s, row)]
+    return True
+
+
+def _box_points(hnf, box):
+    """The points in [0, box] of the lattice with upper-triangular basis
+    hnf, in lexicographic order."""
+    k = len(box)
+    point = [0] * k
+
+    def walk(c, offset):
+        if c == k:
+            yield tuple(point)
+            return
+        row, d = hnf[c], hnf[c][c]
+        for s in range(offset[c] % d, box[c] + 1, d):
+            point[c] = s
+            x = (s - offset[c]) // d
+            yield from walk(c + 1, [a + x * b for a, b in zip(offset, row)] if x else offset)
+
+    yield from walk(0, [0] * k)
 
 
 @_memo

@@ -673,16 +673,19 @@ def load_group(doc) -> GroupDatum:
         ]
         conj_perm = tuple(int(j) for j in doc["conj_perm"]) if "conj_perm" in doc else None
         det_index = int(doc["det_index"]) if "det_index" in doc else None
+        mu = int(doc.get("mu", 1))
+        order = int(doc["order"])
+        rank = int(doc["rank"])
+        degrees = tuple(int(d) for d in doc["degrees"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupDataError(f"malformed group document: {exc}") from exc
-    mu = int(doc.get("mu", 1))
     paraspecs = tuple(
         {"datum": get_group(pname), "generators": words, "induction_matrix": matrix}
         for pname, words, matrix in parabolics
     )
     W = GroupDatum(
-        name=doc["name"], order=int(doc["order"]), mu=mu, rank=int(doc["rank"]),
-        generators=generators, degrees=tuple(int(d) for d in doc["degrees"]),
+        name=doc["name"], order=order, mu=mu, rank=rank,
+        generators=generators, degrees=degrees,
         classes=classes, char_names=names, irr=irr, fake_degrees=fake,
         schur_elements=schur, conj_perm=conj_perm, det_index=det_index,
         spetsial=bool(doc.get("spetsial", False)),

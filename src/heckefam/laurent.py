@@ -63,9 +63,6 @@ class LaurentPoly:
     def coeffs(self) -> dict:
         return dict(self._c)
 
-    def coeff(self, e: int) -> Cyclotomic:
-        return self._c.get(e, zero)
-
     def min_exp(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no exponents")

@@ -137,9 +137,6 @@ class PrimeIdealSpec:
     e: int
     f: int
 
-    def to_doc(self):
-        return {"p": self.p, "conductor": self.conductor, "factor": list(self.factor)}
-
     def __repr__(self):
         return f"PrimeIdealSpec(p={self.p}, n={self.conductor}, factor={list(self.factor)})"
 

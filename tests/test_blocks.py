@@ -1,7 +1,6 @@
 """The block algorithm: coarse bounds, projective candidates, linking,
 indecomposability proofs, per-prime blocks and families."""
 
-import numpy as np
 import pytest
 
 from heckefam.blocks import (
@@ -19,8 +18,15 @@ from heckefam.blocks import (
 )
 from heckefam.groups import cyclic_group, dihedral_group, g4_group, get_group, trivial_group
 from heckefam.laurent import LaurentPoly, poly_divexact, ratfun_reduce
+from heckefam.ntheory import factorize
 from heckefam.schur import bad_primes, compute_invariants, a_plus_A, relative_trace_scalar
 from heckefam.valuation import YES, op_member, in_ideal, primes_above
+
+
+# every bad prime of G4 and of I2(4..30); I2(3) has none
+BUNDLED_BAD_PRIMES = [("G4", 2), ("G4", 3)] + [
+    (f"I2.{n}", p) for n in range(4, 31) for p in factorize(n)
+]
 
 
 def names_partition(W, partition):
@@ -172,98 +178,85 @@ class TestIndecomposability:
         assert detail[0] == tuple(int(i == W.char_index("phi{3,2}")) for i in range(7))
 
     def test_subset_search_streams_chunks_in_product_order(self, monkeypatch):
-        from heckefam.blocks import _context
+        # the first proper point of a lattice lies deep in the box: 557 of
+        # the 1,672 vectors of [0, (75, 21)] come before (25, 7) in product
+        # order, and the walk reaches it without testing them
+        from itertools import product
+
+        from heckefam.blocks import _box_points, _context, _in_lattice
 
         W = dihedral_group(5)
         ctx = _context(W, 5)
-        # closed under s -> (99, 99) - s, as the passing subvectors of a
-        # projective are; (25, 7) is row 2506 of the searched half, in the
-        # second of its three chunks
-        hits = {(25, 7), (74, 92)}
-        chunk_sizes = []
+        hnf = [[25, 7], [0, 100]]
+        box = (75, 21)
+        monkeypatch.setitem(ctx._lattices, (2, 3), hnf)
+        points = [s for s in product(*(range(m + 1) for m in box)) if _in_lattice(hnf, s)]
+        assert list(_box_points(hnf, box)) == points == [(0, 0), (25, 7), (50, 14), (75, 21)]
+        assert ctx.find_integral_subvector((0, 0, 75, 21)) == (0, 0, 25, 7)
 
-        def fake_tester(rows):
-            chunk_sizes.append(len(rows))
-            return np.array([tuple(r) in hits for r in rows.tolist()])
-
-        monkeypatch.setitem(ctx._testers, (2, 3), fake_tester)
-        assert ctx.find_integral_subvector((0, 0, 99, 99)) == (0, 0, 25, 7)
-        assert chunk_sizes == [2048, 2048]
-
-    def test_lower_half_is_the_lexicographically_smaller_half(self):
-        from itertools import product
-
-        from heckefam.blocks import _lower_half
-
-        for mults in [(), (1,), (2,), (3, 1), (2, 2), (2, 0, 3), (4, 2, 2), (1, 1, 1, 1)]:
-            full = list(product(*(range(m + 1) for m in mults)))
-            want = [s for s in full if s <= tuple(m - x for m, x in zip(mults, s))]
-            assert list(_lower_half(mults)) == want, mults
-
-    @pytest.mark.parametrize("name, p", [("G4", 2), ("G4", 3), ("I2.5", 5), ("I2.12", 2), ("I2.12", 3)])
-    def test_half_search_matches_full_search(self, name, p):
-        from itertools import product
-
-        from heckefam.blocks import _context
+    @pytest.mark.parametrize("name, p", BUNDLED_BAD_PRIMES)
+    def test_half_search_matches_full_search(self, name, p, monkeypatch):
+        # the lattice search against the exhaustive product-order search
+        # that it replaced (tests/subset_search_reference.py), on each
+        # column, twice and three times it, each pairwise sum, and the column
+        # plus one more of its first character, up to weight 14
+        from heckefam.blocks import _context, _kernel_hnf
+        from subset_search_reference import find_integral_subvector as reference
 
         W = get_group(name)
+        assert p in bad_primes(W)
         ctx = _context(W, p)
-        _, decomp = hecke_blocks(W, p)
-        cases = set(decomp.columns)
-        for col in decomp.columns:
-            cases.add(tuple(2 * m for m in col))
-            cases.add(tuple(3 * m for m in col))
-        if len(decomp.columns) > 1:
-            cases.add(tuple(map(sum, zip(*decomp.columns[:2]))))
+        columns = hecke_blocks(W, p)[1].columns
+        cases = set()
+        for col in columns:
+            cases.update([col, tuple(2 * m for m in col), tuple(3 * m for m in col)])
+            first = next(i for i, m in enumerate(col) if m)
+            cases.add(tuple(m + (i == first) for i, m in enumerate(col)))
+        cases.update(tuple(map(sum, zip(a, b))) for a in columns for b in columns if a < b)
         outcomes = set()
-        for phi in sorted(cases):
-            if sum(phi) > 12:
-                continue
+        for phi in sorted(phi for phi in cases if sum(phi) <= 14):
             support = tuple(i for i, m in enumerate(phi) if m)
-            mults = tuple(phi[i] for i in support)
-            tester = ctx._tester(support)
-            want = None
-            for combo in product(*(range(m + 1) for m in mults)):
-                if any(combo) and combo != mults and tester(np.array([combo]))[0]:
-                    want = [0] * len(phi)
-                    for j, i in enumerate(support):
-                        want[i] = combo[j]
-                    want = tuple(want)
-                    break
-            assert ctx.find_integral_subvector(phi) == want, phi
-            outcomes.add(want is None)
-        assert outcomes == {True, False}
+            rows, moduli = ctx._test_columns(support)
+            if support not in ctx._lattices:
+                # what _lattice builds, without a second _test_columns
+                monkeypatch.setitem(ctx._lattices, support, _kernel_hnf(rows, moduli, len(support)))
+            outcome = []
+            for search in (lambda: reference(rows, moduli, phi),
+                           lambda: ctx.find_integral_subvector(phi)):
+                try:
+                    outcome.append(search())
+                except ValueError as exc:
+                    outcome.append(str(exc))
+            assert outcome[0] == outcome[1], phi
+            outcomes.add("proof" if outcome[0] is None else type(outcome[0]).__name__)
+        assert {"proof", "tuple"} <= outcomes
 
     def test_phi_failing_its_own_test_is_not_proved(self, monkeypatch):
         from heckefam.blocks import _context
 
         W = dihedral_group(5)
         ctx = _context(W, 5)
-        monkeypatch.setitem(ctx._testers, (2, 3), lambda rows: np.zeros(len(rows), dtype=bool))
+        # a lattice without phi = (2, 3) and without any of its subvectors
+        monkeypatch.setitem(ctx._lattices, (2, 3), [[4, 0], [0, 4]])
         with pytest.raises(ValueError, match="fails the integrality test"):
             ctx.find_integral_subvector((0, 0, 2, 3))
         verdict, reason = indecomposability_check((0, 0, 2, 3), W, 5)
         assert verdict == "unknown" and "integrality" in reason
 
     def test_phi_itself_is_tested_past_the_int64_bound(self, monkeypatch):
-        # with the bound between 1 * (p^L - 1) and 2 * (p^L - 1), every row of
-        # the half search of (1, 1) has weight 1 and fits, and phi of weight 2
-        # is still decided
-        from math import lcm
-
-        import heckefam.blocks as blocks
+        # 1 + (5^45 - 1) vanishes modulo 5^45 but not modulo 5^46, so phi =
+        # (1, 1) passes the first test and fails the second; both are
+        # decided exactly, far past any machine-word modulus
+        from heckefam.blocks import _context, _kernel_hnf
 
         W = dihedral_group(5)
-        ctx = blocks._context(W, 5)
-        monkeypatch.setattr(ctx, "_testers", {})
-        M = 1
-        for npoly in ctx._numerators((2, 3)):
-            for v in npoly.coeffs.values():
-                M = lcm(M, v.denominator)
-        modulus = 5 ** (blocks._ord_int(M, 5) + 2)
-        monkeypatch.setattr(blocks, "INT64_LIMIT", 2 * (modulus - 1))
-        verdict, _ = indecomposability_check((0, 0, 1, 1), W, 5)
-        assert verdict == "indecomposable"
+        ctx = _context(W, 5)
+        rows = [[1], [5**45 - 1]]
+        monkeypatch.setitem(ctx._lattices, (2, 3), _kernel_hnf(rows, [5**45], 2))
+        assert indecomposability_check((0, 0, 1, 1), W, 5) == ("indecomposable", None)
+        monkeypatch.setitem(ctx._lattices, (2, 3), _kernel_hnf(rows, [5**46], 2))
+        verdict, reason = indecomposability_check((0, 0, 1, 1), W, 5)
+        assert verdict == "unknown" and "fails the integrality test" in reason
 
     def test_weight_cap(self):
         W = dihedral_group(5)
@@ -272,18 +265,34 @@ class TestIndecomposability:
 
     @pytest.mark.parametrize("ord_M, modulus", [(40, "5^42"), (25, "5^27")])
     def test_int64_overflow_degrades_to_unknown(self, monkeypatch, ord_M, modulus):
-        # a large common denominator forces the subset test modulo 5^L:
-        # 5^42 does not fit in int64 at all; 5^27 does, but a subset of
-        # weight 2 or more could wrap in the matrix product
+        # a large common denominator forces the subset test modulo 5^L, past
+        # int64 (5^42) or past it once a subset of weight 2 is summed (5^27):
+        # the verdict is the exhaustive reference's, decided in Python
+        # integers, and the lattice holds exactly the vectors that pass
+        from itertools import product
+
         import heckefam.blocks as blocks
+        from subset_search_reference import find_integral_subvector as reference
+        from subset_search_reference import passes
 
         W = dihedral_group(5)
         ctx = blocks._context(W, 5)
-        monkeypatch.setattr(ctx, "_testers", {})
+        monkeypatch.setattr(ctx, "_lattices", {})
         monkeypatch.setattr(blocks, "_ord_int", lambda q, p: ord_M)
-        verdict, reason = indecomposability_check((1, 1, 1, 1), W, 5)
-        assert verdict == "unknown"
-        assert modulus in reason and "int64" in reason
+        phi = (1, 1, 1, 1)
+        rows, moduli = ctx._test_columns((0, 1, 2, 3))
+        assert set(moduli) == {5**ord_M}
+        try:
+            sub = reference(rows, moduli, phi)
+            want = "indecomposable" if sub is None else "splittable"
+        except ValueError:
+            want = "unknown"
+        verdict, reason = indecomposability_check(phi, W, 5)
+        assert verdict == want
+        assert reason is None or "int64" not in str(reason)
+        hnf = ctx._lattice((0, 1, 2, 3))
+        for s in product(range(3), repeat=4):
+            assert blocks._in_lattice(hnf, s) == passes(s, rows, moduli), s
 
 
 class TestTesterNumerators:
@@ -477,6 +486,6 @@ class TestUnsupportedMembership:
         W = cyclic_group(3)
         ctx = _context(W, 3)
         monkeypatch.setattr(ctx, "unit_shaped", [True, False, True])
-        monkeypatch.setattr(ctx, "_testers", {})
+        monkeypatch.setattr(ctx, "_lattices", {})
         verdict, reason = indecomposability_check((0, 1, 1), W, 3)
         assert verdict == "unknown" and "non-unit" in reason

@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -166,3 +169,21 @@ class TestAmbiguityExit:
         code = c.main(["decomp", "--group", "I2.5", "--prime", "5"])
         out = capsys.readouterr().out
         assert code == 2 and "??" in out
+
+
+class TestStartup:
+    """The package needs nothing outside the standard library, so no command
+    pays for importing numpy."""
+
+    @pytest.mark.parametrize("argv", [None, ["families", "--group", "G4"]])
+    def test_numpy_is_never_imported(self, argv):
+        script = (
+            "import sys\n"
+            "from heckefam import cli\n"
+            + (f"code = cli.main({argv!r})\n" if argv else "code = 0\n")
+            + "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stderr.split() == ["0", "False"], done.stderr

@@ -89,6 +89,10 @@ MALFORMED = {
     "parabolic words do not match its generators":
         (("parabolics",), [{"name": "I2.5", "generators": [[1]]}]),
     "parabolic without a name": (("parabolics",), [{"generators": [[1]]}]),
+    "order ten": (("order",), "ten"),
+    "rank two": (("rank",), "two"),
+    "mu one half": (("mu",), "1/2"),
+    "degree 2.5": (("degrees",), [2, "2.5"]),
 }
 
 
@@ -103,9 +107,9 @@ def _malformed(path, value):
 
 
 class TestMalformedIndices:
-    """Indices that point outside what they index are rejected by name, not
-    by an IndexError (or, for the letter 0, silently read as the last
-    generator)."""
+    """Indices that point outside what they index, and integer fields that
+    are not integers, are rejected by name, not by an IndexError or a
+    ValueError (or, for the letter 0, silently read as the last generator)."""
 
     @pytest.mark.parametrize("path,value", MALFORMED.values(), ids=MALFORMED.keys())
     def test_rejected_with_group_data_error(self, path, value, tmp_path, capsys):
