@@ -16,12 +16,14 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import one
+from .groups import induce
 from .laurent import LaurentPoly, factor_unit_part
 from .memo import _memo
 from .ntheory import lcm
 from .schur import a_plus_A, bad_primes, compute_invariants
 from .valuation import (
     _completion,
+    _digit_thresholds,
     _ord_int,
     laurent_content_val,
     primes_above,
@@ -184,8 +186,7 @@ class _PrimeContext:
         for npoly in numerators:
             for v in npoly.coeffs.values():
                 M = lcm(M, v.denominator)
-        vM = spec.e * _ord_int(M, spec.p)
-        L = vM // spec.e + 2
+        L, tmods = _digit_thresholds(spec, spec.e * _ord_int(M, spec.p))
         comp = _completion(spec)
         slots = sorted({e for npoly in numerators for e in npoly.coeffs})
         zero = [[0] * spec.f] * spec.e
@@ -198,8 +199,6 @@ class _PrimeContext:
                 for e, v in npoly.coeffs.items()
             }
             rows.append([x for e in slots for row in digits.get(e, zero) for x in row])
-        # threshold per ramified digit k: val >= vM  <=>  digit_k = 0 mod p^ceil((vM-k)/e)
-        tmods = [spec.p ** max(0, -(-(vM - k) // spec.e)) for k in range(spec.e)]
         return rows, [tmods[k] for _e in slots for k in range(spec.e) for _i in range(spec.f)]
 
     def _lattice(self, support: tuple):
@@ -412,12 +411,23 @@ def monoid_minimal_generators(vectors) -> list[tuple]:
     return kept
 
 
+def induced_cuts(P, columns, partition: BlockPartition) -> set:
+    """Each column of the parabolic P induced up to W and cut by the parts of
+    the partition: the nonzero cuts."""
+    cuts = set()
+    for col in columns:
+        ind = induce(P, col)
+        for part in partition.parts:
+            cut = tuple(m if i in part else 0 for i, m in enumerate(ind))
+            if any(cut):
+                cuts.add(cut)
+    return cuts
+
+
 def candidate_projectives(W, p: int, partition: BlockPartition) -> list[tuple]:
     """Step (2): parabolic projective columns induced up, cut by the parts,
     plus the unit vectors of defect-zero characters; minimized as monoid
     generators."""
-    from .groups import induce
-
     ctx = _context(W, p)
     cands = set()
     for i in range(W.n_irr):
@@ -426,13 +436,7 @@ def candidate_projectives(W, p: int, partition: BlockPartition) -> list[tuple]:
             e[i] = 1
             cands.add(tuple(e))
     for P in W.parabolics:
-        _parts, decomp = hecke_blocks(P.subgroup, p)
-        for col in decomp.columns:
-            ind = induce(P, col)
-            for part in partition.parts:
-                cut = tuple(m if i in part else 0 for i, m in enumerate(ind))
-                if any(cut):
-                    cands.add(cut)
+        cands |= induced_cuts(P, hecke_blocks(P.subgroup, p)[1].columns, partition)
     return monoid_minimal_generators(cands)
 
 

@@ -18,7 +18,7 @@ from .constructible import constructible_chars
 from .cyclotomic import from_literal, to_literal
 from .groups import GroupDataError, builtin_names, get_group, load_group, _data_dir
 from .schur import bad_primes, compute_invariants, f_of, invariants_report
-from .symbols import verify_family_finest
+from .symbols import PARITIES, verify_family_finest
 
 SCHEMA_VERSION = 1
 
@@ -176,21 +176,18 @@ def cmd_constructible(args) -> int:
 def cmd_symbols(args) -> int:
     if args.rank < 0 or args.defect < 0:
         raise ValueError("--rank and --defect must be nonnegative")
-    parity = {
-        "odd": lambda t: t % 2 == 1,
-        "even0": lambda t: t % 4 == 0,
-        "even2": lambda t: t % 4 == 2,
-        "all": lambda t: True,
-    }[args.parity]
-    report = verify_family_finest(args.rank, args.defect, parity)
-    print(
-        f"symbols: rank <= {args.rank}, defect <= {args.defect} ({args.parity}): "
-        f"{report['families']} families over {report['symbols']} symbols, "
-        f"{len(report['violations'])} violations"
-    )
-    for v in report["violations"]:
-        print(f"  violation: {v}")
-    return 0 if not report["violations"] else 3
+    code = 0
+    for parity in PARITIES if args.parity == "all" else [args.parity]:
+        report = verify_family_finest(args.rank, args.defect, PARITIES[parity])
+        print(
+            f"symbols: rank <= {args.rank}, defect <= {args.defect} ({parity}): "
+            f"{report['families']} families over {report['symbols']} symbols, "
+            f"{len(report['violations'])} violations"
+        )
+        for v in report["violations"]:
+            print(f"  violation: {v}")
+            code = 3
+    return code
 
 
 def _root_of_unity_ratio(a, b) -> bool:
@@ -307,7 +304,8 @@ def build_parser() -> _Parser:
     sv = ssub.add_parser("verify")
     sv.add_argument("--rank", type=int, required=True)
     sv.add_argument("--defect", type=int, required=True)
-    sv.add_argument("--parity", choices=["odd", "even0", "even2", "all"], default="odd")
+    sv.add_argument("--parity", choices=[*PARITIES, "all"], default="odd",
+                    help="symbol type by defect; all runs each type in turn")
     sv.set_defaults(func=cmd_symbols)
 
     vp = sub.add_parser("verify-paper", help="compare against bundled golden tables")

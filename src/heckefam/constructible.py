@@ -3,9 +3,8 @@ family-cut parabolic inductions, plus the special-character pairing check."""
 
 from __future__ import annotations
 
-from .blocks import BlockPartition, families, monoid_minimal_generators
+from .blocks import families, induced_cuts, monoid_minimal_generators
 from .cyclotomic import zero
-from .groups import induce
 from .memo import _memo
 from .schur import compute_invariants
 
@@ -24,12 +23,7 @@ def constructible_chars(W) -> list[tuple]:
         )
     cands = set()
     for P in W.parabolics:
-        for phi in constructible_chars(P.subgroup):
-            ind = induce(P, phi)
-            for part in fam.parts:
-                cut = tuple(m if i in part else 0 for i, m in enumerate(ind))
-                if any(cut):
-                    cands.add(cut)
+        cands |= induced_cuts(P, constructible_chars(P.subgroup), fam)
     return monoid_minimal_generators(cands)
 
 

@@ -45,13 +45,13 @@ products, and Q(1/a) = Q(a) keeps the conductor.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd
 
 from .ntheory import cyclotomic_polynomial, euler_phi, factorize, is_prime, lcm
 
 
-@lru_cache(maxsize=None)
+@cache
 def _reduction_table(n: int) -> tuple:
     """table[k] rewrites zeta_n^k over the power basis; None means basis exponent."""
     phi = euler_phi(n)
@@ -158,14 +158,14 @@ def _conjugate_map(c: dict, j: int, n: int) -> dict:
     return _reduce_map(raw, n, _reduction_table(n))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _primitive_root(q: int) -> int:
     """The least primitive root modulo the odd prime q."""
     r = q - 1
     return next(g for g in range(2, q) if all(pow(g, r // s, q) != 1 for s in factorize(r)))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _evaluation_point(n: int) -> tuple[int, int]:
     """(l, w): the least prime l = 1 mod n above 2^20 and an element w of
     order n modulo l, so that zeta_n -> w is a ring map Z[zeta_n] -> F_l."""
@@ -180,7 +180,7 @@ def _evaluation_point(n: int) -> tuple[int, int]:
     raise ArithmeticError("no element of order n")  # unreachable: F_l^* is cyclic
 
 
-@lru_cache(maxsize=None)
+@cache
 def _descent_plan(n: int) -> tuple:
     """((p, None) for p^2 | n, then (p, (m, a, b, check)) for p || n,
     n = p*m, a*p + b*m = 1 mod n); empty when n is 1 or prime.
@@ -252,7 +252,7 @@ def _minimize(n: int, c: dict) -> tuple[int, dict]:
             return n, c
 
 
-@lru_cache(maxsize=None)
+@cache
 def _unit_generators(n: int) -> tuple:
     """(g, r) pairs with (Z/n)^* the direct product of the cyclic groups <g> of order r."""
     out = []

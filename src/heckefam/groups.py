@@ -45,8 +45,8 @@ class GroupDatum:
     """Complete per-group dataset; treat as immutable after construction."""
 
     def __init__(self, *, name, order, mu, rank, generators, degrees, classes,
-                 char_names, irr, fake_degrees, schur_elements, conj_perm,
-                 det_index, spetsial, parabolic_specs=()):
+                 char_names, irr, fake_degrees, schur_elements, spetsial,
+                 conj_perm=None, det_index=None, parabolic_specs=()):
         self.name = name
         self.order = order
         self.mu = mu
@@ -272,15 +272,15 @@ def restrict(P: ParabolicEmbedding, v) -> tuple:
 
 
 def fake_degrees_molien(W: GroupDatum) -> tuple:
-    """All fake degrees by the Molien sum; orientation chosen by validation.
+    """All fake degrees by the plain Molien sum
 
-    The two candidate orientations sum chi(w) or conj(chi(w)) = chi(w^{-1})
-    against prod(1 - x^d_i)/det(1 - xw); exactly one must give integral
-    series with R_triv = 1, R_chi(1) = chi(1) and x^N for the determinant
-    character.  Since conj(chi_i) = chi_{conj_perm[i]}, the conjugate
-    orientation is the plain one permuted by conj_perm, so only one sum is
-    taken.  That holds only for a checked conj_perm and det_index:
-    `_validate` checks both before it calls this function.
+        R_chi = (1/|W|) sum_w chi(w) prod(1 - x^d_i) / det(1 - xw),
+
+    which every bundled group satisfies: each R_chi is an integral series
+    with R_chi(1) = chi(1), R_triv = 1, and the determinant character gets
+    x^N, N the number of reflections (`_validate` checks det_index first).
+    The conjugate sum, over conj(chi(w)), is a different convention; it
+    agrees with this one only when V is self-dual, and it is not accepted.
     """
     unit = LaurentPoly.const(one, W.mu)
     prod = unit
@@ -296,40 +296,27 @@ def fake_degrees_molien(W: GroupDatum) -> tuple:
         ]
         per_class.append(poly_divexact(prod, _det(one_minus_xw, unit)))
 
-    plain = []
+    fds = []
     for chi in W.irr:
         tot = LaurentPoly.const(zero, W.mu)
         for ci, (size, _w) in enumerate(W.classes):
             tot = tot + per_class[ci] * (chi[ci] * Fraction(size, W.order))
-        plain.append(tot)
-    conj = [plain[j] for j in W.conj_perm]
+        fds.append(tot)
 
-    n_refl = W.reflection_counts()[1]
-
-    def valid(fds):
-        for i, f in enumerate(fds):
-            if f.is_zero():
-                return False
-            for v in f.coeffs.values():
-                if not v.is_rational() or v.as_rational().denominator != 1:
-                    return False
-            if f.eval_x(rat(1)) != W.irr[i][0]:
-                return False
-            if all(v == one for v in W.irr[i]) and f != LaurentPoly.const(one, W.mu):
-                return False  # R_triv must be 1
-        # the determinant character carries the top coinvariant degree
-        if fds[W.det_index] != LaurentPoly.x_power(n_refl, W.mu):
-            return False
-        return True
-
-    ok_plain, ok_conj = valid(plain), valid(conj)
-    if ok_plain and ok_conj and plain != conj:
-        raise GroupDataError(f"{W.name}: Molien orientation ambiguous")
-    if ok_plain:
-        return tuple(plain)
-    if ok_conj:
-        return tuple(conj)
-    raise GroupDataError(f"{W.name}: no Molien orientation yields integral fake degrees")
+    top = LaurentPoly.x_power(W.reflection_counts()[1], W.mu)
+    for i, f in enumerate(fds):
+        if (
+            f.is_zero()
+            or any(not v.is_rational() or v.as_rational().denominator != 1
+                for v in f.coeffs.values())
+            or f.eval_x(rat(1)) != W.irr[i][0]
+            or all(v == one for v in W.irr[i]) and f != unit  # R_triv = 1
+            or i == W.det_index and f != top  # det carries the top coinvariant degree
+        ):
+            raise GroupDataError(
+                f"{W.name}: the Molien sum gives no valid fake degree for {W.char_names[i]}"
+            )
+    return tuple(fds)
 
 
 def fake_degree(W: GroupDatum, i: int) -> LaurentPoly:
@@ -548,7 +535,7 @@ def trivial_group() -> GroupDatum:
         name="1", order=1, mu=1, rank=0, generators=(), degrees=(),
         classes=((1, ()),), char_names=("phi{1,0}",), irr=((one,),),
         fake_degrees=(LaurentPoly.const(one),), schur_elements=(LaurentPoly.const(one),),
-        conj_perm=(0,), det_index=0, spetsial=True,
+        spetsial=True,
     )
     return _validate(W)
 
@@ -563,12 +550,10 @@ def cyclic_group(d: int) -> GroupDatum:
     irr = tuple(tuple(zeta(d, i * k) for k in range(d)) for i in range(d))
     # chi_i has fake degree x^{d-i} (coinvariants of the dual space)
     names = tuple(f"phi{{1,{(d - i) % d}}}" for i in range(d))
-    conj_perm = tuple((-i) % d for i in range(d))
     W = GroupDatum(
         name=f"Z{d}", order=d, mu=1, rank=1, generators=gens, degrees=(d,),
         classes=classes, char_names=names, irr=irr, fake_degrees=(),
-        schur_elements=tuple(cyclic_schur(d)), conj_perm=conj_perm,
-        det_index=1, spetsial=True,
+        schur_elements=tuple(cyclic_schur(d)), spetsial=True,
     )
     return _validate(W)
 
@@ -621,15 +606,14 @@ def dihedral_group(n: int) -> GroupDatum:
             row += [zero]
         chars.append(tuple(row))
         names.append(f"phi{{2,{j}}}")
-    conj_perm = tuple(range(len(chars)))  # all values real
     parabolics = [{"datum": cyclic_group(2), "generators": ((1,),)}]
     if n % 2 == 0:
         parabolics.append({"datum": cyclic_group(2), "generators": ((2,),)})
     W = GroupDatum(
         name=f"I2({n})", order=2 * n, mu=1, rank=2, generators=(s, t), degrees=(2, n),
         classes=classes, char_names=tuple(names), irr=tuple(chars), fake_degrees=(),
-        schur_elements=tuple(dihedral_schur(n)), conj_perm=conj_perm,
-        det_index=1, spetsial=True, parabolic_specs=tuple(parabolics),
+        schur_elements=tuple(dihedral_schur(n)), spetsial=True,
+        parabolic_specs=tuple(parabolics),
     )
     return _validate(W)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd
 
 from .cyclotomic import Cyclotomic, coerce, from_literal, one, rat, to_literal, zeta, zero
@@ -405,8 +405,18 @@ class UnitFactorization:
         return self.non_unit == LaurentPoly.const(one, self.non_unit.mu)
 
 
-@lru_cache(maxsize=4096)
-def _factor_cached(f: LaurentPoly, max_order: int) -> UnitFactorization:
+@cache
+def factor_unit_part(f: LaurentPoly, max_order: int | None = None) -> UnitFactorization:
+    """Split f into scalar * y^k * prod (y - omega)^m * non_unit, each omega a root of unity.
+
+    The root search evaluates at every root of unity of order up to max_order
+    (default derived from the degree span and coefficient conductor; callers
+    with group context pass an explicit bound such as 2|W|).
+    """
+    if f.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    if max_order is None:
+        max_order = 2 * max(f.span(), 1) * lcm(2, f.conductor_lcm())
     mu = f.mu
     y_power = f.min_exp()
     g = f.shift(-y_power)
@@ -432,20 +442,6 @@ def _factor_cached(f: LaurentPoly, max_order: int) -> UnitFactorization:
     scalar = g.lowest_coeff()
     non_unit = g * scalar.inverse()
     return UnitFactorization(scalar, y_power, tuple(factors), non_unit)
-
-
-def factor_unit_part(f: LaurentPoly, max_order: int | None = None) -> UnitFactorization:
-    """Split f into scalar * y^k * prod (y - omega)^m * non_unit, each omega a root of unity.
-
-    The root search evaluates at every root of unity of order up to max_order
-    (default derived from the degree span and coefficient conductor; callers
-    with group context pass an explicit bound such as 2|W|).
-    """
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    if max_order is None:
-        max_order = 2 * max(f.span(), 1) * lcm(2, f.conductor_lcm())
-    return _factor_cached(f, max_order)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from math import gcd, isqrt
 
 
@@ -44,7 +44,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@cache
 def euler_phi(n: int) -> int:
     out = 1
     for p, a in factorize(n).items():
@@ -52,7 +52,7 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def divisors(n: int) -> tuple[int, ...]:
     ds = [1]
     for p, a in factorize(n).items():
@@ -98,7 +98,7 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     return q
 
 
-@lru_cache(maxsize=None)
+@cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree."""
     if n == 1:

@@ -256,14 +256,22 @@ def _symbols_of_rank(r: int, max_defect: int, parity):
     return out
 
 
-def verify_family_finest(rank_bound: int, defect_bound: int, parity=None) -> dict:
-    """For every family of symbols of each rank <= rank_bound (defects up to
-    defect_bound, default odd parity): check (i) equal-defect symbols are
-    1-series-linked, (ii) the series-compatibility join is the whole family,
-    (iii) every odd defect below the maximum occurs.  Returns a report dict
-    with any violations."""
-    if parity is None:
-        parity = lambda t: t % 2 == 1
+# Lusztig's symbol types by defect: odd defects (type B/C), defects 0 mod 4
+# (type D) and defects 2 mod 4 (type 2D); families lie within one type.
+PARITIES = {
+    "odd": lambda t: t % 2 == 1,
+    "even0": lambda t: t % 4 == 0,
+    "even2": lambda t: t % 4 == 2,
+}
+
+
+def verify_family_finest(rank_bound: int, defect_bound: int, parity=PARITIES["odd"]) -> dict:
+    """For every family of symbols of one type (a predicate of PARITIES on the
+    defect) of each rank <= rank_bound, defects up to defect_bound: check
+    (i) equal-defect symbols are 1-series-linked, (ii) the
+    series-compatibility join is the whole family, (iii) for the odd type,
+    every odd defect below the maximum occurs.  Returns a report dict with
+    any violations."""
     report = {"families": 0, "symbols": 0, "violations": []}
     for r in range(0, rank_bound + 1):
         syms = _symbols_of_rank(r, defect_bound, parity)
@@ -290,7 +298,7 @@ def verify_family_finest(rank_bound: int, defect_bound: int, parity=None) -> dic
                 report["violations"].append(
                     {"rank": r, "family": key, "components": len(comps)}
                 )
-            # every odd defect in {1,...,max} occurs (odd-parity families)
+            # every odd defect in {1,...,max} occurs (odd-type families)
             defects = sorted({m.defect() for m in members})
             if parity(1):
                 expect = [t for t in range(1, max(defects) + 1) if t % 2 == 1]

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from math import gcd
 
 from .cyclotomic import _reduction_table, coerce
@@ -141,7 +141,7 @@ class PrimeIdealSpec:
         return f"PrimeIdealSpec(p={self.p}, n={self.conductor}, factor={list(self.factor)})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def primes_above(p: int, n: int) -> tuple[PrimeIdealSpec, ...]:
     """All primes of Z[zeta_n] above p, lexicographically smallest factor first."""
     if not is_prime(p):
@@ -363,6 +363,17 @@ def _ord_int(q: int, p: int) -> int:
     return o
 
 
+def _digit_thresholds(spec: PrimeIdealSpec, target: int) -> tuple[int, list[int]]:
+    """(L, moduli) for the exact test val >= target >= 0 on integral elements:
+    take the digit matrix mod p^L (`_Completion.image`); the test holds
+    exactly when every entry of ramified digit row k is 0 mod moduli[k] =
+    p^ceil((target - k)/e), since val(p^a pi^k) = e a + k.  L exceeds every
+    exponent of the moduli, so the digits mod p^L decide each congruence."""
+    e = spec.e
+    L = -(-target // e) + 2
+    return L, [spec.p ** max(0, -(-(target - k) // e)) for k in range(e)]
+
+
 def val_at_least(spec: PrimeIdealSpec, a, bound: int) -> bool:
     """Exact test val(a) >= bound (no precision escalation needed)."""
     a = coerce(a)
@@ -372,21 +383,12 @@ def val_at_least(spec: PrimeIdealSpec, a, bound: int) -> bool:
         raise ValueError(
             f"conductor {a.conductor} incompatible with prime spec at {spec.conductor}"
         )
-    coeffs, q = a.numerators, a.denominator
-    target = bound + spec.e * _ord_int(q, spec.p)
+    target = bound + spec.e * _ord_int(a.denominator, spec.p)
     if target <= 0:
         return True
-    e, p = spec.e, spec.p
-    L = (target + e - 1) // e + 1
-    digits = _completion(spec).image(coeffs, a.conductor, L)
-    for k, row in enumerate(digits):
-        t_k = max(0, -(-(target - k) // e))
-        if t_k == 0:
-            continue
-        mod = p**t_k
-        if any(c % mod for c in row):
-            return False
-    return True
+    L, moduli = _digit_thresholds(spec, target)
+    digits = _completion(spec).image(a.numerators, a.conductor, L)
+    return not any(c % mod for row, mod in zip(digits, moduli) for c in row)
 
 
 def laurent_content_val(f: LaurentPoly, spec: PrimeIdealSpec):

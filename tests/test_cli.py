@@ -73,6 +73,18 @@ class TestBasics:
         code, out, _ = run(capsys, "symbols", "verify", "--rank", "3", "--defect", "3")
         assert code == 0 and "0 violations" in out
 
+    def test_symbols_verify_all_runs_each_type(self, capsys):
+        # families lie within one symbol type, so "all" is odd, even0 and
+        # even2 in turn, not one pooled symbol set
+        bounds = ("--rank", "6", "--defect", "6")
+        want = []
+        for parity in ("odd", "even0", "even2"):
+            code, out, _ = run(capsys, "symbols", "verify", *bounds, "--parity", parity)
+            assert code == 0 and f"({parity}): " in out and "0 violations" in out
+            want.append(out)
+        code, out, _ = run(capsys, "symbols", "verify", *bounds, "--parity", "all")
+        assert code == 0 and out == "".join(want)
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
@@ -152,6 +164,19 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestWorkloadStdout:
+    """Every command of the benchmark's recorded workloads, replayed in-process:
+    stdout must match the recording byte for byte."""
+
+    RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "seed_stdout.json"
+
+    def test_recorded_stdout_is_reproduced(self, capsys):
+        recorded = json.loads(self.RECORDED.read_text())
+        assert recorded
+        for command, stdout in recorded.items():
+            assert run(capsys, *command.split())[1] == stdout, command
 
 
 class TestAmbiguityExit:

@@ -9,10 +9,12 @@ from test_acceptance import BUNDLED
 from heckefam.cyclotomic import one, rat, zeta, zero
 from heckefam.groups import (
     GroupDataError,
+    GroupDatum,
     cyclic_group,
     dihedral_group,
     enumerate_and_fuse,
     fake_degree,
+    fake_degrees_molien,
     g4_group,
     get_group,
     group_to_doc,
@@ -56,6 +58,16 @@ class TestCatalog:
     def test_trivial(self):
         W = trivial_group()
         assert W.order == 1 and W.n_irr == 1 and W.parabolics == ()
+
+    def test_inferred_conj_perm_and_det_index(self):
+        # the catalog states neither; validation infers them from the table
+        assert (trivial_group().conj_perm, trivial_group().det_index) == ((0,), 0)
+        for d in range(2, 13):
+            W = cyclic_group(d)
+            assert W.conj_perm == tuple((-i) % d for i in range(d)) and W.det_index == 1, d
+        for n in range(3, 31):
+            W = dihedral_group(n)
+            assert W.conj_perm == tuple(range(W.n_irr)) and W.det_index == 1, n
 
 
 class TestReflections:
@@ -180,9 +192,121 @@ class TestFakeDegrees:
         W = get_group(name)
         plain, conj = self.molien_orientations(W)
         fake = list(W.fake_degrees)
-        assert fake in (plain, conj)
-        other = conj if fake == plain else plain
-        assert other == [fake[j] for j in W.conj_perm]
+        assert fake == plain
+        assert conj == [fake[j] for j in W.conj_perm]
+
+    def test_non_self_dual_g333(self):
+        # G(3,3,3): all reflections have order 2, so det(1 - xw) is real and
+        # the conjugate Molien sum passes the same checks as the plain one,
+        # but V is not self-dual, so the two differ; the plain sum is the one
+        W = g333()
+        fake = fake_degrees_molien(W)
+        total = sum((f * W.char_degree(i) for i, f in enumerate(fake)),
+                    LaurentPoly.const(zero))
+        assert W.degrees == (3, 6, 3) and total == W.poincare()
+        assert fake[W.det_index] == LaurentPoly.x_power(9)
+        assert fake != tuple(fake[j] for j in W.conj_perm)
+        W.det_index = 0  # the trivial character: R_triv = 1, not x^9
+        with pytest.raises(GroupDataError, match=r"G\(3,3,3\): the Molien sum .* chi0"):
+            fake_degrees_molien(W)
+
+
+def g333() -> GroupDatum:
+    """G(3,3,3) = A x| S3, A the diagonal matrices of cube roots of unity with
+    determinant 1: monomial generators, its 10 classes, and its characters by
+    Clifford theory, induced from A x| Stab(lam) for each S3-orbit of
+    characters lam of A (the datum is not validated: no Schur elements)."""
+    z = zeta(3)
+    gens = (
+        ((zero, one, zero), (one, zero, zero), (zero, zero, one)),
+        ((one, zero, zero), (zero, zero, one), (zero, one, zero)),
+        ((zero, z * z, zero), (z, zero, zero), (zero, zero, one)),
+    )
+
+    def mul(A, B):
+        return tuple(tuple(sum((A[i][t] * B[t][j] for t in range(3)), zero)
+                           for j in range(3)) for i in range(3))
+
+    def inv(A):  # monomial with roots of unity: unitary
+        return tuple(tuple(A[j][i].conjugate() for j in range(3)) for i in range(3))
+
+    # every element with a shortest word, in breadth-first order
+    ident = tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
+    words = {ident: ()}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gi, g in enumerate(gens, start=1):
+                m = mul(x, g)
+                if m not in words:
+                    words[m] = words[x] + (gi,)
+                    nxt.append(m)
+        frontier = nxt
+    elements = list(words)
+    # classes, each represented by its first element: the identity first
+    classes, reps, seen = [], [], set()
+    for x in elements:
+        if x not in seen:
+            orbit = {mul(inv(g), mul(x, g)) for g in elements}
+            seen |= orbit
+            classes.append((len(orbit), words[x]))
+            reps.append(x)
+
+    def split(m):
+        """m = D P: the diagonal entries of D and the permutation of P."""
+        perm = tuple(next(j for j in range(3) if m[i][j]) for i in range(3))
+        return tuple(m[i][perm[i]] for i in range(3)), perm
+
+    def lam(c, diag):
+        out = one
+        for d, ci in zip(diag, c):
+            out = out * d ** ci
+        return out
+
+    def induced(c, stab, psi):
+        """Induced from A x| stab of theta(D P) = lam_c(D) psi(P)."""
+        row = []
+        for x in reps:
+            tot = zero
+            for g in elements:
+                diag, perm = split(mul(inv(g), mul(x, g)))
+                if perm in stab:
+                    tot = tot + lam(c, diag) * psi(perm)
+            row.append(tot * Fraction(1, 9 * len(stab)))
+        return tuple(row)
+
+    def on_s3(f):  # characters of S3 pulled back along D P -> P
+        return tuple(rat(f(split(x)[1])) for x in reps)
+
+    def sign(perm):
+        return -1 if sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2 else 1
+
+    ident_perm, swap01 = (0, 1, 2), (1, 0, 2)
+    a3 = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]  # i -> i + k
+    irr = [
+        on_s3(lambda perm: 1),
+        on_s3(sign),
+        on_s3(lambda perm: sum(perm[i] == i for i in range(3)) - 1),
+    ]
+    irr += [induced((0, 1, 2), a3, lambda perm, j=j: zeta(3, j * perm[0])) for j in range(3)]
+    irr += [induced(c, (ident_perm, swap01), psi)
+            for c in ((0, 0, 1), (0, 0, 2)) for psi in (lambda perm: one, sign)]
+    irr = tuple(irr)
+    conj = [tuple(v.conjugate() for v in row) for row in irr]
+    for i, chi in enumerate(irr):  # orthonormal: the 10 irreducible characters
+        for j, psi in enumerate(conj):
+            ip = sum((chi[ci] * psi[ci] * size for ci, (size, _w) in enumerate(classes)), zero)
+            assert ip == rat(54 if i == j else 0), (i, j)
+    det = tuple(rat(sign(split(x)[1])) for x in reps)
+    W = GroupDatum(
+        name="G(3,3,3)", order=54, mu=1, rank=3, generators=gens, degrees=(3, 6, 3),
+        classes=tuple(classes), char_names=tuple(f"chi{i}" for i in range(10)), irr=irr,
+        fake_degrees=(), schur_elements=(), conj_perm=tuple(irr.index(row) for row in conj),
+        det_index=irr.index(det), spetsial=False,
+    )
+    assert len(W.elements()) == 54 and len(classes) == 10
+    return W
 
 
 class TestPoincare:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckefam.symbols import (
+    PARITIES as TYPES,
     Symbol,
     add_cohook,
     core_orders_agree,
@@ -21,7 +22,7 @@ from heckefam.symbols import (
     _symbols_of_rank,
 )
 
-ODD = lambda t: t % 2 == 1
+ODD = TYPES["odd"]
 
 
 class TestInvariants:
@@ -175,9 +176,9 @@ class TestVerify:
         assert report["violations"] == []
 
     def test_even_parity_families(self):
-        report = verify_family_finest(4, 4, parity=lambda t: t % 4 == 0)
+        report = verify_family_finest(4, 4, parity=TYPES["even0"])
         assert report["violations"] == []
-        report2 = verify_family_finest(4, 4, parity=lambda t: t % 4 == 2)
+        report2 = verify_family_finest(4, 4, parity=TYPES["even2"])
         assert report2["violations"] == []
 
 
@@ -267,12 +268,8 @@ def _reference_symbols_of_rank(r, max_defect, parity):
     return set(seen)
 
 
-PARITIES = {
-    "odd": ODD,
-    "even0": lambda t: t % 4 == 0,
-    "even2": lambda t: t % 4 == 2,
-    "all": lambda t: True,
-}
+# the three symbol types, and their union for the enumeration alone
+PARITIES = {**TYPES, "all": lambda t: True}
 
 
 class TestSymbolsFromBipartitions:
