@@ -15,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import one
+from .cyclotomic import one, zero
 from .groups import induce
-from .laurent import LaurentPoly, factor_unit_part
+from .laurent import LaurentPoly, factor_unit_part, synthetic_division
 from .memo import _memo
 from .ntheory import lcm
 from .schur import a_plus_A, bad_primes, compute_invariants
@@ -151,23 +151,30 @@ class _PrimeContext:
     def _numerators(self, support: tuple) -> list[LaurentPoly]:
         """D/c_i for i in the (unit-shaped) support, D = prod (y - omega)^max the
         common unit denominator.  With c_i = s y^k prod (y - omega)^m_i from the
-        factorization, D/c_i = s^-1 y^-k prod (y - omega)^(max - m_i): no division."""
+        factorization, D/c_i = s^-1 y^-k D / prod (y - omega)^m_i: D is built
+        once, and each of c_i's linear factors comes off it by one synthetic
+        division."""
         mu = self.W.schur_elements[0].mu
         maxmult: dict = {}
         for i in support:
             for omega, m in self.facts[i].unit_factors:
                 if maxmult.get(omega, 0) < m:
                     maxmult[omega] = m
+        common = [one]  # D, dense and ascending
+        for omega, m in maxmult.items():
+            for _ in range(m):
+                common = [a - omega * b for a, b in zip([zero, *common], [*common, zero])]
         out = []
         for i in support:
             fact = self.facts[i]
-            mults = dict(fact.unit_factors)
-            npoly = LaurentPoly({-fact.y_power: fact.scalar.inverse()}, mu)
-            for omega, m in maxmult.items():
-                extra = m - mults.get(omega, 0)
-                if extra:
-                    npoly = npoly * LaurentPoly({1: one, 0: -omega}, mu) ** extra
-            out.append(npoly)
+            q = common
+            for omega, m in fact.unit_factors:
+                for _ in range(m):
+                    q, _r = synthetic_division(q, omega)
+            inv = fact.scalar.inverse()
+            out.append(
+                LaurentPoly({e - fact.y_power: v * inv for e, v in enumerate(q) if v}, mu, _clean=True)
+            )
         return out
 
     def _test_columns(self, support: tuple):
@@ -189,7 +196,7 @@ class _PrimeContext:
         L, tmods = _digit_thresholds(spec, spec.e * _ord_int(M, spec.p))
         comp = _completion(spec)
         slots = sorted({e for npoly in numerators for e in npoly.coeffs})
-        zero = [[0] * spec.f] * spec.e
+        blank = [[0] * spec.f] * spec.e
         rows = []
         for npoly in numerators:
             digits = {
@@ -198,7 +205,7 @@ class _PrimeContext:
                 )
                 for e, v in npoly.coeffs.items()
             }
-            rows.append([x for e in slots for row in digits.get(e, zero) for x in row])
+            rows.append([x for e in slots for row in digits.get(e, blank) for x in row])
         return rows, [tmods[k] for _e in slots for k in range(spec.e) for _i in range(spec.f)]
 
     def _lattice(self, support: tuple):

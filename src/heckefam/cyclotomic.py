@@ -36,6 +36,14 @@ operation `_minimize` tests each prime p dividing n, and each test is exact:
 Every rewrite has integer matrices and keeps the content of the numerators
 (Z[zeta_n] meets Q(zeta_m) in Z[zeta_m]), so the denominator is unchanged.
 
+Fused dot product.  `dot(xs, ys)` is sum(x * y) in one pass: every product
+of numerators is added into one dense integer array of length N, the lcm of
+the conductors, with the exponents lifted to zeta_N and each product scaled
+to D, the lcm of the products of denominators.  The array is reduced modulo
+Phi_N once and the sum is canonicalized once, where the chain of `*` and `+`
+would reduce and canonicalize after every operation.  Class sums (the
+Molien sum, orthogonality relations, Frobenius inner products) use it.
+
 Inverse.  For a = A/d, 1/a = d*P/N where P is the product of the conjugates
 of A other than A and N = A*P is its norm, an integer.  P is built on the
 integer maps by doubling along generators of (Z/n)^*, with O(log phi(n))
@@ -135,8 +143,13 @@ def _mul_reduce(a, b, n, table):
     for ka, va in a.items():
         for kb, vb in b.items():
             raw[ka + kb] += va * vb
+    return _reduce_dense(raw, n, phi, table)
+
+
+def _reduce_dense(raw: list, n: int, phi: int, table) -> dict:
+    """The reduced map of sum(raw[k] * zeta_n^k), for len(raw) <= 2 * n."""
     out = raw[:phi]
-    for k in range(phi, 2 * phi - 1):
+    for k in range(phi, len(raw)):
         v = raw[k]
         if v:
             if k >= n:
@@ -181,6 +194,28 @@ def _evaluation_point(n: int) -> tuple[int, int]:
 
 
 @cache
+def _evaluation_powers(n: int) -> tuple[int, tuple]:
+    """(l, (w^0, ..., w^(n-1)) mod l) for the evaluation point (l, w) of n."""
+    ell, w = _evaluation_point(n)
+    powers = [1] * n
+    for t in range(1, n):
+        powers[t] = powers[t - 1] * w % ell
+    return ell, tuple(powers)
+
+
+def _residue(a: "Cyclotomic", n: int) -> int | None:
+    """The image of a under the ring map Z[zeta_n][1/d] -> F_l, zeta_n -> w,
+    of `_evaluation_point(n)`, d the denominator of a; None when l divides d
+    or the conductor of a does not divide n."""
+    ell, powers = _evaluation_powers(n)
+    if n % a._n or a._d % ell == 0:
+        return None
+    step = n // a._n
+    s = sum(v * powers[k * step] for k, v in a._c.items())
+    return s * pow(a._d, -1, ell) % ell
+
+
+@cache
 def _descent_plan(n: int) -> tuple:
     """((p, None) for p^2 | n, then (p, (m, a, b, check)) for p || n,
     n = p*m, a*p + b*m = 1 mod n); empty when n is 1 or prime.
@@ -198,10 +233,10 @@ def _descent_plan(n: int) -> tuple:
             a, b = pow(p, -1, m), pow(m, -1, p)
             check = None
             if p > 2:
-                ell, w = _evaluation_point(n)
+                ell, powers = _evaluation_powers(n)
                 s = 1 + m * ((_primitive_root(p) - 1) * b % p)
                 diff = tuple(
-                    (pow(w, k, ell) - pow(w, s * k % n, ell)) % ell for k in range(euler_phi(n))
+                    (powers[k] - powers[s * k % n]) % ell for k in range(euler_phi(n))
                 )
                 check = (ell, diff)
             plan.append((p, (m, a, b, check)))
@@ -538,6 +573,34 @@ class Cyclotomic:
         for t in terms[1:]:
             out += f" + {t}" if not t.startswith("-") else f" - {t[1:]}"
         return out
+
+
+def dot(xs, ys) -> Cyclotomic:
+    """sum(x * y for x, y in zip(xs, ys)), reduced modulo Phi_N and
+    canonicalized once, N the lcm of the conductors of the nonzero products."""
+    terms = []
+    n = d = 1
+    for x, y in zip(xs, ys, strict=True):
+        x, y = coerce(x), coerce(y)
+        if x._c and y._c:
+            terms.append((x, y))
+            n = lcm(n, lcm(x._n, y._n))
+            d = lcm(d, x._d * y._d)
+    if not terms:
+        return zero
+    raw = [0] * n
+    for x, y in terms:
+        sx, sy = n // x._n, n // y._n
+        scale = d // (x._d * y._d)
+        lifted = [(ky * sy, vy) for ky, vy in y._c.items()]
+        for kx, vx in x._c.items():
+            ex, vx = kx * sx, vx * scale
+            for ey, vy in lifted:
+                e = ex + ey
+                if e >= n:
+                    e -= n
+                raw[e] += vx * vy
+    return _canonical(n, _reduce_dense(raw, n, euler_phi(n), _reduction_table(n)), d)
 
 
 def _normalized(n: int, c: dict, d: int) -> Cyclotomic:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from .cyclotomic import from_literal, one, rat, zero, zeta
+from .cyclotomic import dot, from_literal, one, rat, zero, zeta
 from .laurent import (
     LaurentPoly,
     factor_unit_part,
@@ -114,6 +114,12 @@ class GroupDatum:
             m = self._matmul(m, self.generators[g - 1])
         return m
 
+    @property
+    @_memo
+    def class_matrices(self) -> tuple:
+        """The matrix of each class representative word."""
+        return tuple(self.word_matrix(word) for _size, word in self.classes)
+
     @_memo
     def elements(self) -> frozenset:
         """The set of element matrices, enumerated by BFS (spec bound enforced)."""
@@ -153,8 +159,7 @@ class GroupDatum:
                 m = self._matmul(m, g)
             inv[g] = prev
         cmap: dict = {}
-        for ci, (size, word) in enumerate(self.classes):
-            rep = self.word_matrix(word)
+        for ci, ((size, _word), rep) in enumerate(zip(self.classes, self.class_matrices)):
             orbit = {rep}
             frontier = [rep]
             while frontier:
@@ -229,13 +234,10 @@ def induction_matrix_from_fusion(W: GroupDatum, sub: GroupDatum, fusion) -> tupl
                     tot = tot + psi[cj] * ssize
             ind_vals.append(tot * Fraction(W.order, size * sub.order))
         # inner products with Irr(W)
+        weighted = [v * size for v, (size, _w) in zip(ind_vals, W.classes)]
         row = []
         for j in range(W.n_irr):
-            chi_bar = W.irr[W.conj_perm[j]]
-            ip = zero
-            for ci, (size, _w) in enumerate(W.classes):
-                ip = ip + ind_vals[ci] * chi_bar[ci] * size
-            ip = ip * Fraction(1, W.order)
+            ip = dot(weighted, W.irr[W.conj_perm[j]]) * Fraction(1, W.order)
             if not ip.is_rational() or ip.as_rational().denominator != 1 or ip.as_rational() < 0:
                 raise GroupDataError(
                     f"{W.name}: induction from {sub.name} gives non-integral multiplicity {ip}"
@@ -287,21 +289,20 @@ def fake_degrees_molien(W: GroupDatum) -> tuple:
     for d in W.degrees:
         prod = prod * (unit - LaurentPoly.x_power(d, W.mu))
     r = W.rank
-    per_class = []
-    for size, word in W.classes:
-        m = W.word_matrix(word)
+    # columns[e][ci] = |class ci| * (prod(1 - x^d_i) / det(1 - xw))[y^e] at w in ci
+    columns: dict = {}
+    for ci, ((size, _w), m) in enumerate(zip(W.classes, W.class_matrices)):
         one_minus_xw = [
             [LaurentPoly({0: one if i == j else zero, W.mu: -m[i][j]}, W.mu) for j in range(r)]
             for i in range(r)
         ]
-        per_class.append(poly_divexact(prod, _det(one_minus_xw, unit)))
-
+        for e, v in poly_divexact(prod, _det(one_minus_xw, unit)).coeffs.items():
+            columns.setdefault(e, [zero] * len(W.classes))[ci] = v * size
+    inv_order = Fraction(1, W.order)
     fds = []
     for chi in W.irr:
-        tot = LaurentPoly.const(zero, W.mu)
-        for ci, (size, _w) in enumerate(W.classes):
-            tot = tot + per_class[ci] * (chi[ci] * Fraction(size, W.order))
-        fds.append(tot)
+        coeffs = ((e, dot(chi, col) * inv_order) for e, col in columns.items())
+        fds.append(LaurentPoly({e: v for e, v in coeffs if v}, W.mu, _clean=True))
 
     top = LaurentPoly.x_power(W.reflection_counts()[1], W.mu)
     for i, f in enumerate(fds):
@@ -347,13 +348,11 @@ def _validate(W: GroupDatum) -> GroupDatum:
     _check_indices(W)
     conj_irr = [tuple(v.conjugate() for v in row) for row in W.irr]
     # row orthogonality
+    weighted = [tuple(v * size for v, (size, _w) in zip(row, W.classes)) for row in conj_irr]
     for i in range(k):
         for j in range(i, k):
-            ip = zero
-            for ci, (size, _w) in enumerate(W.classes):
-                ip = ip + W.irr[i][ci] * conj_irr[j][ci] * size
             expect = rat(W.order) if i == j else zero
-            if ip != expect:
+            if dot(W.irr[i], weighted[j]) != expect:
                 raise GroupDataError(
                     f"{name}: orthogonality fails for characters "
                     f"({W.char_names[i]}, {W.char_names[j]})"
@@ -374,13 +373,13 @@ def _validate(W: GroupDatum) -> GroupDatum:
             W.conj_perm = tuple(W.irr.index(row) for row in conj_irr)
         except ValueError:
             raise GroupDataError(
-                "character table is not closed under complex conjugation"
+                f"{name}: character table is not closed under complex conjugation"
             ) from None
     for i in range(k):
         if W.irr[W.conj_perm[i]] != conj_irr[i]:
             raise GroupDataError(f"{name}: conj_perm wrong at {W.char_names[i]}")
     # det character, inferred when the document leaves it out
-    det_vals = tuple(_det(W.word_matrix(word), one) for _size, word in W.classes)
+    det_vals = tuple(_det(m, one) for m in W.class_matrices)
     if W.det_index is None:
         try:
             W.det_index = W.irr.index(det_vals)

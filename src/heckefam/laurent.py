@@ -9,7 +9,18 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .cyclotomic import Cyclotomic, coerce, from_literal, one, rat, to_literal, zeta, zero
+from .cyclotomic import (
+    Cyclotomic,
+    _evaluation_powers,
+    _residue,
+    coerce,
+    from_literal,
+    one,
+    rat,
+    to_literal,
+    zeta,
+    zero,
+)
 from .ntheory import euler_phi, lcm
 
 
@@ -72,6 +83,12 @@ class LaurentPoly:
         if not self._c:
             raise ValueError("zero polynomial has no exponents")
         return max(self._c)
+
+    def dense(self) -> list:
+        """Coefficients of y^0 .. y^max_exp, ascending; no negative exponents allowed."""
+        if self._c and self.min_exp() < 0:
+            raise ValueError("dense expects an ordinary polynomial")
+        return [self._c.get(e, zero) for e in range(self.max_exp() + 1)] if self._c else []
 
     def span(self) -> int:
         return self.max_exp() - self.min_exp() if self._c else 0
@@ -217,22 +234,43 @@ class LaurentPoly:
 
 
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Division with remainder; both must have nonnegative exponents."""
+    """Division with remainder; both must have nonnegative exponents.
+
+    Long division on the dense coefficient list of a: each step subtracts
+    c * b from the remainder in place, and no inverse is taken when b is monic."""
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     a._check(b)
     if not a.is_zero() and a.min_exp() < 0 or b.min_exp() < 0:
         raise ValueError("poly_divmod expects ordinary polynomials")
-    q: dict = {}
-    r = a
     db = b.max_exp()
-    lb_inv = b.leading_coeff().inverse()
-    while not r.is_zero() and r.max_exp() >= db:
-        e = r.max_exp() - db
-        c = r.leading_coeff() * lb_inv
-        q[e] = c
-        r = r - b.shift(e) * c
-    return LaurentPoly(q, a.mu, _clean=True), r
+    lead = b._c[db]
+    lead_inv = None if lead == one else lead.inverse()
+    lower = [(e - db, v) for e, v in b._c.items() if e != db]
+    r = a.dense()
+    q: dict = {}
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r[top]
+        if not c:
+            continue
+        if lead_inv is not None:
+            c = c * lead_inv
+        q[top - db] = c
+        for off, v in lower:
+            r[top + off] = r[top + off] - v * c
+    rem = {e: v for e, v in enumerate(r[:db]) if v}
+    return LaurentPoly(q, a.mu, _clean=True), LaurentPoly(rem, a.mu, _clean=True)
+
+
+def synthetic_division(a: list, omega: Cyclotomic) -> tuple[list, Cyclotomic]:
+    """(q, r) with a = (y - omega) q + r, for a dense ascending coefficient
+    list a of length at least 2; the remainder r is a(omega)."""
+    q = [zero] * (len(a) - 1)
+    r = a[-1]
+    for i in range(len(a) - 2, -1, -1):
+        q[i] = r
+        r = a[i] + omega * r
+    return q, r
 
 
 def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -405,42 +443,80 @@ class UnitFactorization:
         return self.non_unit == LaurentPoly.const(one, self.non_unit.mu)
 
 
+def _images(a: list, n: int) -> list | None:
+    """`_residue(v, n)` for each coefficient v of a, or None when one has none."""
+    out = []
+    for v in a:
+        r = _residue(v, n)
+        if r is None:
+            return None
+        out.append(r)
+    return out
+
+
 @cache
 def factor_unit_part(f: LaurentPoly, max_order: int | None = None) -> UnitFactorization:
     """Split f into scalar * y^k * prod (y - omega)^m * non_unit, each omega a root of unity.
 
-    The root search evaluates at every root of unity of order up to max_order
+    The root search tries every root of unity of order up to max_order
     (default derived from the degree span and coefficient conductor; callers
-    with group context pass an explicit bound such as 2|W|).
+    with group context pass an explicit bound such as 2|W|).  Each candidate
+    omega = zeta_m^j is screened in a finite field before it is tested
+    exactly.  Let L = lcm(cond, m), cond the conductor of the coefficients of
+    g = f / y^k, and (l, w) = `_evaluation_point(L)`: l is a prime with
+    l = 1 mod L and w has order L in F_l^*.  Then zeta_L -> w is a ring map
+    Z[zeta_L] -> F_l; it extends to Z[zeta_L][1/d] -> F_l whenever l does not
+    divide d, d the common denominator of the coefficients of g.  Under it
+    zeta_c goes to w^(L/c), each coefficient goes to its numerator map at
+    w^(L/c) times the inverse of its denominator, and omega goes to
+    w^(jL/m).  Since g(omega) lies in Z[zeta_L][1/d], its image is the Horner
+    residue of the image of g at w^(jL/m), so a nonzero residue proves
+    g(omega) != 0.  A zero residue, or a denominator divisible by l, decides
+    nothing, and omega is then tested exactly by one synthetic division by
+    (y - omega), whose remainder is g(omega) and whose quotient is g / (y -
+    omega) when that remainder vanishes.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if max_order is None:
         max_order = 2 * max(f.span(), 1) * lcm(2, f.conductor_lcm())
-    mu = f.mu
     y_power = f.min_exp()
-    g = f.shift(-y_power)
+    a = f.shift(-y_power).dense()
     factors: list = []
-    cond = g.conductor_lcm()
+    cond = f.conductor_lcm()
     phi_c = euler_phi(cond)
     for m in range(1, max_order + 1):
-        if g.max_exp() == 0:
+        if len(a) == 1:
             break
-        # a root of order m forces at least phi(lcm(cond, m))/phi(cond) conjugate roots
-        if euler_phi(lcm(cond, m)) > phi_c * g.max_exp():
+        L = lcm(cond, m)
+        # a root of order m forces at least phi(L)/phi(cond) conjugate roots
+        if euler_phi(L) > phi_c * (len(a) - 1):
             continue
+        ell, powers = _evaluation_powers(L)
+        image = _images(a, L)
         for j in range(m):
             if m > 1 and (j == 0 or gcd(j, m) != 1):
                 continue
+            if image is not None:
+                w, res = powers[j * (L // m)], 0
+                for v in reversed(image):
+                    res = (res * w + v) % ell
+                if res:
+                    continue
             omega = zeta(m, j)
             mult = 0
-            while g.max_exp() > 0 and not g.eval_y(omega):
-                g = poly_divexact(g, LaurentPoly({1: one, 0: -omega}, mu))
+            while len(a) > 1:
+                q, r = synthetic_division(a, omega)
+                if r:
+                    break
+                a = q
                 mult += 1
             if mult:
                 factors.append((omega, mult))
-    scalar = g.lowest_coeff()
-    non_unit = g * scalar.inverse()
+                image = _images(a, L)
+    scalar = a[0]
+    inv = scalar.inverse()
+    non_unit = LaurentPoly({e: v * inv for e, v in enumerate(a) if v}, f.mu, _clean=True)
     return UnitFactorization(scalar, y_power, tuple(factors), non_unit)
 
 

@@ -17,10 +17,15 @@ from heckefam.cyclotomic import (
     Cyclotomic,
     _descend_coprime,
     _descent_plan,
+    _evaluation_point,
     _reduce_map,
     _reduction_table,
+    _residue,
+    dot,
     make,
+    rat,
     zeta,
+    zero,
 )
 from heckefam.ntheory import divisors, factorize
 from heckefam.valuation import _completion, _digit_min_val, _ord_int, primes_above, val
@@ -161,3 +166,51 @@ class TestCoprimeDescent:
                             assert got is None, (x, p)
                         else:
                             assert make(m, got) / x.denominator == x, (x, p)
+
+
+# conductors of the fused dot product: Q, a prime, 4, both at once, and p || n
+DOT_CONDUCTORS = (1, 3, 4, 12, 15, 30)
+
+
+class TestDot:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(raw_elements(DOT_CONDUCTORS), raw_elements(DOT_CONDUCTORS)),
+                    max_size=6))
+    def test_against_products_and_reference(self, pairs):
+        xs = [make(*x) for x, _y in pairs]
+        ys = [make(*y) for _x, y in pairs]
+        got = dot(xs, ys)
+        assert got == sum((x * y for x, y in zip(xs, ys)), zero)
+        want = sum((ref.make(*x) * ref.make(*y) for x, y in pairs), ref.zero)
+        assert_same(got, want)
+
+    def test_empty_zero_and_rational_entries(self):
+        assert dot([], []) is zero
+        assert dot([zero, zeta(3)], [zeta(5), zero]) is zero
+        half = Fraction(1, 2)
+        assert dot([2, half, zeta(4)], [zeta(3), zeta(3, 2), zeta(4)]) == (
+            2 * zeta(3) + half * zeta(3, 2) - 1
+        )
+        # a sum that descends from conductor 15 to Q
+        assert dot([zeta(15), -zeta(15)], [zeta(3) / 3, zeta(3) / 3]) == zero
+        assert dot([zeta(5, k) for k in range(5)], [rat(1)] * 5) == zero
+
+
+class TestResidue:
+    @settings(max_examples=150, deadline=None)
+    @given(raw_elements((1, 3, 4, 12, 15, 20)), raw_elements((1, 3, 4, 12, 15, 20)))
+    def test_ring_map_on_the_lcm_field(self, x, y):
+        # zeta_60 -> w is a ring map Z[zeta_60][1/d] -> F_l: it respects + and *
+        a, b = make(*x), make(*y)
+        ell = _evaluation_point(60)[0]
+        ra, rb = _residue(a, 60), _residue(b, 60)
+        assert ra is not None and rb is not None
+        assert _residue(a + b, 60) == (ra + rb) % ell
+        assert _residue(a * b, 60) == ra * rb % ell
+        assert _residue(a.conjugate(), 60) is not None
+
+    def test_undefined_cases(self):
+        ell = _evaluation_point(12)[0]
+        assert _residue(rat(Fraction(1, ell)), 12) is None
+        assert _residue(zeta(5), 12) is None  # conductor 5 does not divide 12
+        assert _residue(zeta(12), 12) == _evaluation_point(12)[1]

@@ -8,6 +8,7 @@ import pytest
 
 from heckefam import cli
 from heckefam.blocks import families
+from heckefam.cyclotomic import to_literal, zeta
 from heckefam.groups import (
     GroupDataError,
     dihedral_group,
@@ -73,6 +74,27 @@ class TestRejection:
         W = load_group(doc)
         assert W.conj_perm == (0, 3, 2, 1) == cyclic_group(4).conj_perm
         assert W.det_index == 1 == cyclic_group(4).det_index
+
+    def test_table_not_closed_under_conjugation_names_the_group(self, tmp_path, capsys):
+        # phi{2,1}, phi{2,2} of I2(5) mixed by the unitary matrix
+        # ((1 + z)/2, (1 - z)/2; (1 - z)/2, (1 + z)/2), z = zeta_3: the rows stay
+        # orthonormal with degree 2, but the conjugate of a mixed row is
+        # another mix, which is not in the table
+        W = dihedral_group(5)
+        r1, r2 = W.irr[2], W.irr[3]
+        a, b = (1 + zeta(3)) / 2, (1 - zeta(3)) / 2
+        doc = group_to_doc(W)
+        for row, (p, q) in ((2, (a, b)), (3, (b, a))):
+            doc["characters"][row]["values"] = [to_literal(p * u + q * v) for u, v in zip(r1, r2)]
+        del doc["conj_perm"]
+        with pytest.raises(GroupDataError, match=r"^I2\(5\): character table is not closed"):
+            load_group(doc)
+        path = tmp_path / "unclosed.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "INVALID: I2(5): character table is not closed under complex conjugation\n"
+        )
 
 
 # (path into the document, new value or a function of the document)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckefam.cyclotomic import one, rat, zeta, zero
+from heckefam import laurent
+from heckefam.cyclotomic import _evaluation_point, one, rat, zeta, zero
 from heckefam.laurent import (
     LaurentPoly,
     derivative_at_one,
@@ -13,6 +14,7 @@ from heckefam.laurent import (
     laurent_from_doc,
     laurent_to_doc,
     poly_divexact,
+    poly_divmod,
     poly_gcd,
     ratfun_reduce,
 )
@@ -156,6 +158,105 @@ class TestProperties:
         r = ratfun_reduce(a, b)
         # num * b == den * a
         assert r.num * b == r.den * a
+
+
+# a nonzero cyclotomic scalar: a small rational times a root of unity
+scalars = st.builds(
+    lambda q, n, k: q * zeta(n, k),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.sampled_from((1, 3, 4, 5, 12)),
+    st.integers(0, 11),
+)
+
+
+@st.composite
+def ordinary(draw, max_exp=7):
+    """A polynomial with nonnegative exponents, gaps and cyclotomic coefficients."""
+    size = draw(st.integers(1, 4))
+    return LaurentPoly({draw(st.integers(0, max_exp)): draw(scalars) for _ in range(size)})
+
+
+class TestDivmod:
+    @settings(max_examples=80, deadline=None)
+    @given(ordinary(), ordinary(max_exp=4))
+    def test_division_identity(self, a, b):
+        q, r = poly_divmod(a, b)
+        assert q * b + r == a
+        assert r.is_zero() or r.max_exp() < b.max_exp()
+        assert q.is_zero() or q.min_exp() >= 0
+
+    def test_non_monic_divisor_with_gaps(self):
+        b = LaurentPoly({0: rat(2), 3: zeta(3) / 5})
+        a = b * LaurentPoly({0: zeta(4), 2: rat(7)}) + LaurentPoly({1: rat(1), 2: zeta(5)})
+        q, r = poly_divmod(a, b)
+        assert q == LaurentPoly({0: zeta(4), 2: rat(7)})
+        assert r == LaurentPoly({1: rat(1), 2: zeta(5)})
+
+    def test_dividend_of_lower_degree(self):
+        a, b = L([1, zeta(3)]), L([0, 0, 2])
+        q, r = poly_divmod(a, b)
+        assert q.is_zero() and r == a
+        assert poly_divmod(LaurentPoly({}), b) == (LaurentPoly({}), LaurentPoly({}))
+
+
+def schur_elements_of_bundled_groups():
+    from heckefam.groups import cyclic_group, dihedral_group, g4_group
+
+    groups = [g4_group()] + [cyclic_group(d) for d in range(2, 13)]
+    groups += [dihedral_group(n) for n in range(3, 31)]
+    return [(c, 2 * W.order) for W in groups for c in W.schur_elements]
+
+
+class TestRootScreen:
+    """The F_l screen of factor_unit_part only skips exact tests; it never
+    decides that omega is a root."""
+
+    def test_forced_miss_falls_back_to_exact(self, monkeypatch):
+        cases = schur_elements_of_bundled_groups()
+        screened = [factor_unit_part(c, bound) for c, bound in cases]
+        # a screen whose residue is always 0 proves nothing: every candidate
+        # is tested exactly
+        monkeypatch.setattr(laurent, "_images", lambda a, n: [0] * len(a))
+        for (c, bound), want in zip(cases, screened):
+            assert factor_unit_part.__wrapped__(c, bound) == want, c
+
+    def test_denominator_divisible_by_the_screen_prime(self):
+        ell = _evaluation_point(3)[0]
+        f = L([1, 1, 1]) * Fraction(1, ell)  # (y - zeta_3)(y - zeta_3^2) / l
+        assert laurent._images(f.dense(), 3) is None
+        u = factor_unit_part(f)
+        assert u.scalar == Fraction(1, ell) and u.is_unit()
+        assert dict(u.unit_factors) == {zeta(3): 1, zeta(3, 2): 1}
+        # no root of unity, and a denominator the screen cannot invert
+        g = L([2, 0, 1]) * Fraction(1, ell)
+        assert laurent._images(g.dense(), 3) is None
+        assert factor_unit_part(g).unit_factors == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scalars,
+        st.integers(-3, 3),
+        st.lists(st.tuples(st.integers(1, 12), st.integers(0, 11), st.integers(1, 2)), max_size=3),
+        st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=3),
+        st.integers(1, 3),
+    )
+    def test_planted_unit_factors_are_found(self, s, k, planted, tail, sign):
+        # h = h0 + h1 y + ... with |h0| > |h1| + ...: every root of h has
+        # absolute value above 1, so h has no root of unity
+        h0 = sign * (sum(abs(c) for c in tail) + 1)
+        h = L([h0, *tail])
+        want: dict = {}
+        f = (h * s).shift(k)
+        for m, j, mult in planted:
+            omega = zeta(m, j % m)
+            want[omega] = want.get(omega, 0) + mult
+            for _ in range(mult):
+                f = f * LaurentPoly({1: one, 0: -omega})
+        u = factor_unit_part(f, 12)
+        assert u.reassemble() == f
+        assert dict(u.unit_factors) == want
+        assert u.y_power == k and u.scalar == s * h0
+        assert u.non_unit == h * Fraction(1, h0)
 
 
 class TestSerialization:
