@@ -13,12 +13,12 @@ subset-search proof.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .cyclotomic import one, zero
 from .groups import induce
 from .laurent import LaurentPoly, factor_unit_part, synthetic_division
-from .memo import _memo
 from .ntheory import lcm
 from .schur import a_plus_A, bad_primes, compute_invariants
 from .valuation import (
@@ -123,8 +123,7 @@ class _PrimeContext:
     def __init__(self, W, p):
         self.W = W
         self.p = p
-        self.max_order = 2 * W.order
-        self.facts = [factor_unit_part(c, self.max_order) for c in W.schur_elements]
+        self.facts = [factor_unit_part(c) for c in W.schur_elements]
         cond = W.field_conductor
         for fact in self.facts:
             for omega, _m in fact.unit_factors:
@@ -325,7 +324,7 @@ def _box_points(hnf, box):
     yield from walk(0, [0] * k)
 
 
-@_memo
+@cache
 def _context(W, p) -> _PrimeContext:
     return _PrimeContext(W, p)
 
@@ -472,7 +471,7 @@ def linking_closure(partition: BlockPartition, columns) -> BlockPartition:
     return BlockPartition(pieces, status)
 
 
-def indecomposability_check(phi, W, p: int, cap: int = SUBSET_WEIGHT_CAP):
+def indecomposability_check(phi, W, p: int):
     """Step (4): phi is proven indecomposable when no proper nonzero
     subcharacter passes the O_p integrality test.
 
@@ -485,8 +484,8 @@ def indecomposability_check(phi, W, p: int, cap: int = SUBSET_WEIGHT_CAP):
     weight = sum(phi)
     if weight <= 1:
         return ("indecomposable", None)
-    if weight > cap:
-        return ("unknown", f"support weight {weight} exceeds cap {cap}")
+    if weight > SUBSET_WEIGHT_CAP:
+        return ("unknown", f"support weight {weight} exceeds cap {SUBSET_WEIGHT_CAP}")
     ctx = _context(W, p)
     try:
         sub = ctx.find_integral_subvector(phi)
@@ -498,7 +497,7 @@ def indecomposability_check(phi, W, p: int, cap: int = SUBSET_WEIGHT_CAP):
     return ("splittable", (sub, rest))
 
 
-@_memo
+@cache
 def hecke_blocks(W, p: int):
     """Steps (1)-(4): returns (BlockPartition, DecompApprox) for O_p H(W).
 

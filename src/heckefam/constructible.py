@@ -3,13 +3,14 @@ family-cut parabolic inductions, plus the special-character pairing check."""
 
 from __future__ import annotations
 
+from functools import cache
+
 from .blocks import families, induced_cuts, monoid_minimal_generators
 from .cyclotomic import zero
-from .memo import _memo
 from .schur import compute_invariants
 
 
-@_memo
+@cache
 def constructible_chars(W) -> list[tuple]:
     """Constructible characters of W (the trivial character for the trivial
     group; otherwise the minimal generating set of the monoid spanned by all

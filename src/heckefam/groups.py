@@ -18,7 +18,6 @@ from .laurent import (
     poly_divexact,
     ratfun_reduce,
 )
-from .memo import _memo
 from .ntheory import lcm
 from .schur import cyclic_schur, dihedral_schur
 
@@ -42,7 +41,11 @@ class ParabolicEmbedding:
 
 
 class GroupDatum:
-    """Complete per-group dataset; treat as immutable after construction."""
+    """Complete per-group dataset; treat as immutable after construction.
+
+    Derived values (`elements`, `class_matrices`, ...) are kept by
+    functools.cache, keyed by the datum's identity, for the life of the
+    process."""
 
     def __init__(self, *, name, order, mu, rank, generators, degrees, classes,
                  char_names, irr, fake_degrees, schur_elements, spetsial,
@@ -64,7 +67,6 @@ class GroupDatum:
         self.parabolic_specs = parabolic_specs
         self.parabolics: tuple[ParabolicEmbedding, ...] = ()
         self.generic_degrees: tuple = ()      # P/c_chi, set by validation
-        self._caches: dict = {}
 
     # -- simple accessors ---------------------------------------------------
 
@@ -79,7 +81,7 @@ class GroupDatum:
         return self.char_names.index(name)
 
     @property
-    @_memo
+    @cache
     def field_conductor(self) -> int:
         n = 1
         for row in self.irr:
@@ -115,12 +117,12 @@ class GroupDatum:
         return m
 
     @property
-    @_memo
+    @cache
     def class_matrices(self) -> tuple:
         """The matrix of each class representative word."""
         return tuple(self.word_matrix(word) for _size, word in self.classes)
 
-    @_memo
+    @cache
     def elements(self) -> frozenset:
         """The set of element matrices, enumerated by BFS (spec bound enforced)."""
         ident = self._identity()
@@ -145,7 +147,7 @@ class GroupDatum:
             )
         return frozenset(seen)
 
-    @_memo
+    @cache
     def class_index_map(self) -> dict:
         """Map every element matrix to its class index (orbit closure from reps)."""
         self.elements()  # the generated order is checked before the orbits
@@ -183,7 +185,7 @@ class GroupDatum:
             raise GroupDataError(f"{self.name}: classes do not cover the group")
         return cmap
 
-    @_memo
+    @cache
     def reflection_counts(self) -> tuple[int, int]:
         """(number of reflecting hyperplanes, number of reflections), by enumeration.
 
@@ -223,7 +225,6 @@ def enumerate_and_fuse(W: GroupDatum, P: ParabolicEmbedding) -> tuple:
 
 def induction_matrix_from_fusion(W: GroupDatum, sub: GroupDatum, fusion) -> tuple:
     """Frobenius-formula induction multiplicities; validated nonneg integers."""
-    index = W.order // sub.order
     rows = []
     for psi in sub.irr:
         ind_vals = []
@@ -318,14 +319,6 @@ def fake_degrees_molien(W: GroupDatum) -> tuple:
                 f"{W.name}: the Molien sum gives no valid fake degree for {W.char_names[i]}"
             )
     return tuple(fds)
-
-
-def fake_degree(W: GroupDatum, i: int) -> LaurentPoly:
-    return W.fake_degrees[i]
-
-
-def poincare(W: GroupDatum) -> LaurentPoly:
-    return W.poincare()
 
 
 # -- validation --------------------------------------------------------------------
@@ -438,7 +431,7 @@ def _validate(W: GroupDatum) -> GroupDatum:
                     f"{name}: spetsial flag set but c({W.char_names[i]}) has "
                     "y-exponents not divisible by mu"
                 )
-            fact = factor_unit_part(c, 2 * W.order)
+            fact = factor_unit_part(c)
             if not fact.is_unit():
                 raise GroupDataError(
                     f"{name}: spetsial flag set but c({W.char_names[i]}) has a "

@@ -21,7 +21,7 @@ from .cyclotomic import (
     zeta,
     zero,
 )
-from .ntheory import euler_phi, lcm
+from .ntheory import euler_phi, lcm, orders_with_phi_at_most
 
 
 class LaurentPoly:
@@ -89,9 +89,6 @@ class LaurentPoly:
         if self._c and self.min_exp() < 0:
             raise ValueError("dense expects an ordinary polynomial")
         return [self._c.get(e, zero) for e in range(self.max_exp() + 1)] if self._c else []
-
-    def span(self) -> int:
-        return self.max_exp() - self.min_exp() if self._c else 0
 
     def lowest_coeff(self) -> Cyclotomic:
         return self._c[self.min_exp()]
@@ -455,37 +452,42 @@ def _images(a: list, n: int) -> list | None:
 
 
 @cache
-def factor_unit_part(f: LaurentPoly, max_order: int | None = None) -> UnitFactorization:
-    """Split f into scalar * y^k * prod (y - omega)^m * non_unit, each omega a root of unity.
+def factor_unit_part(f: LaurentPoly) -> UnitFactorization:
+    """Split f into scalar * y^k * prod (y - omega)^m * non_unit, each omega a
+    root of unity and non_unit free of root-of-unity zeros.
 
-    The root search tries every root of unity of order up to max_order
-    (default derived from the degree span and coefficient conductor; callers
-    with group context pass an explicit bound such as 2|W|).  Each candidate
-    omega = zeta_m^j is screened in a finite field before it is tested
-    exactly.  Let L = lcm(cond, m), cond the conductor of the coefficients of
-    g = f / y^k, and (l, w) = `_evaluation_point(L)`: l is a prime with
-    l = 1 mod L and w has order L in F_l^*.  Then zeta_L -> w is a ring map
-    Z[zeta_L] -> F_l; it extends to Z[zeta_L][1/d] -> F_l whenever l does not
-    divide d, d the common denominator of the coefficients of g.  Under it
-    zeta_c goes to w^(L/c), each coefficient goes to its numerator map at
-    w^(L/c) times the inverse of its denominator, and omega goes to
-    w^(jL/m).  Since g(omega) lies in Z[zeta_L][1/d], its image is the Horner
-    residue of the image of g at w^(jL/m), so a nonzero residue proves
-    g(omega) != 0.  A zero residue, or a denominator divisible by l, decides
-    nothing, and omega is then tested exactly by one synthetic division by
-    (y - omega), whose remainder is g(omega) and whose quotient is g / (y -
-    omega) when that remainder vanishes.
+    The search is complete.  Let g = f / y^k over K = Q(zeta_c), c the
+    conductor of the coefficients, and omega a root of g of order m.  Its
+    conjugates over K are roots of g too, so
+    phi(m) <= phi(lcm(c, m)) = phi(c) [K(omega) : K] <= phi(c) deg g.
+    Since phi(m) >= sqrt(m) for every m other than 2 and 6, finitely many m
+    qualify, and `orders_with_phi_at_most` lists them all.  They are tried
+    in ascending order; as roots come off, deg g falls, and an order with
+    phi(lcm(c, m)) > phi(c) deg g for the current g is skipped.
+
+    Each candidate omega = zeta_m^j is screened in a finite field before it
+    is tested exactly.  Let L = lcm(c, m) and (l, w) =
+    `_evaluation_point(L)`: l is a prime with l = 1 mod L and w has order L
+    in F_l^*.  Then zeta_L -> w is a ring map Z[zeta_L] -> F_l; it extends
+    to Z[zeta_L][1/d] -> F_l whenever l does not divide d, d the common
+    denominator of the coefficients of g.  Under it zeta_c goes to w^(L/c),
+    each coefficient goes to its numerator map at w^(L/c) times the inverse
+    of its denominator, and omega goes to w^(jL/m).  Since g(omega) lies in
+    Z[zeta_L][1/d], its image is the Horner residue of the image of g at
+    w^(jL/m), so a nonzero residue proves g(omega) != 0.  A zero residue, or
+    a denominator divisible by l, decides nothing, and omega is then tested
+    exactly by one synthetic division by (y - omega), whose remainder is
+    g(omega) and whose quotient is g / (y - omega) when that remainder
+    vanishes.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if max_order is None:
-        max_order = 2 * max(f.span(), 1) * lcm(2, f.conductor_lcm())
     y_power = f.min_exp()
     a = f.shift(-y_power).dense()
     factors: list = []
     cond = f.conductor_lcm()
     phi_c = euler_phi(cond)
-    for m in range(1, max_order + 1):
+    for m in orders_with_phi_at_most(phi_c * (len(a) - 1)):
         if len(a) == 1:
             break
         L = lcm(cond, m)

@@ -60,6 +60,32 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(ds))
 
 
+@cache
+def orders_with_phi_at_most(bound: int) -> tuple[int, ...]:
+    """Every m >= 1 with phi(m) <= bound, ascending.
+
+    There are finitely many, since phi(m) >= sqrt(m) for every m other than
+    2 and 6.  Each is a product of prime powers q^k over distinct primes,
+    whose factors q^(k-1) (q - 1) of phi(m) are at most bound, so only the
+    primes q <= bound + 1 occur."""
+    primes = [q for q in range(2, bound + 2) if is_prime(q)]
+    out = []
+
+    def walk(m, phi, start):  # extend m by powers of the primes from start on
+        out.append(m)
+        for i in range(start, len(primes)):
+            mq, phiq = m * primes[i], phi * (primes[i] - 1)
+            if phiq > bound:
+                break
+            while phiq <= bound:
+                walk(mq, phiq, i + 1)
+                mq, phiq = mq * primes[i], phiq * primes[i]
+
+    if bound >= 1:
+        walk(1, 1, 0)
+    return tuple(sorted(out))
+
+
 def prime_to_part(n: int, p: int) -> tuple[int, int]:
     """Split n as (prime-to-p part, p-power part)."""
     a = 0

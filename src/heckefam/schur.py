@@ -6,10 +6,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .cyclotomic import Cyclotomic, one, rat, zeta, zero
 from .laurent import LaurentPoly, RationalFunction, derivative_at_one, ratfun_reduce
-from .memo import _memo
 from .ntheory import factorize
 from .valuation import laurent_content_val, primes_above
 
@@ -57,7 +57,7 @@ def f_of(c: LaurentPoly) -> Cyclotomic:
     return c.lowest_coeff()
 
 
-@_memo
+@cache
 def bad_primes(W) -> frozenset[int]:
     """Primes dividing some Schur element (positive content at a prime above p)."""
     candidates: set[int] = set()
@@ -86,19 +86,13 @@ class InvariantRecord:
     special: bool
 
 
-def generic_degree(W, i: int):
-    """delta_chi = P(W)/c_chi, as a Laurent polynomial when it is one
-    (computed once, when the group is validated)."""
-    return W.generic_degrees[i]
-
-
-@_memo
+@cache
 def compute_invariants(W) -> tuple[InvariantRecord, ...]:
     """One record per character, built once per group."""
     out = []
     for i in range(W.n_irr):
         c = W.schur_elements[i]
-        delta = generic_degree(W, i)
+        delta = W.generic_degrees[i]
         if isinstance(delta, LaurentPoly):
             lo, hi = delta.min_exp(), delta.max_exp()
         else:

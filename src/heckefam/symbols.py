@@ -84,7 +84,8 @@ def family_key(sym: Symbol) -> tuple[int, ...]:
 
 
 def remove_cohook(sym: Symbol, length: int, value: int, row: str) -> Symbol:
-    """Remove a cohook: value moves from its row to the other row as value - length."""
+    """Remove a cohook: value moves from its row to the other row as value -
+    length (a negative length adds a cohook)."""
     if row not in ("S", "T"):
         raise ValueError("row must be 'S' or 'T'")
     src = sym.S if row == "S" else sym.T
@@ -102,17 +103,7 @@ def remove_cohook(sym: Symbol, length: int, value: int, row: str) -> Symbol:
 
 def add_cohook(sym: Symbol, length: int, value: int, row: str) -> Symbol:
     """Inverse of remove_cohook: value moves to the other row as value + length."""
-    if row not in ("S", "T"):
-        raise ValueError("row must be 'S' or 'T'")
-    src = sym.S if row == "S" else sym.T
-    dst = sym.T if row == "S" else sym.S
-    if value not in src:
-        raise ValueError(f"{value} is not in row {row}")
-    if value + length in dst:
-        raise ValueError(f"{value + length} already occupies the other row")
-    new_src = tuple(a for a in src if a != value)
-    new_dst = tuple(sorted(dst + (value + length,)))
-    return Symbol(new_src, new_dst) if row == "S" else Symbol(new_dst, new_src)
+    return remove_cohook(sym, -length, value, row)
 
 
 def _hook_moves(sym: Symbol, d: int):
@@ -140,30 +131,27 @@ def _cohook_moves(sym: Symbol, e: int):
                 yield row, v
 
 
+def _core(sym: Symbol, d: int, moves, remove) -> Symbol:
+    """Apply the first of `moves` with `remove` until none is left."""
+    cur = sym
+    while (move := next(moves(cur, d), None)) is not None:
+        row, v = move
+        cur = remove(cur, d, v, row)
+    return normalize(cur)
+
+
 def d_core(sym: Symbol, d: int) -> Symbol:
     """Remove hooks of length d (within a row) until none remain."""
     if d < 1:
         raise ValueError("hook length must be positive")
-    cur = sym
-    while True:
-        moves = list(_hook_moves(cur, d))
-        if not moves:
-            return normalize(cur)
-        row, v = moves[0]
-        cur = remove_hook(cur, d, v, row)
+    return _core(sym, d, _hook_moves, remove_hook)
 
 
 def e_cocore(sym: Symbol, e: int) -> Symbol:
     """Remove cohooks of length e (across rows) until none remain."""
     if e < 1:
         raise ValueError("cohook length must be positive")
-    cur = sym
-    while True:
-        moves = list(_cohook_moves(cur, e))
-        if not moves:
-            return normalize(cur)
-        row, v = moves[0]
-        cur = remove_cohook(cur, e, v, row)
+    return _core(sym, e, _cohook_moves, remove_cohook)
 
 
 def core_orders_agree(sym: Symbol, d: int, cocore: bool = False) -> bool:

@@ -2,12 +2,15 @@
 valuations of cyclotomic values, and membership in the localized Rouquier
 ring.
 
-The valuation of an element is computed in the completion: the unramified
-part embeds through a Hensel lift of the chosen irreducible factor of
-Phi_{n'} mod p, the ramified part through the uniformizer 1 - zeta_{p^a}.
-Precision is raised (starting at 32 digits, doubling) until a nonzero digit
-certifies the answer; congruence tests against a fixed threshold are exact at
-a fixed precision and never need certification.
+The valuation of an element is computed in the completion at
+P = (p, h(zeta_{n'})), h the chosen irreducible factor of Phi_{n'} mod p.
+The unramified part is the Galois ring (Z/p^L)[t]/(h), the same ring for
+every monic lift of h; zeta_{n'} maps to the root of x^{n'} - 1 that
+Newton's method lifts from t.  The ramified part is written in powers of the
+uniformizer 1 - zeta_{p^a}.  Precision is raised (starting at 32 digits,
+doubling) until a nonzero digit certifies the answer; congruence tests
+against a fixed threshold are exact at a fixed precision and never need
+certification.
 """
 
 from __future__ import annotations
@@ -15,13 +18,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from math import gcd
 
 from .cyclotomic import _reduction_table, coerce
 from .laurent import LaurentPoly, RationalFunction, factor_unit_part
-from .ntheory import euler_phi, multiplicative_order, prime_to_part, is_prime
+from .ntheory import cyclotomic_polynomial, euler_phi, is_prime, multiplicative_order, prime_to_part
 
 INF = math.inf
 
@@ -153,8 +154,6 @@ def primes_above(p: int, n: int) -> tuple[PrimeIdealSpec, ...]:
     if nprime == 1:
         return (PrimeIdealSpec(p, n, (-1 % p, 1), e, 1),)
     f = multiplicative_order(p, nprime)
-    from .ntheory import cyclotomic_polynomial
-
     phi = [c % p for c in cyclotomic_polynomial(nprime)]
     rng = random.Random(0xC0FFEE ^ (p * 1_000_003 + nprime))
     factors = _equal_degree_factor(_trim(phi), f, p, rng)
@@ -166,7 +165,21 @@ def primes_above(p: int, n: int) -> tuple[PrimeIdealSpec, ...]:
 
 
 class _Completion:
-    """Exact finite-precision model of the completion at a PrimeIdealSpec."""
+    """Exact finite-precision model of the completion at a PrimeIdealSpec.
+
+    With n = n' p^a, p not dividing n', and h = spec.factor, a monic factor
+    of Phi_{n'} irreducible mod p, (Z/p^L)[t]/(H) is the Galois ring
+    GR(p^L, f) for every monic lift H of h, h itself included.  There
+    x^{n'} - 1 has exactly one root tau = t (mod p), since it is separable
+    mod p; `_root` finds it by Newton's method, zeta_{n'} maps to tau, and
+    the prime is P = (p, h(zeta_{n'})).  zeta_{p^a} is written in powers of
+    the uniformizer pi = 1 - zeta_{p^a}, so an element becomes an e x f
+    digit matrix: row k holds the coordinates over 1, t, ..., t^{f-1} of its
+    pi^k part.  Valuations, and the lattices of digit-threshold tests
+    (`blocks._PrimeContext._lattice`), only ask which rows lie in
+    p^j GR(p^L, f), the elements with every coordinate divisible by p^j in
+    any basis; so they do not depend on the basis of the unramified part,
+    and only the digits themselves do."""
 
     def __init__(self, spec: PrimeIdealSpec):
         self.spec = spec
@@ -175,56 +188,50 @@ class _Completion:
         self.nprime, self.ppart = prime_to_part(self.n, self.p)
         self.e = spec.e
         self.f = spec.f
-        self._lift_cache: dict[int, tuple] = {}
-        self._img_cache: dict[tuple[int, int], list] = {}
+        self.h = [c % self.p for c in spec.factor]
+        phi = [c % self.p for c in cyclotomic_polynomial(self.nprime)]
+        # a monic divisor of Phi_{n'} of degree ord_{n'}(p) is irreducible mod p
+        if (len(self.h) != self.f + 1 or self.h[-1] != 1 or _pdivmod(phi, self.h, self.p)[1]
+                or self.f != multiplicative_order(self.p, self.nprime)
+                or self.e != euler_phi(self.ppart)):
+            raise ArithmeticError(f"{spec} is not a prime of Z[zeta_{self.n}] above {self.p}")
         # signed binomial transform: s^j = (1 - pi)^j -> pi-coordinates
         self.binom = [
             [(-1) ** k * math.comb(j, k) for j in range(self.e)] for k in range(self.e)
         ]
 
-    # Hensel lifting of the chosen factor of Phi_{n'} to precision p^L
-
-    def lifted_factor(self, L: int) -> list[int]:
-        if self.nprime == 1:
-            return [-1 % self.p**L, 1]
-        key = 1
-        while key < L:
-            key *= 2
-        if key in self._lift_cache:
-            return self._lift_cache[key][0]
-        from .ntheory import cyclotomic_polynomial
-
-        p = self.p
-        phi = list(cyclotomic_polynomial(self.nprime))
-        h = [c % p for c in self.spec.factor]
-        g, rem = _pdivmod([c % p for c in phi], h, p)
-        assert not rem, "spec factor does not divide Phi mod p"
-        # Bezout u*h + v*g = 1 mod p
-        u, v = _bezout(h, g, p)
-        q = p
-        while q < p**key:
-            m2 = min(q * q, p**key)
-            h, g, u, v = _hensel_step(phi, h, g, u, v, q, m2, p)
-            q = m2
-        self._lift_cache[key] = (h, g, u, v)
-        return h
+    def _root(self, L: int) -> list[int]:
+        """tau mod (h, p^L), the root of x^{n'} - 1 with tau = t (mod p): from
+        precision 1, where h divides Phi_{n'}, each Newton step
+        tau <- tau - tau (tau^{n'} - 1) / n' doubles the precision."""
+        p, n, h = self.p, self.nprime, self.h
+        tau = _pmod([0, 1], h, p)
+        k = 1
+        while k < L:
+            k = min(2 * k, L)
+            m = p**k
+            err = _psub(_ppow_mod(tau, n, h, m), [1], m)
+            step = _pmod(_pmul(tau, err, m), h, m)
+            inv = pow(n, -1, m)
+            tau = _psub(tau, [c * inv for c in step], m)
+        if _ppow_mod(tau, n, h, p**L) != [1]:
+            raise ArithmeticError(f"{self.spec}: no root of x^{n} - 1 lifts t to precision {L}")
+        return tau
 
     def _t_rows(self, L: int) -> list[list[int]]:
-        """t^i mod (lifted factor, p^L) for i in [0, n')."""
+        """tau^i mod (h, p^L) for i in [0, n'), as coordinate rows of length f."""
         m = self.p**L
-        h = self.lifted_factor(L)
+        tau = self._root(L)
         rows = []
         cur = [1]
-        for _ in range(max(self.nprime, self.f)):
+        for _ in range(self.nprime):
             rows.append(cur + [0] * (self.f - len(cur)))
-            cur = _pmod([0] + cur, h, m)  # multiply by t
+            cur = _pmod(_pmul(cur, tau, m), self.h, m)
         return rows
 
+    @cache
     def image_tables(self, conductor: int, L: int) -> list:
         """Per power-basis exponent of Q(zeta_conductor): e x f digit matrix mod p^L."""
-        key = (conductor, L)
-        if key in self._img_cache:
-            return self._img_cache[key]
         if self.n % conductor:
             raise ValueError(f"conductor {conductor} incompatible with spec at {self.n}")
         m = self.p**L
@@ -254,7 +261,6 @@ class _Completion:
                 scalar = sum(self.binom[k][j] * svec[j] for j in range(self.e))
                 mat.append([scalar * trow[i] % m for i in range(self.f)])
             tables.append(mat)
-        self._img_cache[key] = tables
         return tables
 
     def image(self, coeffs: dict[int, int], conductor: int, L: int) -> list[list[int]]:
@@ -273,38 +279,6 @@ class _Completion:
                 for i in range(self.f):
                     ok[i] = (ok[i] + c * row[i]) % m
         return out
-
-
-def _bezout(h, g, p):
-    # extended Euclid over F_p for coprime h, g
-    r0, r1 = [c % p for c in h], [c % p for c in g]
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
-    assert len(r0) == 1, "factors are not coprime"
-    inv = pow(r0[0], -1, p)
-    u = [c * inv % p for c in s0]
-    v = [c * inv % p for c in t0]
-    return u, v
-
-
-def _hensel_step(phi, h, g, u, v, q, m2, p):
-    """One quadratic Hensel step: phi = h*g and u*h + v*g = 1, lifted from mod q to mod m2."""
-    e = _psub([c % m2 for c in phi], _pmul(h, g, m2), m2)
-    qq, r = _pdivmod(_pmul(v, e, m2), h, m2)
-    h2 = _padd(h, r, m2)
-    g2 = _padd(g, _padd(_pmul(u, e, m2), _pmul(qq, g, m2), m2), m2)
-    b = _psub(_padd(_pmul(u, h2, m2), _pmul(v, g2, m2), m2), [1], m2)
-    cc, d = _pdivmod(_pmul(v, b, m2), h2, m2)
-    v2 = _psub(v, d, m2)
-    u2 = _psub(u, _padd(_pmul(u, b, m2), _pmul(cc, g2, m2), m2), m2)
-    assert not _psub([c % m2 for c in phi], _pmul(h2, g2, m2), m2), "hensel product check"
-    assert _padd(_pmul(u2, h2, m2), _pmul(v2, g2, m2), m2) == [1], "hensel bezout check"
-    return h2, g2, u2, v2
 
 
 @cache
@@ -404,22 +378,21 @@ def laurent_content_val(f: LaurentPoly, spec: PrimeIdealSpec):
 # -- Rouquier-ring membership -------------------------------------------------------
 
 
-def op_member(S: RationalFunction, spec: PrimeIdealSpec, max_order: int | None = None) -> str:
+def op_member(S: RationalFunction, spec: PrimeIdealSpec) -> str:
     """Decide S in O_p for the localized Rouquier ring.
 
     Decidable when the denominator is a unit of O times a scalar: a y-power
     times root-of-unity linear factors.  Everything arising from the bundled
     Schur elements has this shape; anything else answers "unsupported".
     """
-    return in_ideal(S, spec, 0, max_order)
+    return in_ideal(S, spec, 0)
 
 
-def in_ideal(S: RationalFunction, spec: PrimeIdealSpec, power: int = 1,
-             max_order: int | None = None) -> str:
+def in_ideal(S: RationalFunction, spec: PrimeIdealSpec, power: int = 1) -> str:
     """Decide whether S lies in the power-th power of the maximal ideal of O_p."""
     if S.is_zero():
         return YES
-    fact = factor_unit_part(S.den, max_order)
+    fact = factor_unit_part(S.den)
     if not fact.is_unit():
         return UNSUPPORTED
     v_den = val(spec, fact.scalar)

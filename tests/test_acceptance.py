@@ -289,6 +289,6 @@ def test_criterion_7_honest_ambiguity():
             assert res == ("proved indecomposable" in note)
 
     # the weight cap degrades to "unknown", never to a silent resolution
-    verdict, reason = indecomposability_check((0, 15, 15), W, 3, cap=20)
+    verdict, reason = indecomposability_check((0, 15, 15), W, 3)
     assert verdict == "unknown" and "cap" in reason
     report(7, "columns are marked resolved only after a completed subset proof")

@@ -13,14 +13,12 @@ from heckefam.groups import (
     cyclic_group,
     dihedral_group,
     enumerate_and_fuse,
-    fake_degree,
     fake_degrees_molien,
     g4_group,
     get_group,
     group_to_doc,
     induce,
     load_group,
-    poincare,
     restrict,
     trivial_group,
 )
@@ -148,22 +146,22 @@ class TestInduction:
 class TestFakeDegrees:
     def test_triv_is_one(self):
         for W in (dihedral_group(7), g4_group(), cyclic_group(5)):
-            assert fake_degree(W, 0) == LaurentPoly.const(one)
+            assert W.fake_degrees[0] == LaurentPoly.const(one)
 
     def test_rho1_of_i25(self):
         W = dihedral_group(5)
         i = W.char_index("phi{2,1}")
-        assert fake_degree(W, i) == L([0, 1, 0, 0, 1])  # x + x^4
+        assert W.fake_degrees[i] == L([0, 1, 0, 0, 1])  # x + x^4
 
     def test_det_gets_reflection_count(self):
         for W in (dihedral_group(6), dihedral_group(9), g4_group()):
             n_refl = W.reflection_counts()[1]
-            assert fake_degree(W, W.det_index) == LaurentPoly.x_power(n_refl)
+            assert W.fake_degrees[W.det_index] == LaurentPoly.x_power(n_refl)
 
     def test_value_at_one_is_degree(self):
         W = g4_group()
         for i in range(W.n_irr):
-            assert fake_degree(W, i).eval_x(rat(1)) == W.irr[i][0]
+            assert W.fake_degrees[i].eval_x(rat(1)) == W.irr[i][0]
 
     @staticmethod
     def molien_orientations(W):
@@ -311,17 +309,17 @@ def g333() -> GroupDatum:
 
 class TestPoincare:
     def test_cyclic(self):
-        assert poincare(cyclic_group(3)) == L([1, 1, 1])
+        assert cyclic_group(3).poincare() == L([1, 1, 1])
 
     def test_dihedral5(self):
         from heckefam.laurent import poly_divexact
 
         want = poly_divexact(L([-1, 0, 1]) * (LaurentPoly.x_power(5) - 1), L([-1, 1]) ** 2)
-        assert poincare(dihedral_group(5)) == want
+        assert dihedral_group(5).poincare() == want
 
     def test_value_at_one_is_order(self):
         for W in (dihedral_group(8), g4_group(), cyclic_group(7)):
-            assert poincare(W).eval_x(rat(1)) == W.order
+            assert W.poincare().eval_x(rat(1)) == W.order
 
 
 class TestIngestion:

@@ -1,12 +1,14 @@
 """Laurent polynomials, reduced rational functions, unit-part factorization."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckefam import laurent
 from heckefam.cyclotomic import _evaluation_point, one, rat, zeta, zero
+from heckefam.ntheory import cyclotomic_polynomial, euler_phi, orders_with_phi_at_most
 from heckefam.laurent import (
     LaurentPoly,
     derivative_at_one,
@@ -120,6 +122,20 @@ class TestFactorUnitPart:
         u = factor_unit_part(f)
         assert u.unit_factors == ((-one, 2),) and u.scalar == 3
 
+    def test_roots_of_every_admissible_order_are_found(self):
+        # the roots of Phi_210 have order 210, far above its degree 48
+        u = factor_unit_part(L(list(cyclotomic_polynomial(210))))
+        assert u.is_unit() and len(u.unit_factors) == 48
+        assert {w for w, _m in u.unit_factors} == {
+            zeta(210, j) for j in range(210) if gcd(j, 210) == 1
+        }
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 5, 8, 12, 16, 24, 48, 60])
+    def test_candidate_orders_are_every_order_of_small_phi(self, bound):
+        # phi(m) >= sqrt(m) for m other than 2 and 6 bounds the search range
+        want = tuple(m for m in range(1, max(6, bound**2) + 1) if euler_phi(m) <= bound)
+        assert orders_with_phi_at_most(bound) == want
+
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -147,7 +163,7 @@ class TestProperties:
     def test_factorization_reassembles(self, f):
         if f.is_zero():
             return
-        u = factor_unit_part(f, max_order=12)
+        u = factor_unit_part(f)
         assert u.reassemble() == f
 
     @settings(max_examples=40, deadline=None)
@@ -204,7 +220,7 @@ def schur_elements_of_bundled_groups():
 
     groups = [g4_group()] + [cyclic_group(d) for d in range(2, 13)]
     groups += [dihedral_group(n) for n in range(3, 31)]
-    return [(c, 2 * W.order) for W in groups for c in W.schur_elements]
+    return [c for W in groups for c in W.schur_elements]
 
 
 class TestRootScreen:
@@ -213,12 +229,12 @@ class TestRootScreen:
 
     def test_forced_miss_falls_back_to_exact(self, monkeypatch):
         cases = schur_elements_of_bundled_groups()
-        screened = [factor_unit_part(c, bound) for c, bound in cases]
+        screened = [factor_unit_part(c) for c in cases]
         # a screen whose residue is always 0 proves nothing: every candidate
         # is tested exactly
         monkeypatch.setattr(laurent, "_images", lambda a, n: [0] * len(a))
-        for (c, bound), want in zip(cases, screened):
-            assert factor_unit_part.__wrapped__(c, bound) == want, c
+        for c, want in zip(cases, screened):
+            assert factor_unit_part.__wrapped__(c) == want, c
 
     def test_denominator_divisible_by_the_screen_prime(self):
         ell = _evaluation_point(3)[0]
@@ -252,7 +268,7 @@ class TestRootScreen:
             want[omega] = want.get(omega, 0) + mult
             for _ in range(mult):
                 f = f * LaurentPoly({1: one, 0: -omega})
-        u = factor_unit_part(f, 12)
+        u = factor_unit_part(f)
         assert u.reassemble() == f
         assert dict(u.unit_factors) == want
         assert u.y_power == k and u.scalar == s * h0

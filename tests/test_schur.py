@@ -13,7 +13,15 @@ from heckefam.groups import (
     group_to_doc,
     load_group,
 )
-from heckefam.laurent import LaurentPoly, poly_divexact, ratfun_reduce
+from heckefam.blocks import families
+from heckefam.groups import GroupDataError
+from heckefam.laurent import (
+    LaurentPoly,
+    RationalFunction,
+    laurent_to_doc,
+    poly_divexact,
+    ratfun_reduce,
+)
 from heckefam.schur import (
     a_plus_A,
     bad_primes,
@@ -21,7 +29,6 @@ from heckefam.schur import (
     cyclic_schur,
     dihedral_schur,
     f_of,
-    generic_degree,
     omega_pi_exponent,
     relative_trace_scalar,
 )
@@ -108,7 +115,6 @@ class TestGenericDegrees:
         assert len(W.generic_degrees) == W.n_irr
         for i, c in enumerate(W.schur_elements):
             assert W.generic_degrees[i] == poly_divexact(P, c), W.char_names[i]
-            assert generic_degree(W, i) is W.generic_degrees[i]
 
     @pytest.mark.parametrize(
         "name", ["1", "G4", "Z2", "Z3", "Z4", "Z6", "I2.3", "I2.4", "I2.5", "I2.6", "I2.9", "I2.12"]
@@ -122,6 +128,34 @@ class TestGenericDegrees:
         W = load_group(doc)
         assert not W.spetsial
         self.assert_stored_degrees_divide(W)
+
+    @staticmethod
+    def z2_with_parameters_x2_and_minus_one(spetsial):
+        """Z2 with Hecke parameters x^2 and -1: its Schur elements 1 + x^2 and
+        1 + x^-2 satisfy sum 1/c = 1, but P = 1 + x divides neither."""
+        doc = group_to_doc(cyclic_group(2))
+        doc["name"] = "Z2(x^2,-1)"
+        doc["spetsial"] = spetsial
+        doc["schur_elements"] = [
+            laurent_to_doc(L([1, 0, 1])),
+            laurent_to_doc(LaurentPoly({0: one, -2: one})),
+        ]
+        return doc
+
+    def test_rational_generic_degrees(self):
+        W = load_group(self.z2_with_parameters_x2_and_minus_one(False))
+        P = W.poincare()
+        for delta, c in zip(W.generic_degrees, W.schur_elements):
+            assert isinstance(delta, RationalFunction) and not delta.is_polynomial()
+            assert delta == ratfun_reduce(P, c)
+        # a and A are the orders of P/c at 0 and at infinity:
+        # (1 + x)/(1 + x^2) has orders 0 and -1, x^2 (1 + x)/(1 + x^2) has 2 and 1
+        assert [(r.a, r.A) for r in compute_invariants(W)] == [(0, -1), (2, 1)]
+        assert families(W).all_exact()
+
+    def test_rational_generic_degrees_rejected_when_spetsial(self):
+        with pytest.raises(GroupDataError, match="not a Laurent polynomial"):
+            load_group(self.z2_with_parameters_x2_and_minus_one(True))
 
 
 class TestFOf:

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from heckefam.cyclotomic import make, one, rat, zeta
 from heckefam.laurent import LaurentPoly, ratfun_reduce
-from heckefam.ntheory import euler_phi, prime_to_part
+from heckefam.ntheory import cyclotomic_polynomial, euler_phi, factorize, prime_to_part
 from heckefam.valuation import (
     INF,
     NO,
     UNSUPPORTED,
     YES,
+    PrimeIdealSpec,
+    _completion,
     op_member,
     primes_above,
     val,
@@ -181,6 +183,11 @@ class TestOpMember:
         (p2,) = primes_above(2, 1)
         assert op_member(S, p2) == UNSUPPORTED
 
+    def test_denominator_with_roots_of_large_order(self):
+        S = ratfun_reduce(L([1]), L(list(cyclotomic_polynomial(210))))
+        for spec in (primes_above(2, 1)[0], primes_above(7, 105)[0]):
+            assert op_member(S, spec) == YES
+
     def test_zero_numerator(self):
         (p2,) = primes_above(2, 1)
         assert op_member(ratfun_reduce(LaurentPoly({}), L([2])), p2) == YES
@@ -219,3 +226,73 @@ class TestGaloisRobustnessMembership:
                 op_member(T, s2),
             }
             assert op_member(S, s1) == op_member(T, s2)
+
+
+def _mulmod(a, b, h, m):
+    """a * b mod (h, m) for dense ascending lists, h monic."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    d = len(h) - 1
+    for top in range(len(out) - 1, d - 1, -1):
+        c = out[top]
+        for k, hk in enumerate(h):
+            out[top - d + k] -= c * hk
+    return [x % m for x in out[:d]] + [0] * (d - len(out))
+
+
+def _powmod(a, k, h, m):
+    out = [1] + [0] * (len(h) - 2)
+    while k:
+        if k & 1:
+            out = _mulmod(out, a, h, m)
+        a, k = _mulmod(a, a, h, m), k >> 1
+    return out
+
+
+def bundled_specs():
+    from heckefam.blocks import _context
+    from heckefam.groups import cyclic_group, dihedral_group, g4_group
+    from heckefam.schur import bad_primes
+
+    groups = [g4_group()] + [cyclic_group(d) for d in range(2, 13)]
+    groups += [dihedral_group(n) for n in range(3, 31)]
+    specs = {
+        sp for W in groups for p in bad_primes(W) for sp in primes_above(p, _context(W, p).conductor)
+    }
+    for p, n in ((2, 58), (2, 38), (3, 120), (7, 84)):
+        specs.update(primes_above(p, n))
+    return sorted(specs, key=repr)
+
+
+class TestRootLift:
+    """zeta_{n'} maps to the root tau of x^{n'} - 1 in (Z/p^L)[t]/(h) with
+    tau = t (mod p); tau has order n' modulo p."""
+
+    def test_root_of_unity_lifting_t(self):
+        specs = bundled_specs()
+        assert len(specs) > 40
+        for spec in specs:
+            comp = _completion(spec)
+            p, h, nprime = spec.p, [c % spec.p for c in spec.factor], comp.nprime
+            one_ = [1] + [0] * (spec.f - 1)
+            t = _mulmod([0, 1], one_, h, p)
+            for prec in (1, 2, 7, 32):
+                tau = comp._root(prec)
+                tau = tau + [0] * (spec.f - len(tau))
+                assert _powmod(tau, nprime, h, p**prec) == one_, (spec, prec)
+                assert [c % p for c in tau] == t, (spec, prec)
+            for q in factorize(nprime):
+                assert _powmod(tau, nprime // q, h, p) != one_, (spec, q)
+
+    @pytest.mark.parametrize("spec", [
+        PrimeIdealSpec(7, 3, (6, 1), 1, 1),  # t - 1 divides t^3 - 1 mod 7, not Phi_3
+        PrimeIdealSpec(7, 3, (1, 1, 1), 1, 2),  # Phi_3 = (t - 2)(t - 4) mod 7
+        PrimeIdealSpec(2, 12, (1, 1, 1), 1, 2),  # 2 ramifies in Q(zeta_4): e = 2
+    ])
+    def test_spec_that_is_not_a_prime_is_rejected(self, spec):
+        with pytest.raises(ArithmeticError):
+            val(spec, zeta(3))
+        with pytest.raises(ArithmeticError):
+            val_at_least(spec, 1 - zeta(3), 1)
