@@ -2,11 +2,16 @@
 columns with resolution status, and the family partition as the join over
 bad primes.
 
-The per-prime computation keeps two bounds: the coarse partition (group
-p-blocks intersected with central-exponent level sets, unit Schur elements
-split off) is an upper bound; the transitive closure of co-occurrence in
-proven-indecomposable projective columns is a lower bound.  A part is exact
-when the bounds meet.  Columns are never marked resolved without a completed
+Every partition is read off keys and joins.  The group p-blocks are the
+fibres of the reduction of the central characters modulo a prime P above p.
+The coarse partition, an upper bound for the blocks of O_p H(W), is the
+fibres of (p-block, central exponent), with unit Schur elements split off.
+One rule, `_bounded`, gives every status: a part of the join of the upper
+pieces is exact when the join of the lower pieces, the supports of
+proven-indecomposable projective columns within each part, reproduces it.
+Per prime the upper pieces are the coarse parts; for the families they are
+the per-prime parts over every bad prime, and the lower pieces the
+per-prime cuts.  Columns are never marked resolved without a completed
 subset-search proof.
 """
 
@@ -14,12 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 from .cyclotomic import one, zero
 from .groups import induce
 from .laurent import LaurentPoly, factor_unit_part, synthetic_division
-from .ntheory import lcm
 from .schur import a_plus_A, bad_primes, compute_invariants
 from .valuation import (
     _completion,
@@ -27,8 +31,7 @@ from .valuation import (
     _ord_int,
     laurent_content_val,
     primes_above,
-    val,
-    val_at_least,
+    reduction,
 )
 
 EXACT, UPPER = "exact", "upper-bound"
@@ -112,6 +115,32 @@ class _UnionFind:
         for i in range(n):
             out.setdefault(self.find(i), []).append(i)
         return [tuple(sorted(g)) for g in out.values()]
+
+
+def _join(k: int, pieces) -> list[tuple]:
+    """The finest partition of range(k) in which each piece lies inside one part."""
+    uf = _UnionFind(k)
+    for piece in pieces:
+        for a, b in zip(piece, piece[1:]):
+            uf.union(a, b)
+    return uf.groups(k)
+
+
+def _cuts(partition: BlockPartition, columns) -> list[list[int]]:
+    """The support of each column within each part of the partition."""
+    return [[i for i in part if col[i]] for col in columns for part in partition.parts]
+
+
+def _bounded(k: int, upper, lower) -> BlockPartition:
+    """The join of the upper pieces, a part exact when the join of the lower
+    pieces reproduces it.  When the upper pieces are parts of upper bounds,
+    every block lies inside one part of their join; when each lower piece
+    lies inside one block, so does every part of theirs.  A part where the
+    two joins agree is then a block.  With no lower pieces, exactly the
+    singletons are exact."""
+    proven = set(_join(k, lower))
+    parts = _join(k, upper)
+    return BlockPartition(parts, [EXACT if part in proven else UPPER for part in parts])
 
 
 # -- per-prime context ------------------------------------------------------------
@@ -333,53 +362,38 @@ def _context(W, p) -> _PrimeContext:
 
 
 def group_p_blocks(W, p: int) -> BlockPartition:
-    """Brauer p-blocks of the reflection group itself, via central characters
-    congruent modulo the fixed prime above p."""
-    ctx = _context(W, p)
-    k = W.n_irr
-    omegas = []
-    for i in range(k):
+    """Brauer p-blocks of the reflection group itself: the fibres of the
+    reduction modulo the fixed prime P above p of the central characters
+    omega_chi(C) = |C| chi(g_C) / chi(1), two characters sharing a block
+    exactly when their central characters agree mod P on every class
+    (Navarro, Characters and Blocks of Finite Groups, ch. 3).  The central
+    characters of a group are algebraic integers; a table with a
+    non-integral one raises ValueError."""
+    spec = _context(W, p).spec
+    fibres: dict = {}
+    for i in range(W.n_irr):
         deg = Fraction(1, W.char_degree(i))
-        omegas.append(
-            [W.irr[i][ci] * (size * deg) for ci, (size, _w) in enumerate(W.classes)]
+        key = tuple(
+            reduction(spec, W.irr[i][ci] * (size * deg))
+            for ci, (size, _w) in enumerate(W.classes)
         )
-    uf = _UnionFind(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if uf.find(i) == uf.find(j):
-                continue
-            if all(
-                val_at_least(ctx.spec, omegas[i][ci] - omegas[j][ci], 1)
-                for ci in range(len(W.classes))
-            ):
-                uf.union(i, j)
-    parts = uf.groups(k)
+        fibres.setdefault(key, []).append(i)
+    parts = list(fibres.values())
     return BlockPartition(parts, [EXACT] * len(parts))
 
 
 def coarse_partition(W, p: int) -> BlockPartition:
     """Step (1): p-blocks of W intersected with level sets of the central
-    exponent (N(chi)+N(chi*))/chi(1); unit Schur elements split off as exact
-    singletons."""
+    exponent (N(chi)+N(chi*))/chi(1); unit Schur elements split off as
+    singletons.  An upper bound, exact on its singletons."""
     ctx = _context(W, p)
     pb = group_p_blocks(W, p)
     records = compute_invariants(W)
-    keys = {}
+    keys: dict = {}
     for i in range(W.n_irr):
-        keys.setdefault((pb.part_of(i), a_plus_A(W, i, records)), []).append(i)
-    parts, status = [], []
-    for _key, group in sorted(keys.items(), key=lambda kv: min(kv[1])):
-        bulk = []
-        for i in group:
-            if ctx.defect_zero(i):
-                parts.append([i])
-                status.append(EXACT)
-            else:
-                bulk.append(i)
-        if bulk:
-            parts.append(bulk)
-            status.append(EXACT if len(bulk) == 1 and len(group) == 1 else UPPER)
-    return BlockPartition(parts, status)
+        key = i if ctx.defect_zero(i) else (pb.part_of(i), a_plus_A(W, i, records))
+        keys.setdefault(key, []).append(i)
+    return _bounded(W.n_irr, list(keys.values()), [])
 
 
 def monoid_minimal_generators(vectors) -> list[tuple]:
@@ -447,28 +461,10 @@ def candidate_projectives(W, p: int, partition: BlockPartition) -> list[tuple]:
 
 
 def linking_closure(partition: BlockPartition, columns) -> BlockPartition:
-    """Step (3): transitive closure of co-occurrence in a column, within parts."""
-    k = partition.n_items()
-    uf = _UnionFind(k)
-    for col in columns:
-        by_part: dict = {}
-        for i, m in enumerate(col):
-            if m:
-                by_part.setdefault(partition.part_of(i), []).append(i)
-        for group in by_part.values():
-            for a, b in zip(group, group[1:]):
-                uf.union(a, b)
-    pieces = []
-    status = []
-    for pi, part in enumerate(partition.parts):
-        comps: dict = {}
-        for i in part:
-            comps.setdefault(uf.find(i), []).append(i)
-        split = len(comps) > 1
-        for comp in comps.values():
-            pieces.append(comp)
-            status.append(UPPER if split else partition.status[pi])
-    return BlockPartition(pieces, status)
+    """Step (3): transitive closure of co-occurrence in a column, within parts.
+    Its statuses follow the one rule with no lower pieces: a part is exact
+    only when it is a singleton."""
+    return _bounded(partition.n_items(), _cuts(partition, columns), [])
 
 
 def indecomposability_check(phi, W, p: int):
@@ -501,8 +497,8 @@ def indecomposability_check(phi, W, p: int):
 def hecke_blocks(W, p: int):
     """Steps (1)-(4): returns (BlockPartition, DecompApprox) for O_p H(W).
 
-    The partition is the coarse upper bound with parts marked exact when the
-    resolved-column linking closure reproduces them."""
+    The partition is the coarse upper bound, a part exact when the resolved
+    columns cut by the coarse parts link all of it."""
     coarse = coarse_partition(W, p)
     columns = candidate_projectives(W, p, coarse)
     resolved, notes = [], []
@@ -517,39 +513,18 @@ def hecke_blocks(W, p: int):
         else:
             resolved.append(False)
             notes.append(detail)
-    linked = linking_closure(coarse, [c for c, r in zip(columns, resolved) if r])
-    parts, status = [], []
-    for pi, part in enumerate(coarse.parts):
-        sub = [q for q in linked.parts if set(q) <= set(part)]
-        meets = len(sub) == 1
-        parts.append(part)
-        if coarse.status[pi] == EXACT or meets:
-            status.append(EXACT)
-        else:
-            status.append(UPPER)
-    return BlockPartition(parts, status), DecompApprox(columns, resolved, notes)
+    proven = [c for c, r in zip(columns, resolved) if r]
+    partition = _bounded(W.n_irr, coarse.parts, _cuts(coarse, proven))
+    return partition, DecompApprox(columns, resolved, notes)
 
 
 def families(W) -> BlockPartition:
     """Blocks over the Rouquier ring: the join of the per-prime partitions
-    over all bad primes, exact where the per-prime lower and upper joins meet."""
-    bad = sorted(bad_primes(W))
-    k = W.n_irr
-    uf_upper = _UnionFind(k)
-    uf_lower = _UnionFind(k)
-    for p in bad:
+    over all bad primes, exact where the join of every per-prime resolved
+    cut reproduces it."""
+    upper, lower = [], []
+    for p in sorted(bad_primes(W)):
         partition, decomp = hecke_blocks(W, p)
-        for part in partition.parts:
-            for a, b in zip(part, part[1:]):
-                uf_upper.union(a, b)
-        # members of a resolved (proven indecomposable) column share a block
-        linked = linking_closure(
-            partition, [c for c, r in zip(decomp.columns, decomp.resolved) if r]
-        )
-        for part in linked.parts:
-            for a, b in zip(part, part[1:]):
-                uf_lower.union(a, b)
-    upper = uf_upper.groups(k)
-    lower = {tuple(g) for g in uf_lower.groups(k)}
-    status = [EXACT if tuple(part) in lower else UPPER for part in upper]
-    return BlockPartition(upper, status)
+        upper += partition.parts
+        lower += _cuts(partition, [c for c, r in zip(decomp.columns, decomp.resolved) if r])
+    return _bounded(W.n_irr, upper, lower)

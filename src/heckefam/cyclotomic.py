@@ -54,9 +54,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
-from .ntheory import cyclotomic_polynomial, euler_phi, factorize, is_prime, lcm
+from .ntheory import cyclotomic_polynomial, euler_phi, factorize, is_prime
 
 
 @cache

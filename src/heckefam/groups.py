@@ -8,6 +8,7 @@ import json
 import os
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from pathlib import Path
 
 from .cyclotomic import dot, from_literal, one, rat, zero, zeta
@@ -18,7 +19,6 @@ from .laurent import (
     poly_divexact,
     ratfun_reduce,
 )
-from .ntheory import lcm
 from .schur import cyclic_schur, dihedral_schur
 
 ENUMERATION_BOUND = 50_000

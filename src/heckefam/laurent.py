@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 from .cyclotomic import (
     Cyclotomic,
@@ -21,7 +21,7 @@ from .cyclotomic import (
     zeta,
     zero,
 )
-from .ntheory import euler_phi, lcm, orders_with_phi_at_most
+from .ntheory import euler_phi, orders_with_phi_at_most
 
 
 class LaurentPoly:
@@ -55,10 +55,6 @@ class LaurentPoly:
     @staticmethod
     def x_power(k: int, mu: int = 1) -> "LaurentPoly":
         return LaurentPoly({k * mu: one}, mu, _clean=True)
-
-    @staticmethod
-    def y_power(e: int, mu: int = 1) -> "LaurentPoly":
-        return LaurentPoly({e: one}, mu, _clean=True)
 
     @staticmethod
     def const(v, mu: int = 1) -> "LaurentPoly":
@@ -478,7 +474,9 @@ def factor_unit_part(f: LaurentPoly) -> UnitFactorization:
     a denominator divisible by l, decides nothing, and omega is then tested
     exactly by one synthetic division by (y - omega), whose remainder is
     g(omega) and whose quotient is g / (y - omega) when that remainder
-    vanishes.
+    vanishes.  Each quotient is screened again at the same omega before
+    the next exact division, so unless the screen misses, every exact
+    division has a zero remainder.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -499,23 +497,22 @@ def factor_unit_part(f: LaurentPoly) -> UnitFactorization:
         for j in range(m):
             if m > 1 and (j == 0 or gcd(j, m) != 1):
                 continue
-            if image is not None:
-                w, res = powers[j * (L // m)], 0
-                for v in reversed(image):
-                    res = (res * w + v) % ell
-                if res:
-                    continue
-            omega = zeta(m, j)
-            mult = 0
+            w, mult = powers[j * (L // m)], 0
             while len(a) > 1:
+                if image is not None:
+                    res = 0
+                    for v in reversed(image):
+                        res = (res * w + v) % ell
+                    if res:
+                        break
+                omega = zeta(m, j)
                 q, r = synthetic_division(a, omega)
                 if r:
                     break
-                a = q
-                mult += 1
+                a, mult = q, mult + 1
+                image = _images(a, L)
             if mult:
                 factors.append((omega, mult))
-                image = _images(a, L)
     scalar = a[0]
     inv = scalar.inverse()
     non_unit = LaurentPoly({e: v * inv for e, v in enumerate(a) if v}, f.mu, _clean=True)

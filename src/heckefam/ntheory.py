@@ -6,10 +6,6 @@ from functools import cache
 from math import gcd, isqrt
 
 
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b) if a and b else 0
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {p: multiplicity}."""
     if n < 1:

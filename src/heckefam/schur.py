@@ -88,16 +88,17 @@ class InvariantRecord:
 
 @cache
 def compute_invariants(W) -> tuple[InvariantRecord, ...]:
-    """One record per character, built once per group."""
+    """One record per character, built once per group.
+
+    a and A are the orders at 0 and at infinity of the generic degree P/c,
+    read off the Schur element c: P(0) = 1, so they are -min_exp(c) and
+    deg P - max_exp(c) (in y, then divided by mu), whether or not P/c is a
+    Laurent polynomial."""
+    deg_P = W.mu * sum(d - 1 for d in W.degrees)
     out = []
     for i in range(W.n_irr):
         c = W.schur_elements[i]
-        delta = W.generic_degrees[i]
-        if isinstance(delta, LaurentPoly):
-            lo, hi = delta.min_exp(), delta.max_exp()
-        else:
-            lo = delta.num.min_exp()
-            hi = delta.num.max_exp() - delta.den.max_exp()
+        lo, hi = -c.min_exp(), deg_P - c.max_exp()
         R = W.fake_degrees[i]
         rec = InvariantRecord(
             name=W.char_names[i],

@@ -10,7 +10,9 @@ Newton's method lifts from t.  The ramified part is written in powers of the
 uniformizer 1 - zeta_{p^a}.  Precision is raised (starting at 32 digits,
 doubling) until a nonzero digit certifies the answer; congruence tests
 against a fixed threshold are exact at a fixed precision and never need
-certification.
+certification.  At precision 1 the pi^0 row is the residue map onto
+O/P = F_p[t]/(h) (`reduction`), which turns congruence modulo P into
+equality of keys.
 """
 
 from __future__ import annotations
@@ -363,6 +365,23 @@ def val_at_least(spec: PrimeIdealSpec, a, bound: int) -> bool:
     L, moduli = _digit_thresholds(spec, target)
     digits = _completion(spec).image(a.numerators, a.conductor, L)
     return not any(c % mod for row, mod in zip(digits, moduli) for c in row)
+
+
+def reduction(spec: PrimeIdealSpec, a) -> tuple[int, ...]:
+    """The image of the algebraic integer a in O/P = F_p[t]/(h), as its
+    coordinates over 1, t, ..., t^{f-1}: the pi^0 row of its digit matrix
+    mod p.  For integral a and b, val_at_least(spec, a - b, 1) holds exactly
+    when reduction(spec, a) == reduction(spec, b), since only that row is
+    tested mod p at the bound 1.
+
+    Unlike `cyclotomic._residue`, a screen that maps into F_l at a split
+    prime l != p and may miss, this is the residue map at P itself; it
+    raises ValueError on a non-integral value (denominator not 1: the power
+    basis is an integral basis of Z[zeta_n])."""
+    a = coerce(a)
+    if a.denominator != 1:
+        raise ValueError(f"{a} is not an algebraic integer")
+    return tuple(_completion(spec).image(a.numerators, a.conductor, 1)[0])
 
 
 def laurent_content_val(f: LaurentPoly, spec: PrimeIdealSpec):

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from heckefam.ntheory import cyclotomic_polynomial, euler_phi, factorize, lcm
+from heckefam.ntheory import cyclotomic_polynomial, euler_phi, factorize
 
 Rational = Fraction
 

@@ -1,12 +1,17 @@
 """The block algorithm: coarse bounds, projective candidates, linking,
 indecomposability proofs, per-prime blocks and families."""
 
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
 from heckefam.blocks import (
     EXACT,
     UPPER,
     BlockPartition,
+    _bounded,
+    _context,
     coarse_partition,
     candidate_projectives,
     families,
@@ -20,7 +25,7 @@ from heckefam.groups import cyclic_group, dihedral_group, g4_group, get_group, t
 from heckefam.laurent import LaurentPoly, poly_divexact, ratfun_reduce
 from heckefam.ntheory import factorize
 from heckefam.schur import bad_primes, compute_invariants, a_plus_A, relative_trace_scalar
-from heckefam.valuation import YES, op_member, in_ideal, primes_above
+from heckefam.valuation import YES, op_member, in_ideal, primes_above, val_at_least
 
 
 # every bad prime of G4 and of I2(4..30); I2(3) has none
@@ -28,9 +33,60 @@ BUNDLED_BAD_PRIMES = [("G4", 2), ("G4", 3)] + [
     (f"I2.{n}", p) for n in range(4, 31) for p in factorize(n)
 ]
 
+BUNDLED_GROUPS = ["1", "G4"] + [f"Z{d}" for d in range(2, 13)] + [f"I2.{n}" for n in range(3, 31)]
+
 
 def names_partition(W, partition):
     return sorted(tuple(W.char_names[i] for i in part) for part in partition.parts)
+
+
+def components(k, pieces):
+    """Connected components of range(k) under "shares a piece", sorted."""
+    label = list(range(k))
+    for piece in pieces:
+        for a in piece[1:]:
+            old, new = label[a], label[piece[0]]
+            label = [new if x == old else x for x in label]
+    out = {}
+    for i in range(k):
+        out.setdefault(label[i], []).append(i)
+    return sorted(tuple(g) for g in out.values())
+
+
+def pairwise_p_blocks(W, p):
+    """The p-block definition that group_p_blocks replaced: characters
+    linked when val(omega_i(C) - omega_j(C)) >= 1 on every class, tested
+    pair by pair."""
+    spec = _context(W, p).spec
+    k = W.n_irr
+    omegas = [
+        [W.irr[i][ci] * Fraction(size, W.char_degree(i)) for ci, (size, _w) in enumerate(W.classes)]
+        for i in range(k)
+    ]
+    linked = [
+        (i, j) for i in range(k) for j in range(i + 1, k)
+        if all(val_at_least(spec, x - y, 1) for x, y in zip(omegas[i], omegas[j]))
+    ]
+    return components(k, linked)
+
+
+def two_join_families(W):
+    """The family partition as computed before the one-join rule: one join
+    of every per-prime part, one of the linking closures of the resolved
+    columns within each part, a family exact when it is a part of both."""
+    k, upper, lower = W.n_irr, [], []
+    for p in sorted(bad_primes(W)):
+        partition, decomp = hecke_blocks(W, p)
+        upper += partition.parts
+        for col, res in zip(decomp.columns, decomp.resolved):
+            if res:
+                by_part = {}
+                for i, m in enumerate(col):
+                    if m:
+                        by_part.setdefault(partition.part_of(i), []).append(i)
+                lower += by_part.values()
+    parts, proven = components(k, upper), set(components(k, lower))
+    return parts, [EXACT if part in proven else UPPER for part in parts]
 
 
 class TestGroupPBlocks:
@@ -47,6 +103,25 @@ class TestGroupPBlocks:
         for W in (dihedral_group(5), g4_group()):
             pb = group_p_blocks(W, 7)
             assert all(len(p) == 1 for p in pb.parts)
+
+    @pytest.mark.parametrize("name", [n for n in BUNDLED_GROUPS if n != "1"])
+    def test_fibres_match_pairwise_congruence(self, name):
+        W = get_group(name)
+        for p in sorted(bad_primes(W) | {7, 11}):
+            assert list(group_p_blocks(W, p).parts) == pairwise_p_blocks(W, p), p
+
+    def test_non_integral_central_character_is_rejected(self, monkeypatch):
+        # no group has this table: omega(C) = 1/2 on the second class
+        import heckefam.blocks as blocks
+
+        W = cyclic_group(2)
+        fake = SimpleNamespace(
+            n_irr=2, classes=W.classes, char_degree=lambda i: 1,
+            irr=(W.irr[0], (W.irr[1][0], W.irr[1][1] * Fraction(1, 2))),
+        )
+        monkeypatch.setattr(blocks, "_context", lambda W, p: SimpleNamespace(spec=primes_above(2, 1)[0]))
+        with pytest.raises(ValueError, match="not an algebraic integer"):
+            group_p_blocks(fake, 2)
 
 
 class TestCoarse:
@@ -80,6 +155,22 @@ class TestCoarse:
         assert names_partition(W, c) == [
             ("phi{1,0}",), ("phi{1,5}",), ("phi{2,1}", "phi{2,2}"),
         ]
+
+    @pytest.mark.parametrize("name", BUNDLED_GROUPS)
+    def test_exact_exactly_on_singletons(self, name):
+        # the status rule that the one-join rewrite replaced differs only on
+        # a singleton that is not defect zero but shares its (p-block,
+        # central exponent) key with a defect-zero character
+        W = get_group(name)
+        for p in sorted(bad_primes(W)):
+            ctx, c = _context(W, p), coarse_partition(W, p)
+            pb, records = group_p_blocks(W, p), compute_invariants(W)
+            key = lambda i: (pb.part_of(i), a_plus_A(W, i, records))
+            for part, status in zip(c.parts, c.status):
+                assert status == (EXACT if len(part) == 1 else UPPER), (p, part)
+                if len(part) == 1 and not ctx.defect_zero(part[0]):
+                    same_key = [i for i in range(W.n_irr) if key(i) == key(part[0])]
+                    assert same_key == list(part), (p, part)
 
     def test_upper_bound_contains_true_blocks(self):
         # coarse must be refined by the final exact partition
@@ -150,6 +241,11 @@ class TestLinking:
         part, decomp = hecke_blocks(W, 3)
         linked = linking_closure(part, decomp.columns)
         assert linked.parts == part.parts
+
+    def test_singletons_are_exact(self):
+        part = BlockPartition([(0, 1, 2)], [UPPER])
+        out = linking_closure(part, [(1, 1, 0)])
+        assert out.parts == ((0, 1), (2,)) and out.status == (UPPER, EXACT)
 
     def test_output_refines_input(self):
         part = BlockPartition([(0, 1), (2, 3, 4)], [UPPER, UPPER])
@@ -367,7 +463,30 @@ class TestHeckeBlocks:
                 assert op_member(total, ctx.spec) == YES
 
 
+class TestBounded:
+    def test_exact_only_once_two_primes_link(self):
+        # per-prime parts {0,1,2} and {3}; the resolved cuts at one prime
+        # link 0 with 1, at the other 1 with 2: only their join proves {0,1,2}
+        upper = [(0, 1, 2), (3,), (0, 1), (2,), (3,)]
+        at_2, at_3 = [(0, 1)], [(1, 2)]
+        for lower in ([], at_2, at_3):
+            out = _bounded(4, upper, lower)
+            assert out.parts == ((0, 1, 2), (3,)) and out.status == (UPPER, EXACT)
+        out = _bounded(4, upper, at_2 + at_3)
+        assert out.parts == ((0, 1, 2), (3,)) and out.all_exact()
+
+    def test_join_of_overlapping_pieces(self):
+        out = _bounded(5, [(0, 1), (1, 3), (2,)], [(0, 1, 3)])
+        assert out.parts == ((0, 1, 3), (2,), (4,)) and out.all_exact()
+
+
 class TestFamilies:
+    @pytest.mark.parametrize("name", BUNDLED_GROUPS)
+    def test_matches_the_two_join_families(self, name):
+        W = get_group(name)
+        fam = families(W)
+        assert (list(fam.parts), list(fam.status)) == two_join_families(W)
+
     def test_g4(self):
         W = g4_group()
         fam = families(W)

@@ -145,7 +145,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(cyclotomics(), cyclotomics())
     def test_norm_is_multiplicative_at_common_conductor(self, a, b):
-        from heckefam.ntheory import lcm
+        from math import lcm
 
         n = lcm(a.conductor, b.conductor)
         assert (a * b).norm(conductor=n) == a.norm(conductor=n) * b.norm(conductor=n)

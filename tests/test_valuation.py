@@ -18,6 +18,7 @@ from heckefam.valuation import (
     _completion,
     op_member,
     primes_above,
+    reduction,
     val,
     val_at_least,
 )
@@ -296,3 +297,38 @@ class TestRootLift:
             val(spec, zeta(3))
         with pytest.raises(ArithmeticError):
             val_at_least(spec, 1 - zeta(3), 1)
+
+
+@st.composite
+def integral_pairs(draw):
+    n = draw(st.sampled_from((12, 15, 24, 30)))
+    coeffs = st.dictionaries(st.integers(0, n - 1), st.integers(-40, 40), max_size=5)
+    return n, make(n, draw(coeffs)), make(n, draw(coeffs))
+
+
+class TestReduction:
+    """reduction is the residue map Z[zeta_n] -> O/P = F_p[t]/(h)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(integral_pairs())
+    def test_ring_map_agreeing_with_val_at_least(self, x):
+        n, a, b = x
+        for p in (2, 3, 5):
+            for spec in primes_above(p, n):
+                h = [c % p for c in spec.factor]
+                ra, rb = reduction(spec, a), reduction(spec, b)
+                assert len(ra) == spec.f
+                assert list(reduction(spec, a + b)) == [(x + y) % p for x, y in zip(ra, rb)]
+                assert list(reduction(spec, a * b)) == _mulmod(list(ra), list(rb), h, p)
+                assert (ra == rb) == val_at_least(spec, a - b, 1), (spec, a, b)
+                assert reduction(spec, a + p * b) == ra
+
+    def test_unit_and_integers(self):
+        for spec in primes_above(5, 30):
+            assert reduction(spec, one) == (1,) + (0,) * (spec.f - 1)
+            assert reduction(spec, rat(7)) == reduction(spec, rat(2))
+
+    def test_non_integral_value_is_rejected(self):
+        (spec,) = primes_above(3, 3)
+        with pytest.raises(ValueError, match="not an algebraic integer"):
+            reduction(spec, zeta(3) / 2)
