@@ -24,6 +24,7 @@ from math import gcd, lcm
 from .cyclotomic import one, zero
 from .groups import induce
 from .laurent import LaurentPoly, factor_unit_part, synthetic_division
+from .ntheory import _UnionFind
 from .schur import a_plus_A, bad_primes, compute_invariants
 from .valuation import (
     _completion,
@@ -54,19 +55,8 @@ class BlockPartition:
     def part_of(self, i: int) -> int:
         return self._lookup[i]
 
-    def n_items(self) -> int:
-        return len(self._lookup)
-
     def all_exact(self) -> bool:
         return all(s == EXACT for s in self.status)
-
-    def refines(self, other: "BlockPartition") -> bool:
-        return all(
-            len({other.part_of(ch) for ch in part}) == 1 for part in self.parts
-        )
-
-    def as_sets(self):
-        return [frozenset(p) for p in self.parts]
 
     def __eq__(self, other):
         return isinstance(other, BlockPartition) and self.parts == other.parts
@@ -93,28 +83,6 @@ class DecompApprox:
             mark = "ok" if res else "??"
             out.append(f"{col} [{mark}] {note}")
         return "\n".join(out)
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def groups(self, n):
-        out = {}
-        for i in range(n):
-            out.setdefault(self.find(i), []).append(i)
-        return [tuple(sorted(g)) for g in out.values()]
 
 
 def _join(k: int, pieces) -> list[tuple]:
@@ -460,13 +428,6 @@ def candidate_projectives(W, p: int, partition: BlockPartition) -> list[tuple]:
     return monoid_minimal_generators(cands)
 
 
-def linking_closure(partition: BlockPartition, columns) -> BlockPartition:
-    """Step (3): transitive closure of co-occurrence in a column, within parts.
-    Its statuses follow the one rule with no lower pieces: a part is exact
-    only when it is a singleton."""
-    return _bounded(partition.n_items(), _cuts(partition, columns), [])
-
-
 def indecomposability_check(phi, W, p: int):
     """Step (4): phi is proven indecomposable when no proper nonzero
     subcharacter passes the O_p integrality test.
@@ -498,7 +459,8 @@ def hecke_blocks(W, p: int):
     """Steps (1)-(4): returns (BlockPartition, DecompApprox) for O_p H(W).
 
     The partition is the coarse upper bound, a part exact when the resolved
-    columns cut by the coarse parts link all of it."""
+    columns cut by the coarse parts link all of it: step (3), the linking
+    closure of those cuts, is the lower join of `_bounded`."""
     coarse = coarse_partition(W, p)
     columns = candidate_projectives(W, p, coarse)
     resolved, notes = [], []

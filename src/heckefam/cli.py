@@ -11,16 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-
-from .blocks import EXACT, families, hecke_blocks
-from .constructible import constructible_chars
-from .cyclotomic import from_literal, to_literal
-from .groups import GroupDataError, builtin_names, get_group, load_group, _data_dir
-from .schur import bad_primes, compute_invariants, f_of, invariants_report
-from .symbols import PARITIES, verify_family_finest
 
 SCHEMA_VERSION = 1
+
+# symbols.PARITIES, written out so that parsing the arguments imports no layer
+PARITY_NAMES = ["odd", "even0", "even2"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +52,8 @@ def _emit(doc, fmt, md_renderer):
 
 
 def cmd_list(args) -> int:
+    from .groups import builtin_names
+
     print("built-in groups:")
     for name in builtin_names():
         print(f"  {name}")
@@ -65,6 +62,8 @@ def cmd_list(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .groups import GroupDataError, load_group
+
     try:
         W = load_group(args.file)
     except (GroupDataError, OSError, json.JSONDecodeError) as exc:
@@ -75,6 +74,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_families(args) -> int:
+    from .blocks import EXACT, families, hecke_blocks
+    from .groups import get_group
+
     W = get_group(args.group)
     if args.prime is not None:
         partition, _ = hecke_blocks(W, args.prime)
@@ -101,6 +103,9 @@ def cmd_families(args) -> int:
 
 
 def cmd_decomp(args) -> int:
+    from .blocks import EXACT, hecke_blocks
+    from .groups import get_group
+
     W = get_group(args.group)
     partition, decomp = hecke_blocks(W, args.prime)
     doc = {
@@ -130,12 +135,18 @@ def cmd_decomp(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .groups import get_group
+    from .schur import invariants_report
+
     W = get_group(args.group)
     print(invariants_report(W, args.format))
     return 0
 
 
 def cmd_bad_primes(args) -> int:
+    from .groups import get_group
+    from .schur import bad_primes
+
     W = get_group(args.group)
     primes = sorted(bad_primes(W))
     if args.format == "json":
@@ -146,6 +157,9 @@ def cmd_bad_primes(args) -> int:
 
 
 def cmd_constructible(args) -> int:
+    from .constructible import constructible_chars
+    from .groups import get_group
+
     W = get_group(args.group)
     try:
         cons = constructible_chars(W)
@@ -174,6 +188,8 @@ def cmd_constructible(args) -> int:
 
 
 def cmd_symbols(args) -> int:
+    from .symbols import PARITIES, verify_family_finest
+
     if args.rank < 0 or args.defect < 0:
         raise ValueError("--rank and --defect must be nonnegative")
     code = 0
@@ -197,6 +213,8 @@ def _root_of_unity_ratio(a, b) -> bool:
 
 
 def cmd_verify_paper(args) -> int:
+    from .groups import get_group
+
     name = args.group
     if name.upper() == "G4":
         return _verify_g4()
@@ -207,6 +225,11 @@ def cmd_verify_paper(args) -> int:
 
 
 def _verify_g4() -> int:
+    from .blocks import families, hecke_blocks
+    from .cyclotomic import from_literal
+    from .groups import _data_dir, get_group
+    from .schur import bad_primes, f_of
+
     W = get_group("G4")
     with open(_data_dir() / "golden" / "g4_families.json") as fh:
         golden = json.load(fh)
@@ -258,6 +281,9 @@ def _verify_g4() -> int:
 
 
 def _verify_dihedral(W) -> int:
+    from .blocks import families, hecke_blocks
+    from .schur import bad_primes
+
     fam = families(W)
     k = W.n_irr
     expected = [(0,), (1,), tuple(range(2, k))] if k > 3 else [(0,), (1,), (2,)]
@@ -304,7 +330,7 @@ def build_parser() -> _Parser:
     sv = ssub.add_parser("verify")
     sv.add_argument("--rank", type=int, required=True)
     sv.add_argument("--defect", type=int, required=True)
-    sv.add_argument("--parity", choices=[*PARITIES, "all"], default="odd",
+    sv.add_argument("--parity", choices=[*PARITY_NAMES, "all"], default="odd",
                     help="symbol type by defect; all runs each type in turn")
     sv.set_defaults(func=cmd_symbols)
 

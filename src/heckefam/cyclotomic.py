@@ -498,9 +498,6 @@ class Cyclotomic:
             self._n, _conjugate_map(self._c, j % self._n, self._n), self._d, _canonical=True
         )
 
-    def conjugates(self) -> list["Cyclotomic"]:
-        return [self.galois(j) for j in range(1, self._n + 1) if gcd(j, self._n) == 1]
-
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation."""
         return self.galois(self._n - 1) if self._n > 1 else self
@@ -543,13 +540,6 @@ class Cyclotomic:
 
     def __bool__(self):
         return bool(self._c)
-
-    def approx(self) -> complex:
-        """Floating-point value, for numeric sanity oracles only."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self._n)
-        return sum(v / self._d * z**k for k, v in self._c.items()) if self._c else 0j
 
     def __repr__(self):
         if not self._c:
@@ -654,15 +644,6 @@ def make(n: int, raw: dict) -> Cyclotomic:
         d = lcm(d, v.denominator)
     c = {k: int(v * d) for k, v in merged.items()}
     return _canonical(n, _reduce_map(c, n, _reduction_table(n)), d)
-
-
-def sqrt_minus(m: int) -> Cyclotomic:
-    """sqrt(-m) for squarefree m in {1, 2, 3, ...} built from Gauss sums (small m)."""
-    if m == 1:
-        return zeta(4)
-    if m == 3:
-        return zeta(3) - zeta(3, 2)
-    raise ValueError("only sqrt(-1) and sqrt(-3) are provided")
 
 
 # -- textual literal format -------------------------------------------------

@@ -1,5 +1,5 @@
 """Reflection-group data: built-in catalog (trivial, cyclic, dihedral, G4),
-JSON ingestion with invariant validation, class fusion, induction/restriction
+JSON ingestion with invariant validation, class fusion, induction
 and fake-degree computation."""
 
 from __future__ import annotations
@@ -259,16 +259,6 @@ def induce(P: ParabolicEmbedding, v) -> tuple:
             for j in range(ncols):
                 out[j] += mult * P.induction_matrix[i][j]
     return tuple(out)
-
-
-def restrict(P: ParabolicEmbedding, v) -> tuple:
-    """Adjoint of induce (Frobenius reciprocity)."""
-    if len(v) != len(P.induction_matrix[0]):
-        raise ValueError("virtual character has wrong length for restriction")
-    return tuple(
-        sum(P.induction_matrix[i][j] * v[j] for j in range(len(v)))
-        for i in range(len(P.induction_matrix))
-    )
 
 
 # -- fake degrees (Molien) -------------------------------------------------------
@@ -696,39 +686,3 @@ def get_group(name: str) -> GroupDatum:
 
 def builtin_names() -> list[str]:
     return ["G4", "Z<d> (d >= 2)", "I2.<n> (n >= 3)", "1"]
-
-
-def group_to_doc(W: GroupDatum) -> dict:
-    """Serialize a GroupDatum to the external JSON schema (format 1)."""
-    from .cyclotomic import to_literal
-    from .laurent import laurent_to_doc
-
-    doc = {
-        "format": 1,
-        "name": W.name,
-        "order": W.order,
-        "mu": W.mu,
-        "rank": W.rank,
-        "degrees": list(W.degrees),
-        "spetsial": W.spetsial,
-        "generators": [[[to_literal(v) for v in row] for row in g] for g in W.generators],
-        "classes": [{"size": size, "word": list(word)} for size, word in W.classes],
-        "characters": [
-            {"name": W.char_names[i], "values": [to_literal(v) for v in W.irr[i]]}
-            for i in range(W.n_irr)
-        ],
-        "fake_degrees": [laurent_to_doc(f) for f in W.fake_degrees],
-        "schur_elements": [laurent_to_doc(c) for c in W.schur_elements],
-        "conj_perm": list(W.conj_perm),
-        "det_index": W.det_index,
-        "parabolics": [
-            {
-                "name": P.subgroup.name,
-                "generators": [list(wd) for wd in P.generator_words],
-                "induction_matrix": [list(row) for row in P.induction_matrix],
-            }
-            for P in W.parabolics
-            if P.subgroup.order > 1
-        ],
-    }
-    return doc

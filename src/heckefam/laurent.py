@@ -4,7 +4,7 @@ reduced rational functions, and extraction of root-of-unity linear factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -416,21 +416,11 @@ def derivative_at_one(f: LaurentPoly) -> Cyclotomic:
 # -- unit-part factorization ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitFactorization:
-    scalar: Cyclotomic
-    y_power: int
-    unit_factors: tuple  # ((omega, multiplicity), ...)
-    non_unit: LaurentPoly
+class UnitFactorization(namedtuple("UnitFactorization", "scalar y_power unit_factors non_unit")):
+    """f = scalar * y^y_power * prod (y - omega)^m * non_unit, with
+    unit_factors the pairs ((omega, m), ...)."""
 
-    def reassemble(self) -> LaurentPoly:
-        mu = self.non_unit.mu
-        out = (self.non_unit * self.scalar).shift(self.y_power)
-        for omega, mult in self.unit_factors:
-            factor = LaurentPoly({1: one, 0: -omega}, mu)
-            for _ in range(mult):
-                out = out * factor
-        return out
+    __slots__ = ()
 
     def is_unit(self) -> bool:
         return self.non_unit == LaurentPoly.const(one, self.non_unit.mu)

@@ -1,4 +1,5 @@
-"""Elementary number theory helpers shared across the package."""
+"""Elementary number theory helpers and the union-find shared across the
+package; it imports nothing from it."""
 
 from __future__ import annotations
 
@@ -130,3 +131,25 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if d < n:
             poly = _poly_divexact(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, a):
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+    def groups(self, n):
+        out = {}
+        for i in range(n):
+            out.setdefault(self.find(i), []).append(i)
+        return [tuple(sorted(g)) for g in out.values()]

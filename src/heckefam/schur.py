@@ -4,7 +4,7 @@ invariants attached to characters: f, a, A, b, N, special, bad primes."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -75,15 +75,11 @@ def bad_primes(W) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
-    name: str
-    f: Cyclotomic
-    a: Fraction
-    A: Fraction
-    b: Fraction
-    N: int
-    special: bool
+class InvariantRecord(namedtuple("InvariantRecord", "name f a A b N special")):
+    """One character's invariants: its name, f (a Cyclotomic), a, A and b
+    (Fractions), N (an int) and whether it is special."""
+
+    __slots__ = ()
 
 
 @cache

@@ -5,26 +5,25 @@ the finest-partition verification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from collections import namedtuple
+from functools import cache
 
-from .blocks import _UnionFind
+from .ntheory import _UnionFind
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(namedtuple("Symbol", "S T")):
     """An (ordered) pair of strictly increasing tuples of nonnegative integers.
 
     Entries may repeat across the two rows but not within a row; the sign of
     |S| - |T| is retained (the defect is its absolute value)."""
 
-    S: tuple[int, ...]
-    T: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for row in (self.S, self.T):
+    def __new__(cls, S, T):
+        for row in (S, T):
             if list(row) != sorted(set(row)) or (row and row[0] < 0):
                 raise ValueError(f"row {row} must be strictly increasing nonnegative")
+        return super().__new__(cls, S, T)
 
     # -- basic invariants ------------------------------------------------------
 
@@ -174,6 +173,12 @@ def core_orders_agree(sym: Symbol, d: int, cocore: bool = False) -> bool:
 # -- Harish-Chandra series ----------------------------------------------------------
 
 
+@cache
+def _series_key(sym: Symbol, d: int):
+    """The unordered normalized d-core (odd d) or (d/2)-cocore (even d)."""
+    return unordered_key(d_core(sym, d) if d % 2 == 1 else e_cocore(sym, d // 2))
+
+
 def same_series(a: Symbol, b: Symbol, d: int) -> bool:
     """Same d-Harish-Chandra series: equal d-cores for odd d, equal
     (d/2)-cocores for even d (as unordered normalized symbols)."""
@@ -181,9 +186,7 @@ def same_series(a: Symbol, b: Symbol, d: int) -> bool:
         raise ValueError("symbols must have equal rank")
     if d < 1:
         raise ValueError("d must be positive")
-    if d % 2 == 1:
-        return unordered_key(d_core(a, d)) == unordered_key(d_core(b, d))
-    return unordered_key(e_cocore(a, d // 2)) == unordered_key(e_cocore(b, d // 2))
+    return _series_key(a, d) == _series_key(b, d)
 
 
 def defect_bridge(sym: Symbol) -> tuple[Symbol, int]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .cyclotomic import _reduction_table, coerce
@@ -129,16 +129,12 @@ def _equal_degree_factor(g: list[int], f: int, p: int, rng: random.Random) -> li
 # -- prime ideal specifications ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeIdealSpec:
+class PrimeIdealSpec(namedtuple("PrimeIdealSpec", "p conductor factor e f")):
     """A prime of Z[zeta_conductor] above p, pinned by a monic irreducible
-    factor of Phi_{n'} mod p (coefficients ascending, reduced mod p)."""
+    factor of Phi_{n'} mod p (coefficients ascending, reduced mod p), with
+    ramification index e and residue degree f."""
 
-    p: int
-    conductor: int
-    factor: tuple[int, ...]
-    e: int
-    f: int
+    __slots__ = ()
 
     def __repr__(self):
         return f"PrimeIdealSpec(p={self.p}, n={self.conductor}, factor={list(self.factor)})"

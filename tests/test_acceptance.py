@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from helpers import as_sets, group_to_doc
 
 from heckefam import cli
 from heckefam.blocks import families, hecke_blocks, indecomposability_check
@@ -16,7 +17,6 @@ from heckefam.groups import (
     cyclic_group,
     dihedral_group,
     g4_group,
-    group_to_doc,
     load_group,
     GroupDataError,
 )
@@ -198,7 +198,7 @@ def test_criterion_4_invariant_suite():
             assert len({recs[i].A for i in part}) == 1, (W.name, part)
             assert sum(recs[i].special for i in part) == 1, (W.name, part)
         # conjugation and Galois stability
-        sets = set(fam.as_sets())
+        sets = set(as_sets(fam))
         assert {frozenset(W.conj_perm[i] for i in s) for s in sets} == sets, W.name
         n = W.field_conductor
         rows = {tuple(r): i for i, r in enumerate(W.irr)}

@@ -5,6 +5,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from helpers import as_sets, refines
 
 from heckefam.blocks import (
     EXACT,
@@ -12,13 +13,14 @@ from heckefam.blocks import (
     BlockPartition,
     _bounded,
     _context,
+    _cuts,
+    _join,
     coarse_partition,
     candidate_projectives,
     families,
     group_p_blocks,
     hecke_blocks,
     indecomposability_check,
-    linking_closure,
     monoid_minimal_generators,
 )
 from heckefam.groups import cyclic_group, dihedral_group, g4_group, get_group, trivial_group
@@ -177,7 +179,7 @@ class TestCoarse:
         for W, p in ((g4_group(), 2), (g4_group(), 3), (dihedral_group(6), 2)):
             coarse = coarse_partition(W, p)
             final, _ = hecke_blocks(W, p)
-            assert final.refines(coarse) or final.parts == coarse.parts
+            assert refines(final, coarse) or final.parts == coarse.parts
 
 
 class TestMonoid:
@@ -226,31 +228,26 @@ class TestCandidates:
 
 
 class TestLinking:
+    """Step (3), the linking closure: the join of the column cuts within the
+    parts, which `_bounded` takes as its lower pieces."""
+
     def test_chains_link(self):
         part = BlockPartition([(0, 1, 2)], [UPPER])
-        out = linking_closure(part, [(1, 1, 0), (0, 1, 1)])
-        assert out.parts == ((0, 1, 2),)
+        assert _join(3, _cuts(part, [(1, 1, 0), (0, 1, 1)])) == [(0, 1, 2)]
 
     def test_disjoint_supports_split(self):
         part = BlockPartition([(0, 1, 2, 3)], [UPPER])
-        out = linking_closure(part, [(1, 1, 0, 0), (0, 0, 1, 1)])
-        assert out.parts == ((0, 1), (2, 3))
+        assert _join(4, _cuts(part, [(1, 1, 0, 0), (0, 0, 1, 1)])) == [(0, 1), (2, 3)]
 
     def test_g4_p3_keeps_parts(self):
         W = g4_group()
         part, decomp = hecke_blocks(W, 3)
-        linked = linking_closure(part, decomp.columns)
-        assert linked.parts == part.parts
-
-    def test_singletons_are_exact(self):
-        part = BlockPartition([(0, 1, 2)], [UPPER])
-        out = linking_closure(part, [(1, 1, 0)])
-        assert out.parts == ((0, 1), (2,)) and out.status == (UPPER, EXACT)
+        assert _join(W.n_irr, _cuts(part, decomp.columns)) == list(part.parts)
 
     def test_output_refines_input(self):
         part = BlockPartition([(0, 1), (2, 3, 4)], [UPPER, UPPER])
-        out = linking_closure(part, [(1, 1, 0, 0, 0), (0, 0, 1, 0, 1)])
-        assert out.refines(part)
+        linked = _join(5, _cuts(part, [(1, 1, 0, 0, 0), (0, 0, 1, 0, 1)]))
+        assert refines(BlockPartition(linked, [UPPER] * len(linked)), part)
 
 
 class TestIndecomposability:
@@ -537,7 +534,7 @@ class TestFamilies:
 
         for W in (g4_group(), dihedral_group(5), cyclic_group(5)):
             fam = families(W)
-            sets = fam.as_sets()
+            sets = as_sets(fam)
             # conjugation
             assert {frozenset(W.conj_perm[i] for i in s) for s in sets} == set(sets)
             # full Galois action on character rows

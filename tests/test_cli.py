@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import shutil
@@ -8,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import group_to_doc
 
-from heckefam import cli
-from heckefam.groups import dihedral_group, group_to_doc
+from heckefam import cli, groups
+from heckefam.groups import dihedral_group
+from heckefam.symbols import PARITIES
 
 
 def run(capsys, *argv):
@@ -138,7 +141,7 @@ class TestExitCodes:
         assert run(capsys, "verify-paper", "--group", "I2.11")[0] == 0
 
     def test_golden_mismatch_is_3(self, tmp_path, capsys, monkeypatch):
-        src = Path(cli._data_dir())
+        src = Path(groups._data_dir())
         dst = tmp_path / "data"
         shutil.copytree(src, dst)
         golden = json.loads((dst / "golden" / "g4_families.json").read_text())
@@ -181,7 +184,7 @@ class TestWorkloadStdout:
 
 class TestAmbiguityExit:
     def test_unresolved_columns_exit_2(self, capsys, monkeypatch):
-        from heckefam import cli as c
+        from heckefam import blocks
         from heckefam.blocks import BlockPartition, DecompApprox, UPPER
 
         def fake_hecke_blocks(W, p):
@@ -190,25 +193,66 @@ class TestAmbiguityExit:
             cols = [tuple(int(i >= 2) for i in range(W.n_irr))]
             return part, DecompApprox(cols, [False], ["support weight exceeds cap"])
 
-        monkeypatch.setattr(c, "hecke_blocks", fake_hecke_blocks)
-        code = c.main(["decomp", "--group", "I2.5", "--prime", "5"])
+        monkeypatch.setattr(blocks, "hecke_blocks", fake_hecke_blocks)
+        code = cli.main(["decomp", "--group", "I2.5", "--prime", "5"])
         out = capsys.readouterr().out
         assert code == 2 and "??" in out
 
 
+def _fresh_run(argv):
+    """Import cli and run argv in a fresh interpreter: the exit code and the
+    modules that the import and the run added to sys.modules."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from heckefam import cli\n"
+        + (f"code = cli.main({argv!r})\n" if argv else "code = 0\n")
+        + "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, *added = done.stderr.splitlines()[-1].split()
+    return int(code), set(added)
+
+
 class TestStartup:
-    """The package needs nothing outside the standard library, so no command
-    pays for importing numpy."""
+    """The package needs nothing outside the standard library, and each
+    command imports only the layers it runs."""
+
+    ARITHMETIC = {f"heckefam.{m}" for m in (
+        "cyclotomic", "laurent", "valuation", "schur", "groups", "blocks", "constructible")}
 
     @pytest.mark.parametrize("argv", [None, ["families", "--group", "G4"]])
     def test_numpy_is_never_imported(self, argv):
-        script = (
-            "import sys\n"
-            "from heckefam import cli\n"
-            + (f"code = cli.main({argv!r})\n" if argv else "code = 0\n")
-            + "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.stderr.split() == ["0", "False"], done.stderr
+        code, added = _fresh_run(argv)
+        assert code == 0 and "numpy" not in added
+
+    def test_symbols_imports_no_arithmetic_layer(self):
+        code, added = _fresh_run(["symbols", "verify", "--rank", "2", "--defect", "2"])
+        assert code == 0 and "heckefam.symbols" in added
+        assert not added & self.ARITHMETIC, sorted(added & self.ARITHMETIC)
+
+    @pytest.mark.parametrize("argv", [
+        ["list"],
+        ["families", "--group", "G4"],
+        ["decomp", "--group", "G4", "--prime", "2"],
+        ["invariants", "--group", "G4"],
+        ["constructible", "--group", "G4"],
+        ["symbols", "verify", "--rank", "2", "--defect", "2"],
+        ["verify-paper", "--group", "G4"],
+    ], ids=lambda argv: argv[0])
+    def test_no_command_imports_dataclasses(self, argv):
+        code, added = _fresh_run(argv)
+        assert code == 0 and not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+class TestParityNames:
+    def test_choices_are_the_symbol_types(self):
+        # cli writes the parity names out, so that parsing imports no layer
+        parser = cli.build_parser()
+        for name in ("symbols", "verify"):
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            parser = sub.choices[name]
+        parity = next(a for a in parser._actions if a.dest == "parity")
+        assert parity.choices == [*PARITIES, "all"]

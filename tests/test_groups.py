@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from helpers import group_to_doc, restrict
 from test_acceptance import BUNDLED
 
 from heckefam.cyclotomic import one, rat, zeta, zero
@@ -16,10 +17,8 @@ from heckefam.groups import (
     fake_degrees_molien,
     g4_group,
     get_group,
-    group_to_doc,
     induce,
     load_group,
-    restrict,
     trivial_group,
 )
 from heckefam.laurent import LaurentPoly, poly_divexact
@@ -124,7 +123,7 @@ class TestInduction:
         W = dihedral_group(5)
         P = W.parabolics[0]
         # rho1 restricted to A1 is triv + sign
-        assert restrict(P, (0, 0, 1, 0)) == (1, 1)
+        assert restrict(W, P, (0, 0, 1, 0)) == (1, 1)
 
     def test_frobenius_reciprocity(self):
         W = g4_group()
@@ -135,7 +134,7 @@ class TestInduction:
             ind = induce(P, e_sub)
             for wi in range(W.n_irr):
                 e_w = tuple(int(i == wi) for i in range(W.n_irr))
-                assert ind[wi] == restrict(P, e_w)[si]
+                assert ind[wi] == restrict(W, P, e_w)[si]
 
     def test_dimension_mismatch(self):
         W = dihedral_group(5)

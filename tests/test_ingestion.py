@@ -5,6 +5,7 @@ import json
 import os
 
 import pytest
+from helpers import group_to_doc
 
 from heckefam import cli
 from heckefam.blocks import families
@@ -13,7 +14,6 @@ from heckefam.groups import (
     GroupDataError,
     dihedral_group,
     cyclic_group,
-    group_to_doc,
     load_group,
 )
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from helpers import reassemble
 from hypothesis import given, settings, strategies as st
 
 from heckefam import laurent
@@ -96,7 +97,7 @@ class TestFactorUnitPart:
             [str(zeta(3)), str(zeta(3, 2))]
         )
         assert u.non_unit == LaurentPoly.const(one)
-        assert u.reassemble() == L([1, 1, 1])
+        assert reassemble(u) == L([1, 1, 1])
 
     def test_scalar_monomial(self):
         u = factor_unit_part(L([0, 0, 3]))
@@ -110,12 +111,12 @@ class TestFactorUnitPart:
         assert u.y_power == -1
         assert u.unit_factors == ((z, 1),)
         assert u.non_unit == LaurentPoly.const(one)
-        assert u.reassemble() == c
+        assert reassemble(u) == c
 
     def test_non_unit_part_detected(self):
         u = factor_unit_part(L([1, 2]))  # 1 + 2x has root -1/2, not a root of unity
         assert not u.is_unit()
-        assert u.reassemble() == L([1, 2])
+        assert reassemble(u) == L([1, 2])
 
     def test_multiplicity(self):
         f = L([1, 1]) * L([1, 1]) * L([3])
@@ -164,7 +165,7 @@ class TestProperties:
         if f.is_zero():
             return
         u = factor_unit_part(f)
-        assert u.reassemble() == f
+        assert reassemble(u) == f
 
     @settings(max_examples=40, deadline=None)
     @given(laurents(), laurents())
@@ -269,7 +270,7 @@ class TestRootScreen:
             for _ in range(mult):
                 f = f * LaurentPoly({1: one, 0: -omega})
         u = factor_unit_part(f)
-        assert u.reassemble() == f
+        assert reassemble(u) == f
         assert dict(u.unit_factors) == want
         assert u.y_power == k and u.scalar == s * h0
         assert u.non_unit == h * Fraction(1, h0)

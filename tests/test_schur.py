@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import group_to_doc
 
 from heckefam.cyclotomic import one, rat, zeta, zero
 from heckefam.groups import (
@@ -10,7 +11,6 @@ from heckefam.groups import (
     dihedral_group,
     g4_group,
     get_group,
-    group_to_doc,
     load_group,
 )
 from heckefam.blocks import families

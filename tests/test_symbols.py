@@ -207,6 +207,80 @@ class TestProperties:
         assert e_cocore(cc, d) == cc
 
 
+rows = st.lists(st.integers(0, 9), max_size=5, unique=True).map(lambda r: tuple(sorted(r)))
+
+
+@st.composite
+def invalid_rows(draw):
+    """A row with a repeated, a decreasing or a negative entry."""
+    row = list(draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True)))
+    row.sort()
+    kind = draw(st.sampled_from(["repeated", "decreasing", "negative"]))
+    if kind == "repeated":
+        i = draw(st.integers(0, len(row) - 1))
+        row.insert(i, row[i])
+    elif kind == "decreasing":
+        row.append(draw(st.integers(0, row[-1])))
+    else:
+        row[0] = -draw(st.integers(1, 5))
+    return tuple(row)
+
+
+# every normalized symbol of rank <= 5 and defect <= 6, each type
+_BY_RANK = [_symbols_of_rank(r, 6, lambda t: True) for r in range(6)]
+
+
+@st.composite
+def same_rank_pairs(draw):
+    """Two symbols of one rank, each possibly shifted or with its rows swapped."""
+    syms = draw(st.sampled_from([syms for syms in _BY_RANK if syms]))
+    pair = []
+    for _ in range(2):
+        s = draw(st.sampled_from(syms))
+        for _ in range(draw(st.integers(0, 2))):
+            s = s.shift()
+        pair.append(s.swapped() if draw(st.booleans()) else s)
+    return pair
+
+
+class TestSymbolType:
+    @settings(max_examples=100, deadline=None)
+    @given(rows, rows)
+    def test_equality_hash_and_repr(self, S, T):
+        s = Symbol(S, T)
+        assert s == Symbol(S=S, T=T) and hash(s) == hash(Symbol(S, T)) == hash((S, T))
+        assert (s == Symbol(T, S)) == (S == T)
+        assert repr(s) == f"Symbol(S={S!r}, T={T!r})"
+        assert (s.S, s.T) == (S, T)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows, rows)
+    def test_fields_are_read_only(self, S, T):
+        s = Symbol(S, T)
+        with pytest.raises(AttributeError):
+            s.S = T
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        assert s == Symbol(S, T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(invalid_rows(), rows, st.booleans())
+    def test_invalid_rows_rejected(self, bad, good, first):
+        with pytest.raises(ValueError) as exc:
+            Symbol(bad, good) if first else Symbol(good, bad)
+        assert str(exc.value) == f"row {bad} must be strictly increasing nonnegative"
+
+    @settings(max_examples=200, deadline=None)
+    @given(same_rank_pairs(), st.integers(1, 8))
+    def test_cached_series_matches_direct_cores(self, pair, d):
+        a, b = pair
+        if d % 2 == 1:
+            direct = unordered_key(d_core(a, d)) == unordered_key(d_core(b, d))
+        else:
+            direct = unordered_key(e_cocore(a, d // 2)) == unordered_key(e_cocore(b, d // 2))
+        assert same_series(a, b, d) == direct
+
+
 # -- reference oracle: the row enumerator that _symbols_of_rank replaced ---------
 
 
