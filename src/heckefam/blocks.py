@@ -26,14 +26,7 @@ from .groups import induce
 from .laurent import LaurentPoly, factor_unit_part, synthetic_division
 from .ntheory import _UnionFind
 from .schur import a_plus_A, bad_primes, compute_invariants
-from .valuation import (
-    _completion,
-    _digit_thresholds,
-    _ord_int,
-    laurent_content_val,
-    primes_above,
-    reduction,
-)
+from .valuation import integrality_conditions, laurent_content_val, primes_above, reduction
 
 EXACT, UPPER = "exact", "upper-bound"
 
@@ -111,137 +104,113 @@ def _bounded(k: int, upper, lower) -> BlockPartition:
     return BlockPartition(parts, [EXACT if part in proven else UPPER for part in parts])
 
 
-# -- per-prime context ------------------------------------------------------------
+# -- per-prime functions ------------------------------------------------------------
 
 
-class _PrimeContext:
-    """Caches the prime choice, Schur factorizations and residue tables for (W, p)."""
+@cache
+def _factorizations(W) -> tuple:
+    """factor_unit_part of each Schur element of W."""
+    return tuple(factor_unit_part(c) for c in W.schur_elements)
 
-    def __init__(self, W, p):
-        self.W = W
-        self.p = p
-        self.facts = [factor_unit_part(c) for c in W.schur_elements]
-        cond = W.field_conductor
-        for fact in self.facts:
-            for omega, _m in fact.unit_factors:
-                cond = lcm(cond, omega.conductor)
-        self.conductor = cond
-        self.spec = primes_above(p, cond)[0]
-        self.unit_shaped = [fact.is_unit() for fact in self.facts]
-        self.f_val = []
-        for i, c in enumerate(W.schur_elements):
-            # Gauss content: equals val(scalar) whenever the element is unit-shaped
-            v = laurent_content_val(c, self.spec)
-            if v < 0:
-                raise ValueError(
-                    f"{W.name}: Schur element of {W.char_names[i]} is not integral at p={p}"
-                )
-            self.f_val.append(v)
-        self._lattices = {}
 
-    def defect_zero(self, i: int) -> bool:
-        return self.f_val[i] == 0
+@cache
+def _prime(W, p: int):
+    """The prime ideal P above p at which every per-prime partition of W is
+    read: the first of `primes_above` at the lcm of W's field conductor and
+    the conductors of the roots of unity in its Schur elements."""
+    cond = W.field_conductor
+    for fact in _factorizations(W):
+        for omega, _m in fact.unit_factors:
+            cond = lcm(cond, omega.conductor)
+    return primes_above(p, cond)[0]
 
-    # subset integrality machinery ------------------------------------------------
 
-    def _numerators(self, support: tuple) -> list[LaurentPoly]:
-        """D/c_i for i in the (unit-shaped) support, D = prod (y - omega)^max the
-        common unit denominator.  With c_i = s y^k prod (y - omega)^m_i from the
-        factorization, D/c_i = s^-1 y^-k D / prod (y - omega)^m_i: D is built
-        once, and each of c_i's linear factors comes off it by one synthetic
-        division."""
-        mu = self.W.schur_elements[0].mu
-        maxmult: dict = {}
-        for i in support:
-            for omega, m in self.facts[i].unit_factors:
-                if maxmult.get(omega, 0) < m:
-                    maxmult[omega] = m
-        common = [one]  # D, dense and ascending
-        for omega, m in maxmult.items():
+@cache
+def _defect_zero(W, spec) -> tuple[bool, ...]:
+    """Whether each character has defect zero at spec: the Gauss content of
+    its Schur element, val(scalar) when the element is unit-shaped, is 0.
+    A Schur element that is not integral at spec raises ValueError."""
+    vals = [laurent_content_val(c, spec) for c in W.schur_elements]
+    for name, v in zip(W.char_names, vals):
+        if v < 0:
+            raise ValueError(f"{W.name}: Schur element of {name} is not integral at p={spec.p}")
+    return tuple(v == 0 for v in vals)
+
+
+def _numerators(W, support: tuple) -> list[LaurentPoly]:
+    """D/c_i for i in the support, D = prod (y - omega)^max the common unit
+    denominator.  With c_i = s y^k prod (y - omega)^m_i from the
+    factorization, D/c_i = s^-1 y^-k D / prod (y - omega)^m_i: D is built
+    once, and each of c_i's linear factors comes off it by one synthetic
+    division.  A Schur element with a non-unit part raises ValueError."""
+    facts = _factorizations(W)
+    maxmult: dict = {}
+    for i in support:
+        if not facts[i].is_unit():
+            raise ValueError(f"membership test unsupported: Schur element of "
+                             f"{W.char_names[i]} has a non-unit part")
+        for omega, m in facts[i].unit_factors:
+            maxmult[omega] = max(maxmult.get(omega, 0), m)
+    common = [one]  # D, dense and ascending
+    for omega, m in maxmult.items():
+        for _ in range(m):
+            common = [a - omega * b for a, b in zip([zero, *common], [*common, zero])]
+    mu = W.schur_elements[0].mu
+    out = []
+    for i in support:
+        fact = facts[i]
+        q = common
+        for omega, m in fact.unit_factors:
             for _ in range(m):
-                common = [a - omega * b for a, b in zip([zero, *common], [*common, zero])]
-        out = []
-        for i in support:
-            fact = self.facts[i]
-            q = common
-            for omega, m in fact.unit_factors:
-                for _ in range(m):
-                    q, _r = synthetic_division(q, omega)
-            inv = fact.scalar.inverse()
-            out.append(
-                LaurentPoly({e - fact.y_power: v * inv for e, v in enumerate(q) if v}, mu, _clean=True)
-            )
-        return out
+                q, _r = synthetic_division(q, omega)
+        inv = fact.scalar.inverse()
+        out.append(
+            LaurentPoly({e - fact.y_power: v * inv for e, v in enumerate(q) if v}, mu, _clean=True)
+        )
+    return out
 
-    def _test_columns(self, support: tuple):
-        """(rows, moduli) with rows[i][j] the j-th completion digit of the i-th
-        tester numerator: s passes the O_p integrality test exactly when
-        sum_i s_i rows[i][j] = 0 mod moduli[j] for every j."""
-        W, spec = self.W, self.spec
-        for i in support:
-            if not self.unit_shaped[i]:
-                raise ValueError(
-                    f"membership test unsupported: Schur element of "
-                    f"{W.char_names[i]} has a non-unit part"
-                )
-        numerators = self._numerators(support)
-        M = 1
-        for npoly in numerators:
-            for v in npoly.coeffs.values():
-                M = lcm(M, v.denominator)
-        L, tmods = _digit_thresholds(spec, spec.e * _ord_int(M, spec.p))
-        comp = _completion(spec)
-        slots = sorted({e for npoly in numerators for e in npoly.coeffs})
-        blank = [[0] * spec.f] * spec.e
-        rows = []
-        for npoly in numerators:
-            digits = {
-                e: comp.image(
-                    {k: c * (M // v.denominator) for k, c in v.numerators.items()}, v.conductor, L
-                )
-                for e, v in npoly.coeffs.items()
-            }
-            rows.append([x for e in slots for row in digits.get(e, blank) for x in row])
-        return rows, [tmods[k] for _e in slots for k in range(spec.e) for _i in range(spec.f)]
 
-    def _lattice(self, support: tuple):
-        """Hermite normal form of the lattice of vectors over `support` that
-        pass the integrality test."""
-        if support not in self._lattices:
-            rows, moduli = self._test_columns(support)
-            self._lattices[support] = _kernel_hnf(rows, moduli, len(support))
-        return self._lattices[support]
+@cache
+def _lattice(W, spec, support: tuple):
+    """Hermite normal form of the lattice of vectors s over `support` that
+    pass the O_p integrality test: every coefficient of
+    sum_i s_i D/c_i (`_numerators`) integral at spec."""
+    numerators = _numerators(W, support)
+    slots = sorted({e for npoly in numerators for e in npoly.coeffs})
+    columns = [[npoly.coeffs.get(e, zero) for e in slots] for npoly in numerators]
+    return _kernel_hnf(*integrality_conditions(spec, columns), len(support))
 
-    def find_integral_subvector(self, phi):
-        """First proper nonzero subvector, in product order, passing the O_p
-        integrality test, or None when all fail (proving indecomposability).
-        Raises ValueError when the test is unsupported for this support, or
-        when phi itself fails it.
 
-        The subvectors that pass are the points in the box [0, phi] of the
-        lattice of `_lattice`.  A point x @ h of its Hermite basis h has
-        coordinate c equal to x_c h[c][c] plus an offset fixed by x_1 ..
-        x_{c-1}, that is by the coordinates before c, so coordinate c runs
-        through one residue class modulo h[c][c].  `_box_points` takes each
-        coordinate in ascending order, the later ones varying fastest: that
-        is lexicographic order, the order of itertools.product over the
-        ranges range(phi_c + 1).  After 0, its first point is therefore the
-        first passing subvector of the exhaustive search, and phi, the last
-        vector of the box, comes first only when no proper subvector
-        passes.  That argument needs phi in the lattice, which is tested
-        first."""
-        support = tuple(i for i, m in enumerate(phi) if m)
-        mults = tuple(phi[i] for i in support)
-        hnf = self._lattice(support)
-        if not _in_lattice(hnf, mults):
-            raise ValueError(f"{tuple(phi)} fails the integrality test itself")
-        first = next((s for s in _box_points(hnf, mults) if any(s)), mults)
-        if first == mults:
-            return None
-        sub = [0] * len(phi)
-        for j, i in enumerate(support):
-            sub[i] = first[j]
-        return tuple(sub)
+def find_integral_subvector(W, spec, phi):
+    """First proper nonzero subvector, in product order, passing the O_p
+    integrality test, or None when all fail (proving indecomposability).
+    Raises ValueError when the test is unsupported for this support, or
+    when phi itself fails it.
+
+    The subvectors that pass are the points in the box [0, phi] of the
+    lattice of `_lattice`.  A point x @ h of its Hermite basis h has
+    coordinate c equal to x_c h[c][c] plus an offset fixed by x_1 ..
+    x_{c-1}, that is by the coordinates before c, so coordinate c runs
+    through one residue class modulo h[c][c].  `_box_points` takes each
+    coordinate in ascending order, the later ones varying fastest: that
+    is lexicographic order, the order of itertools.product over the
+    ranges range(phi_c + 1).  After 0, its first point is therefore the
+    first passing subvector of the exhaustive search, and phi, the last
+    vector of the box, comes first only when no proper subvector
+    passes.  That argument needs phi in the lattice, which is tested
+    first."""
+    support = tuple(i for i, m in enumerate(phi) if m)
+    mults = tuple(phi[i] for i in support)
+    hnf = _lattice(W, spec, support)
+    if not _in_lattice(hnf, mults):
+        raise ValueError(f"{tuple(phi)} fails the integrality test itself")
+    first = next((s for s in _box_points(hnf, mults) if any(s)), mults)
+    if first == mults:
+        return None
+    sub = [0] * len(phi)
+    for j, i in enumerate(support):
+        sub[i] = first[j]
+    return tuple(sub)
 
 
 def _kernel_hnf(rows, moduli, k: int) -> list[list[int]]:
@@ -321,11 +290,6 @@ def _box_points(hnf, box):
     yield from walk(0, [0] * k)
 
 
-@cache
-def _context(W, p) -> _PrimeContext:
-    return _PrimeContext(W, p)
-
-
 # -- the algorithm steps -----------------------------------------------------------
 
 
@@ -337,7 +301,7 @@ def group_p_blocks(W, p: int) -> BlockPartition:
     (Navarro, Characters and Blocks of Finite Groups, ch. 3).  The central
     characters of a group are algebraic integers; a table with a
     non-integral one raises ValueError."""
-    spec = _context(W, p).spec
+    spec = _prime(W, p)
     fibres: dict = {}
     for i in range(W.n_irr):
         deg = Fraction(1, W.char_degree(i))
@@ -354,12 +318,12 @@ def coarse_partition(W, p: int) -> BlockPartition:
     """Step (1): p-blocks of W intersected with level sets of the central
     exponent (N(chi)+N(chi*))/chi(1); unit Schur elements split off as
     singletons.  An upper bound, exact on its singletons."""
-    ctx = _context(W, p)
+    defect_zero = _defect_zero(W, _prime(W, p))
     pb = group_p_blocks(W, p)
     records = compute_invariants(W)
     keys: dict = {}
     for i in range(W.n_irr):
-        key = i if ctx.defect_zero(i) else (pb.part_of(i), a_plus_A(W, i, records))
+        key = i if defect_zero[i] else (pb.part_of(i), a_plus_A(W, i, records))
         keys.setdefault(key, []).append(i)
     return _bounded(W.n_irr, list(keys.values()), [])
 
@@ -416,10 +380,10 @@ def candidate_projectives(W, p: int, partition: BlockPartition) -> list[tuple]:
     """Step (2): parabolic projective columns induced up, cut by the parts,
     plus the unit vectors of defect-zero characters; minimized as monoid
     generators."""
-    ctx = _context(W, p)
+    defect_zero = _defect_zero(W, _prime(W, p))
     cands = set()
     for i in range(W.n_irr):
-        if ctx.defect_zero(i):
+        if defect_zero[i]:
             e = [0] * W.n_irr
             e[i] = 1
             cands.add(tuple(e))
@@ -443,9 +407,9 @@ def indecomposability_check(phi, W, p: int):
         return ("indecomposable", None)
     if weight > SUBSET_WEIGHT_CAP:
         return ("unknown", f"support weight {weight} exceeds cap {SUBSET_WEIGHT_CAP}")
-    ctx = _context(W, p)
+    spec = _prime(W, p)
     try:
-        sub = ctx.find_integral_subvector(phi)
+        sub = find_integral_subvector(W, spec, phi)
     except ValueError as exc:
         return ("unknown", str(exc))
     if sub is None:

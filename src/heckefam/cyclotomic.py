@@ -655,10 +655,13 @@ def to_literal(a: Cyclotomic):
 
 
 def from_literal(doc) -> Cyclotomic:
-    """Parse the literal format; bare "p/q" strings and ints mean rationals."""
-    if isinstance(doc, (int, str)):
-        return rat(Fraction(doc))
-    if not isinstance(doc, dict) or "n" not in doc or "c" not in doc:
-        raise ValueError(f"malformed cyclotomic literal: {doc!r}")
-    n = int(doc["n"])
-    return make(n, {int(k): Fraction(v) for k, v in doc["c"].items()})
+    """Parse the literal format; bare "p/q" strings and ints mean rationals.
+    A malformed literal, a zero denominator included, raises ValueError."""
+    try:
+        if isinstance(doc, (int, str)):
+            return rat(Fraction(doc))
+        if not isinstance(doc, dict) or "n" not in doc or "c" not in doc:
+            raise ValueError(f"malformed cyclotomic literal: {doc!r}")
+        return make(int(doc["n"]), {int(k): Fraction(v) for k, v in doc["c"].items()})
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in cyclotomic literal {doc!r}") from None

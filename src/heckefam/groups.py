@@ -607,9 +607,17 @@ def _data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def load_group(doc) -> GroupDatum:
-    """Build and validate a GroupDatum from a parsed JSON document or a path."""
+def load_group(doc, _loading: tuple = ()) -> GroupDatum:
+    """Build and validate a GroupDatum from a parsed JSON document or a path.
+    A parabolic names its group by catalog name or file path; _loading holds
+    the files being loaded, outermost first, and a file reached again while
+    it is being loaded raises GroupDataError naming the cycle."""
     if isinstance(doc, (str, Path)):
+        path = Path(doc).resolve()
+        if path in _loading:
+            cycle = [*_loading[_loading.index(path):], path]
+            raise GroupDataError("parabolics form a cycle: " + " -> ".join(map(str, cycle)))
+        _loading = (*_loading, path)
         with open(doc) as fh:
             doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -645,8 +653,10 @@ def load_group(doc) -> GroupDatum:
         degrees = tuple(int(d) for d in doc["degrees"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupDataError(f"malformed group document: {exc}") from exc
+    if mu < 1:
+        raise GroupDataError(f"mu must be a positive integer, not {mu}")
     paraspecs = tuple(
-        {"datum": get_group(pname), "generators": words, "induction_matrix": matrix}
+        {"datum": get_group(pname, _loading), "generators": words, "induction_matrix": matrix}
         for pname, words, matrix in parabolics
     )
     W = GroupDatum(
@@ -665,8 +675,9 @@ def g4_group() -> GroupDatum:
     return load_group(_data_dir() / "g4.json")
 
 
-def get_group(name: str) -> GroupDatum:
-    """Resolve a group by catalog name ("G4", "Z5", "I2.7", "I2(7)") or file path."""
+def get_group(name: str, _loading: tuple = ()) -> GroupDatum:
+    """Resolve a group by catalog name ("G4", "Z5", "I2.7", "I2(7)") or file
+    path, loaded with `load_group` under _loading."""
     name = str(name)
     if name in ("1", "triv", "trivial"):
         return trivial_group()
@@ -680,9 +691,5 @@ def get_group(name: str) -> GroupDatum:
             if num.isdigit():
                 return dihedral_group(int(num))
     if os.path.exists(name):
-        return load_group(name)
+        return load_group(name, _loading)
     raise GroupDataError(f"unknown group {name!r} (not a catalog name or file)")
-
-
-def builtin_names() -> list[str]:
-    return ["G4", "Z<d> (d >= 2)", "I2.<n> (n >= 3)", "1"]

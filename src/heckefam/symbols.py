@@ -258,11 +258,12 @@ PARITIES = {
 
 def verify_family_finest(rank_bound: int, defect_bound: int, parity=PARITIES["odd"]) -> dict:
     """For every family of symbols of one type (a predicate of PARITIES on the
-    defect) of each rank <= rank_bound, defects up to defect_bound: check
-    (i) equal-defect symbols are 1-series-linked, (ii) the
-    series-compatibility join is the whole family, (iii) for the odd type,
-    every odd defect below the maximum occurs.  Returns a report dict with
-    any violations."""
+    defect) of each rank <= rank_bound, defects up to defect_bound, with more
+    than one member: check (i) the join of the same-series relations for
+    d = 1, ..., 2m + 2, m the largest entry of the family key, links the
+    whole family, and (ii) for the odd type, every odd defect up to the
+    family's largest occurs.  Returns a report dict counting families and
+    symbols, with any violations."""
     report = {"families": 0, "symbols": 0, "violations": []}
     for r in range(0, rank_bound + 1):
         syms = _symbols_of_rank(r, defect_bound, parity)

@@ -173,8 +173,8 @@ class _Completion:
     the prime is P = (p, h(zeta_{n'})).  zeta_{p^a} is written in powers of
     the uniformizer pi = 1 - zeta_{p^a}, so an element becomes an e x f
     digit matrix: row k holds the coordinates over 1, t, ..., t^{f-1} of its
-    pi^k part.  Valuations, and the lattices of digit-threshold tests
-    (`blocks._PrimeContext._lattice`), only ask which rows lie in
+    pi^k part.  Valuations, and the digit-threshold tests of
+    `integrality_conditions`, only ask which rows lie in
     p^j GR(p^L, f), the elements with every coordinate divisible by p^j in
     any basis; so they do not depend on the basis of the unramified part,
     and only the digits themselves do."""
@@ -335,32 +335,50 @@ def _ord_int(q: int, p: int) -> int:
     return o
 
 
-def _digit_thresholds(spec: PrimeIdealSpec, target: int) -> tuple[int, list[int]]:
-    """(L, moduli) for the exact test val >= target >= 0 on integral elements:
-    take the digit matrix mod p^L (`_Completion.image`); the test holds
-    exactly when every entry of ramified digit row k is 0 mod moduli[k] =
-    p^ceil((target - k)/e), since val(p^a pi^k) = e a + k.  L exceeds every
-    exponent of the moduli, so the digits mod p^L decide each congruence."""
-    e = spec.e
+def integrality_conditions(spec: PrimeIdealSpec, columns, bound: int = 0):
+    """(rows, moduli) such that, for integers s, every entry of
+    sum_i s_i columns[i] has val >= bound exactly when
+    sum_i s_i rows[i][j] = 0 mod moduli[j] for every j.
+
+    The columns are equal-length sequences of values at conductors dividing
+    spec's.  Times the common denominator M of their entries they are
+    integral, and the test reads val >= target = bound + e ord_p(M), with no
+    conditions when target <= 0.  Else rows[i] flattens the digit matrices
+    mod p^L (`_Completion.image`) of the scaled entries of columns[i], and
+    an entry of ramified digit row k must be 0 mod p^ceil((target - k)/e),
+    since val(p^a pi^k) = e a + k; L = ceil(target/e) + 2 exceeds every
+    exponent of those moduli, so the digits mod p^L decide each one."""
+    columns = [[coerce(a) for a in col] for col in columns]
+    M = 1
+    for col in columns:
+        for a in col:
+            if spec.conductor % a.conductor:
+                raise ValueError(
+                    f"conductor {a.conductor} incompatible with prime spec at {spec.conductor}"
+                )
+            M = math.lcm(M, a.denominator)
+    e, p = spec.e, spec.p
+    target = bound + e * _ord_int(M, p)
+    if target <= 0:
+        return [[] for _ in columns], []
     L = -(-target // e) + 2
-    return L, [spec.p ** max(0, -(-(target - k) // e)) for k in range(e)]
+    comp = _completion(spec)
+    rows = [
+        [x for a in col
+         for row in comp.image({k: c * (M // a.denominator) for k, c in a.numerators.items()},
+                               a.conductor, L)
+         for x in row]
+        for col in columns
+    ]
+    digit_moduli = [p ** max(0, -(-(target - k) // e)) for k in range(e) for _i in range(spec.f)]
+    return rows, digit_moduli * max(map(len, columns), default=0)
 
 
 def val_at_least(spec: PrimeIdealSpec, a, bound: int) -> bool:
-    """Exact test val(a) >= bound (no precision escalation needed)."""
-    a = coerce(a)
-    if a.is_zero():
-        return True
-    if spec.conductor % a.conductor:
-        raise ValueError(
-            f"conductor {a.conductor} incompatible with prime spec at {spec.conductor}"
-        )
-    target = bound + spec.e * _ord_int(a.denominator, spec.p)
-    if target <= 0:
-        return True
-    L, moduli = _digit_thresholds(spec, target)
-    digits = _completion(spec).image(a.numerators, a.conductor, L)
-    return not any(c % mod for row, mod in zip(digits, moduli) for c in row)
+    """Exact test val(a) >= bound (no precision escalation needed): the
+    one-column case of `integrality_conditions`."""
+    (row,), moduli = integrality_conditions(spec, [[a]], bound)
+    return not any(x % mod for x, mod in zip(row, moduli))
 
 
 def reduction(spec: PrimeIdealSpec, a) -> tuple[int, ...]:

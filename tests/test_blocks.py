@@ -12,22 +12,33 @@ from heckefam.blocks import (
     UPPER,
     BlockPartition,
     _bounded,
-    _context,
     _cuts,
+    _defect_zero,
     _join,
+    _numerators,
+    _prime,
     coarse_partition,
     candidate_projectives,
     families,
+    find_integral_subvector,
     group_p_blocks,
     hecke_blocks,
     indecomposability_check,
     monoid_minimal_generators,
 )
 from heckefam.groups import cyclic_group, dihedral_group, g4_group, get_group, trivial_group
-from heckefam.laurent import LaurentPoly, poly_divexact, ratfun_reduce
+from heckefam.cyclotomic import zero
+from heckefam.laurent import LaurentPoly, factor_unit_part, poly_divexact, ratfun_reduce
 from heckefam.ntheory import factorize
 from heckefam.schur import bad_primes, compute_invariants, a_plus_A, relative_trace_scalar
-from heckefam.valuation import YES, op_member, in_ideal, primes_above, val_at_least
+from heckefam.valuation import (
+    YES,
+    in_ideal,
+    integrality_conditions,
+    op_member,
+    primes_above,
+    val_at_least,
+)
 
 
 # every bad prime of G4 and of I2(4..30); I2(3) has none
@@ -55,11 +66,20 @@ def components(k, pieces):
     return sorted(tuple(g) for g in out.values())
 
 
+def digit_conditions(W, p, support):
+    """The (rows, moduli) whose kernel `_lattice` builds: the digit
+    conditions on the coefficients of the tester numerators."""
+    numerators = _numerators(W, support)
+    slots = sorted({e for npoly in numerators for e in npoly.coeffs})
+    columns = [[npoly.coeffs.get(e, zero) for e in slots] for npoly in numerators]
+    return integrality_conditions(_prime(W, p), columns)
+
+
 def pairwise_p_blocks(W, p):
     """The p-block definition that group_p_blocks replaced: characters
     linked when val(omega_i(C) - omega_j(C)) >= 1 on every class, tested
     pair by pair."""
-    spec = _context(W, p).spec
+    spec = _prime(W, p)
     k = W.n_irr
     omegas = [
         [W.irr[i][ci] * Fraction(size, W.char_degree(i)) for ci, (size, _w) in enumerate(W.classes)]
@@ -121,7 +141,7 @@ class TestGroupPBlocks:
             n_irr=2, classes=W.classes, char_degree=lambda i: 1,
             irr=(W.irr[0], (W.irr[1][0], W.irr[1][1] * Fraction(1, 2))),
         )
-        monkeypatch.setattr(blocks, "_context", lambda W, p: SimpleNamespace(spec=primes_above(2, 1)[0]))
+        monkeypatch.setattr(blocks, "_prime", lambda W, p: primes_above(2, 1)[0])
         with pytest.raises(ValueError, match="not an algebraic integer"):
             group_p_blocks(fake, 2)
 
@@ -165,12 +185,12 @@ class TestCoarse:
         # central exponent) key with a defect-zero character
         W = get_group(name)
         for p in sorted(bad_primes(W)):
-            ctx, c = _context(W, p), coarse_partition(W, p)
+            defect_zero, c = _defect_zero(W, _prime(W, p)), coarse_partition(W, p)
             pb, records = group_p_blocks(W, p), compute_invariants(W)
             key = lambda i: (pb.part_of(i), a_plus_A(W, i, records))
             for part, status in zip(c.parts, c.status):
                 assert status == (EXACT if len(part) == 1 else UPPER), (p, part)
-                if len(part) == 1 and not ctx.defect_zero(part[0]):
+                if len(part) == 1 and not defect_zero[part[0]]:
                     same_key = [i for i in range(W.n_irr) if key(i) == key(part[0])]
                     assert same_key == list(part), (p, part)
 
@@ -276,29 +296,28 @@ class TestIndecomposability:
         # order, and the walk reaches it without testing them
         from itertools import product
 
-        from heckefam.blocks import _box_points, _context, _in_lattice
+        import heckefam.blocks as blocks
+        from heckefam.blocks import _box_points, _in_lattice
 
         W = dihedral_group(5)
-        ctx = _context(W, 5)
         hnf = [[25, 7], [0, 100]]
         box = (75, 21)
-        monkeypatch.setitem(ctx._lattices, (2, 3), hnf)
+        monkeypatch.setattr(blocks, "_lattice", lambda W, spec, support: hnf)
         points = [s for s in product(*(range(m + 1) for m in box)) if _in_lattice(hnf, s)]
         assert list(_box_points(hnf, box)) == points == [(0, 0), (25, 7), (50, 14), (75, 21)]
-        assert ctx.find_integral_subvector((0, 0, 75, 21)) == (0, 0, 25, 7)
+        assert find_integral_subvector(W, _prime(W, 5), (0, 0, 75, 21)) == (0, 0, 25, 7)
 
     @pytest.mark.parametrize("name, p", BUNDLED_BAD_PRIMES)
-    def test_half_search_matches_full_search(self, name, p, monkeypatch):
+    def test_half_search_matches_full_search(self, name, p):
         # the lattice search against the exhaustive product-order search
         # that it replaced (tests/subset_search_reference.py), on each
         # column, twice and three times it, each pairwise sum, and the column
         # plus one more of its first character, up to weight 14
-        from heckefam.blocks import _context, _kernel_hnf
         from subset_search_reference import find_integral_subvector as reference
 
         W = get_group(name)
         assert p in bad_primes(W)
-        ctx = _context(W, p)
+        spec = _prime(W, p)
         columns = hecke_blocks(W, p)[1].columns
         cases = set()
         for col in columns:
@@ -309,13 +328,10 @@ class TestIndecomposability:
         outcomes = set()
         for phi in sorted(phi for phi in cases if sum(phi) <= 14):
             support = tuple(i for i, m in enumerate(phi) if m)
-            rows, moduli = ctx._test_columns(support)
-            if support not in ctx._lattices:
-                # what _lattice builds, without a second _test_columns
-                monkeypatch.setitem(ctx._lattices, support, _kernel_hnf(rows, moduli, len(support)))
+            rows, moduli = digit_conditions(W, p, support)
             outcome = []
             for search in (lambda: reference(rows, moduli, phi),
-                           lambda: ctx.find_integral_subvector(phi)):
+                           lambda: find_integral_subvector(W, spec, phi)):
                 try:
                     outcome.append(search())
                 except ValueError as exc:
@@ -325,14 +341,13 @@ class TestIndecomposability:
         assert {"proof", "tuple"} <= outcomes
 
     def test_phi_failing_its_own_test_is_not_proved(self, monkeypatch):
-        from heckefam.blocks import _context
+        import heckefam.blocks as blocks
 
         W = dihedral_group(5)
-        ctx = _context(W, 5)
         # a lattice without phi = (2, 3) and without any of its subvectors
-        monkeypatch.setitem(ctx._lattices, (2, 3), [[4, 0], [0, 4]])
+        monkeypatch.setattr(blocks, "_lattice", lambda W, spec, support: [[4, 0], [0, 4]])
         with pytest.raises(ValueError, match="fails the integrality test"):
-            ctx.find_integral_subvector((0, 0, 2, 3))
+            find_integral_subvector(W, _prime(W, 5), (0, 0, 2, 3))
         verdict, reason = indecomposability_check((0, 0, 2, 3), W, 5)
         assert verdict == "unknown" and "integrality" in reason
 
@@ -340,14 +355,15 @@ class TestIndecomposability:
         # 1 + (5^45 - 1) vanishes modulo 5^45 but not modulo 5^46, so phi =
         # (1, 1) passes the first test and fails the second; both are
         # decided exactly, far past any machine-word modulus
-        from heckefam.blocks import _context, _kernel_hnf
+        import heckefam.blocks as blocks
+        from heckefam.blocks import _kernel_hnf
 
         W = dihedral_group(5)
-        ctx = _context(W, 5)
         rows = [[1], [5**45 - 1]]
-        monkeypatch.setitem(ctx._lattices, (2, 3), _kernel_hnf(rows, [5**45], 2))
+        hnf = _kernel_hnf(rows, [5**45], 2)
+        monkeypatch.setattr(blocks, "_lattice", lambda W, spec, support: hnf)
         assert indecomposability_check((0, 0, 1, 1), W, 5) == ("indecomposable", None)
-        monkeypatch.setitem(ctx._lattices, (2, 3), _kernel_hnf(rows, [5**46], 2))
+        hnf = _kernel_hnf(rows, [5**46], 2)
         verdict, reason = indecomposability_check((0, 0, 1, 1), W, 5)
         assert verdict == "unknown" and "fails the integrality test" in reason
 
@@ -365,15 +381,16 @@ class TestIndecomposability:
         from itertools import product
 
         import heckefam.blocks as blocks
+        import heckefam.valuation as valuation
         from subset_search_reference import find_integral_subvector as reference
         from subset_search_reference import passes
 
         W = dihedral_group(5)
-        ctx = blocks._context(W, 5)
-        monkeypatch.setattr(ctx, "_lattices", {})
-        monkeypatch.setattr(blocks, "_ord_int", lambda q, p: ord_M)
+        # the lattice is built afresh, past the cache
+        monkeypatch.setattr(blocks, "_lattice", blocks._lattice.__wrapped__)
+        monkeypatch.setattr(valuation, "_ord_int", lambda q, p: ord_M)
         phi = (1, 1, 1, 1)
-        rows, moduli = ctx._test_columns((0, 1, 2, 3))
+        rows, moduli = digit_conditions(W, 5, (0, 1, 2, 3))
         assert set(moduli) == {5**ord_M}
         try:
             sub = reference(rows, moduli, phi)
@@ -383,7 +400,7 @@ class TestIndecomposability:
         verdict, reason = indecomposability_check(phi, W, 5)
         assert verdict == want
         assert reason is None or "int64" not in str(reason)
-        hnf = ctx._lattice((0, 1, 2, 3))
+        hnf = blocks._lattice(W, _prime(W, 5), (0, 1, 2, 3))
         for s in product(range(3), repeat=4):
             assert blocks._in_lattice(hnf, s) == passes(s, rows, moduli), s
 
@@ -391,11 +408,8 @@ class TestIndecomposability:
 class TestTesterNumerators:
     @pytest.mark.parametrize("name, p", [("G4", 2), ("G4", 3), ("I2.5", 5), ("I2.12", 2), ("I2.12", 3)])
     def test_built_from_factors_equal_long_division(self, name, p):
-        from heckefam.blocks import _context
-
         W = get_group(name)
         assert p in bad_primes(W)
-        ctx = _context(W, p)
         _, decomp = hecke_blocks(W, p)
         supports = {tuple(i for i, m in enumerate(col) if m) for col in decomp.columns}
         supports.add(tuple(range(W.n_irr)))
@@ -404,13 +418,13 @@ class TestTesterNumerators:
             # reference: multiply out D = prod (y - omega)^max, divide by each c_i
             maxmult = {}
             for i in support:
-                for omega, m in ctx.facts[i].unit_factors:
+                for omega, m in factor_unit_part(W.schur_elements[i]).unit_factors:
                     maxmult[omega] = max(maxmult.get(omega, 0), m)
             D = LaurentPoly.const(1, mu)
             for omega, m in maxmult.items():
                 D = D * LaurentPoly({1: 1, 0: -omega}, mu) ** m
             want = [poly_divexact(D, W.schur_elements[i]) for i in support]
-            assert ctx._numerators(support) == want, support
+            assert _numerators(W, support) == want, support
 
 
 class TestHeckeBlocks:
@@ -445,9 +459,6 @@ class TestHeckeBlocks:
     def test_columns_pass_global_integrality(self):
         # every emitted column, paired with 1/c, lies in O_p
         for W, p in ((g4_group(), 2), (g4_group(), 3), (dihedral_group(6), 3)):
-            from heckefam.blocks import _context
-
-            ctx = _context(W, p)
             _, decomp = hecke_blocks(W, p)
             zero_rf = ratfun_reduce(LaurentPoly({}), LaurentPoly.from_x_coeffs([1]))
             for col in decomp.columns:
@@ -457,7 +468,7 @@ class TestHeckeBlocks:
                         total = total + ratfun_reduce(
                             LaurentPoly.from_x_coeffs([m]), W.schur_elements[i]
                         )
-                assert op_member(total, ctx.spec) == YES
+                assert op_member(total, _prime(W, p)) == YES
 
 
 class TestBounded:
@@ -559,9 +570,6 @@ class TestRelativeProjectivity:
         # maximal ideal: the difference lies in it
         cases = [(dihedral_group(5), 5), (dihedral_group(7), 7), (g4_group(), 3)]
         for W, p in cases:
-            from heckefam.blocks import _context
-
-            ctx = _context(W, p)
             part, _ = hecke_blocks(W, p)
             for P in W.parabolics:
                 if P.subgroup.order == 1:
@@ -571,7 +579,7 @@ class TestRelativeProjectivity:
                         continue
                     scalars = [relative_trace_scalar(W, P, i) for i in block]
                     for s, t in zip(scalars, scalars[1:]):
-                        assert in_ideal(s - t, ctx.spec, 1) == YES
+                        assert in_ideal(s - t, _prime(W, p), 1) == YES
 
 
 class TestHonestAmbiguity:
@@ -597,11 +605,12 @@ class TestUnsupportedMembership:
     def test_non_unit_schur_degrades_to_unknown(self, monkeypatch):
         # simulate an ingested group whose Schur element has a non-unit part:
         # the subset test must answer "unknown", never a silent yes/no
-        from heckefam.blocks import _context
+        import heckefam.blocks as blocks
 
         W = cyclic_group(3)
-        ctx = _context(W, 3)
-        monkeypatch.setattr(ctx, "unit_shaped", [True, False, True])
-        monkeypatch.setattr(ctx, "_lattices", {})
+        facts = list(blocks._factorizations(W))
+        facts[1] = facts[1]._replace(non_unit=LaurentPoly.from_x_coeffs([1, 1]))
+        monkeypatch.setattr(blocks, "_factorizations", lambda W: facts)
+        monkeypatch.setattr(blocks, "_lattice", blocks._lattice.__wrapped__)
         verdict, reason = indecomposability_check((0, 1, 1), W, 3)
         assert verdict == "unknown" and "non-unit" in reason

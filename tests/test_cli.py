@@ -233,6 +233,11 @@ class TestStartup:
         assert code == 0 and "heckefam.symbols" in added
         assert not added & self.ARITHMETIC, sorted(added & self.ARITHMETIC)
 
+    def test_list_imports_no_layer(self):
+        code, added = _fresh_run(["list"])
+        assert code == 0 and "heckefam.cli" in added
+        assert not added & self.ARITHMETIC, sorted(added & self.ARITHMETIC)
+
     @pytest.mark.parametrize("argv", [
         ["list"],
         ["families", "--group", "G4"],

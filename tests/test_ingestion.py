@@ -114,6 +114,8 @@ MALFORMED = {
     "order ten": (("order",), "ten"),
     "rank two": (("rank",), "two"),
     "mu one half": (("mu",), "1/2"),
+    "mu zero": (("mu",), 0),
+    "mu minus two": (("mu",), -2),
     "degree 2.5": (("degrees",), [2, "2.5"]),
 }
 
@@ -129,9 +131,10 @@ def _malformed(path, value):
 
 
 class TestMalformedIndices:
-    """Indices that point outside what they index, and integer fields that
-    are not integers, are rejected by name, not by an IndexError or a
-    ValueError (or, for the letter 0, silently read as the last generator)."""
+    """Indices that point outside what they index, integer fields that are
+    not integers, and a mu that is not positive are rejected by name, not by
+    an IndexError or a ValueError (or, for the letter 0, silently read as
+    the last generator)."""
 
     @pytest.mark.parametrize("path,value", MALFORMED.values(), ids=MALFORMED.keys())
     def test_rejected_with_group_data_error(self, path, value, tmp_path, capsys):
@@ -142,6 +145,76 @@ class TestMalformedIndices:
         path.write_text(json.dumps(doc))
         assert cli.main(["validate", str(path)]) == 1
         assert capsys.readouterr().out.startswith("INVALID: ")
+
+
+def _run(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestZeroDenominator:
+    """A literal with a zero denominator is a malformed document: validate
+    prints its INVALID: line, the other commands their error: line, and
+    both exit 1."""
+
+    @pytest.mark.parametrize("where", ["schur term", "character value"])
+    def test_rejected_with_a_line(self, where, tmp_path, capsys):
+        doc = group_to_doc(cyclic_group(3))
+        if where == "schur term":
+            doc["schur_elements"][1]["terms"][0][1] = {"n": 3, "c": {"0": "1/0"}}
+        else:
+            doc["characters"][1]["values"][1] = "1/0"
+        with pytest.raises(GroupDataError, match="zero denominator"):
+            load_group(doc)
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = _run(["validate", str(path)], capsys)
+        assert code == 1 and out.startswith("INVALID: malformed group document: zero denominator")
+        code, out, err = _run(["families", "--group", str(path)], capsys)
+        assert code == 1 and out == "" and err.startswith("error: malformed group document: ")
+
+
+class TestParabolicCycle:
+    """A parabolic named by a file path is loaded from that file; a file
+    reached again while it is being loaded is a cycle, rejected by name."""
+
+    def _doc(self, parabolic):
+        doc = group_to_doc(dihedral_group(4))
+        doc["parabolics"][0]["name"] = str(parabolic)
+        return doc
+
+    def _assert_rejected(self, path, cycle, capsys):
+        with pytest.raises(GroupDataError, match="cycle") as exc:
+            load_group(path)
+        assert str(exc.value) == "parabolics form a cycle: " + " -> ".join(map(str, cycle))
+        code, out, _ = _run(["validate", str(path)], capsys)
+        assert code == 1 and out == f"INVALID: {exc.value}\n"
+        code, out, err = _run(["families", "--group", str(path)], capsys)
+        assert code == 1 and out == "" and err == f"error: {exc.value}\n"
+
+    def test_document_naming_itself(self, tmp_path, capsys):
+        path = tmp_path / "self.json"
+        path.write_text(json.dumps(self._doc(path)))
+        self._assert_rejected(path, [path, path], capsys)
+
+    def test_two_documents_naming_each_other(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(self._doc(b)))
+        b.write_text(json.dumps(self._doc(a)))
+        self._assert_rejected(a, [a, b, a], capsys)
+        self._assert_rejected(b, [b, a, b], capsys)
+
+    def test_parabolic_file_without_a_cycle_loads(self, tmp_path):
+        z2 = tmp_path / "z2.json"
+        z2.write_text(json.dumps(group_to_doc(cyclic_group(2))))
+        path = tmp_path / "i24.json"
+        path.write_text(json.dumps(self._doc(z2)))
+        W = load_group(path)
+        assert [P.subgroup.name for P in W.parabolics] == ["Z2", "Z2", "1"]
+        assert [tuple(p) for p in families(W).parts] == [
+            tuple(p) for p in families(dihedral_group(4)).parts
+        ]
 
 
 class TestIngestedComputation:

@@ -5,10 +5,12 @@ compared in test_blocks.py."""
 
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckefam.blocks import _box_points, _in_lattice, _kernel_hnf, _PrimeContext
+import heckefam.blocks as blocks
+from heckefam.blocks import _box_points, _in_lattice, _kernel_hnf, find_integral_subvector
 from subset_search_reference import find_integral_subvector as reference
 from subset_search_reference import passes
 
@@ -41,12 +43,12 @@ def _outcome(search):
 def test_search_matches_reference(problem):
     rows, moduli, phi = problem
     support = tuple(i for i, m in enumerate(phi) if m)
-    # a context whose one lattice is that of (rows, moduli)
-    ctx = _PrimeContext.__new__(_PrimeContext)
-    ctx._lattices = {support: _kernel_hnf(rows, moduli, len(support))}
-    assert _outcome(lambda: ctx.find_integral_subvector(phi)) == _outcome(
-        lambda: reference(rows, moduli, phi)
-    )
+    hnf = _kernel_hnf(rows, moduli, len(support))
+    with pytest.MonkeyPatch.context() as mp:
+        # the lattice over the support of phi is that of (rows, moduli)
+        mp.setattr(blocks, "_lattice", lambda W, spec, s: hnf if s == support else None)
+        got = _outcome(lambda: find_integral_subvector(None, None, phi))
+    assert got == _outcome(lambda: reference(rows, moduli, phi))
 
 
 @settings(max_examples=300, deadline=None)

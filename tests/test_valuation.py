@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckefam.cyclotomic import make, one, rat, zeta
+from heckefam.cyclotomic import make, one, rat, zero, zeta
 from heckefam.laurent import LaurentPoly, ratfun_reduce
 from heckefam.ntheory import cyclotomic_polynomial, euler_phi, factorize, prime_to_part
 from heckefam.valuation import (
@@ -16,6 +16,7 @@ from heckefam.valuation import (
     YES,
     PrimeIdealSpec,
     _completion,
+    integrality_conditions,
     op_member,
     primes_above,
     reduction,
@@ -253,14 +254,14 @@ def _powmod(a, k, h, m):
 
 
 def bundled_specs():
-    from heckefam.blocks import _context
+    from heckefam.blocks import _prime
     from heckefam.groups import cyclic_group, dihedral_group, g4_group
     from heckefam.schur import bad_primes
 
     groups = [g4_group()] + [cyclic_group(d) for d in range(2, 13)]
     groups += [dihedral_group(n) for n in range(3, 31)]
     specs = {
-        sp for W in groups for p in bad_primes(W) for sp in primes_above(p, _context(W, p).conductor)
+        sp for W in groups for p in bad_primes(W) for sp in primes_above(p, _prime(W, p).conductor)
     }
     for p, n in ((2, 58), (2, 38), (3, 120), (7, 84)):
         specs.update(primes_above(p, n))
@@ -304,6 +305,49 @@ def integral_pairs(draw):
     n = draw(st.sampled_from((12, 15, 24, 30)))
     coeffs = st.dictionaries(st.integers(0, n - 1), st.integers(-40, 40), max_size=5)
     return n, make(n, draw(coeffs)), make(n, draw(coeffs))
+
+
+@st.composite
+def conditions_problems(draw):
+    """(spec, columns, bound, s): a prime above 2, 3 or 5 at conductor 12,
+    15, 24 or 30, columns of values at conductors dividing it, with
+    denominators and p-power factors, a bound and an integer vector."""
+    n = draw(st.sampled_from((12, 15, 24, 30)))
+    p = draw(st.sampled_from((2, 3, 5)))
+    spec = draw(st.sampled_from(primes_above(p, n)))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+
+    def value():
+        d = draw(st.sampled_from(divisors))
+        coeffs = draw(st.dictionaries(st.integers(0, d - 1), st.integers(-20, 20), max_size=4))
+        scale = Fraction(p ** draw(st.integers(0, 2)), draw(st.sampled_from((1, 2, 3, 4, 5, 9, 25))))
+        return make(d, coeffs) * scale
+
+    k, width = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    columns = [[value() for _ in range(width)] for _ in range(k)]
+    s = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    return spec, columns, draw(st.integers(-2, 4)), s
+
+
+class TestIntegralityConditions:
+    @settings(max_examples=200, deadline=None)
+    @given(conditions_problems())
+    def test_congruences_hold_exactly_when_every_entry_reaches_the_bound(self, problem):
+        spec, columns, bound, s = problem
+        rows, moduli = integrality_conditions(spec, columns, bound)
+        holds = all(
+            sum(si * row[j] for si, row in zip(s, rows)) % mod == 0
+            for j, mod in enumerate(moduli)
+        )
+        entries = [
+            sum((si * col[j] for si, col in zip(s, columns)), zero) for j in range(len(columns[0]))
+        ]
+        assert holds == (min(val(spec, x) for x in entries) >= bound), (spec, columns, bound, s)
+
+    def test_incompatible_conductor(self):
+        (spec,) = primes_above(3, 3)
+        with pytest.raises(ValueError, match="incompatible"):
+            integrality_conditions(spec, [[one], [zeta(5)]])
 
 
 class TestReduction:
