@@ -656,12 +656,21 @@ def to_literal(a: Cyclotomic):
 
 def from_literal(doc) -> Cyclotomic:
     """Parse the literal format; bare "p/q" strings and ints mean rationals.
-    A malformed literal, a zero denominator included, raises ValueError."""
+    A malformed literal raises ValueError: a zero denominator, and a float
+    or a boolean anywhere in it, which would otherwise be read as a binary
+    approximation or as 0 and 1."""
+
+    def exact(v):
+        if isinstance(v, (bool, float)):
+            raise ValueError(f"malformed cyclotomic literal: {doc!r}")
+        return v
+
     try:
         if isinstance(doc, (int, str)):
-            return rat(Fraction(doc))
-        if not isinstance(doc, dict) or "n" not in doc or "c" not in doc:
+            return rat(Fraction(exact(doc)))
+        if not isinstance(doc, dict) or "n" not in doc or not isinstance(doc.get("c"), dict):
             raise ValueError(f"malformed cyclotomic literal: {doc!r}")
-        return make(int(doc["n"]), {int(k): Fraction(v) for k, v in doc["c"].items()})
+        return make(int(exact(doc["n"])),
+                    {int(k): Fraction(exact(v)) for k, v in doc["c"].items()})
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in cyclotomic literal {doc!r}") from None

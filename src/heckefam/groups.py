@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -43,9 +44,13 @@ class ParabolicEmbedding:
 class GroupDatum:
     """Complete per-group dataset; treat as immutable after construction.
 
-    Derived values (`elements`, `class_matrices`, ...) are kept by
-    functools.cache, keyed by the datum's identity, for the life of the
-    process."""
+    Enumeration builds one multiplication table, table[i][g] the position of
+    element i times generator g + 1, with the BFS parent of each element
+    (`_enumeration`).  The element set, word matrices, class representatives,
+    conjugacy classes and parabolic fusion are read off that table, so no
+    matrix product is taken after the BFS.  Derived values (`elements`,
+    `class_matrices`, ...) are kept by functools.cache, keyed by the datum's
+    identity, for the life of the process."""
 
     def __init__(self, *, name, order, mu, rank, generators, degrees, classes,
                  char_names, irr, fake_degrees, schur_elements, spetsial,
@@ -110,11 +115,44 @@ class GroupDatum:
     def _identity(self):
         return tuple(tuple(one if i == j else zero for j in range(self.rank)) for i in range(self.rank))
 
-    def word_matrix(self, word) -> tuple:
-        m = self._identity()
+    @cache
+    def _enumeration(self) -> tuple:
+        """(elements, index, table, parent): the BFS from the identity, the
+        one place a matrix product is taken.  elements lists the element
+        matrices in discovery order, index[m] is the position of matrix m,
+        table[i][g] the position of elements[i] * generators[g], and
+        parent[i] = (j, g) the product elements[j] * generators[g] that found
+        elements[i] (None for the identity).  The spec bound is enforced."""
+        ident = self._identity()
+        elements, index, table, parent = [ident], {ident: 0}, [], [None]
+        for i, m in enumerate(elements):  # grows as the BFS discovers elements
+            row = []
+            for gi, g in enumerate(self.generators):
+                mm = self._matmul(m, g)
+                j = index.get(mm)
+                if j is None:
+                    _check_order(self.name, len(elements) + 1)
+                    j = index[mm] = len(elements)
+                    elements.append(mm)
+                    parent.append((i, gi))
+                row.append(j)
+            table.append(tuple(row))
+        if len(elements) != self.order:
+            raise GroupDataError(
+                f"{self.name}: generated group has order {len(elements)}, datum says {self.order}"
+            )
+        return elements, index, table, parent
+
+    def _word_index(self, word) -> int:
+        """The position of the product of the generators in `word`."""
+        table = self._enumeration()[2]
+        i = 0
         for g in word:
-            m = self._matmul(m, self.generators[g - 1])
-        return m
+            i = table[i][g - 1]
+        return i
+
+    def word_matrix(self, word) -> tuple:
+        return self._enumeration()[0][self._word_index(word)]
 
     @property
     @cache
@@ -125,50 +163,35 @@ class GroupDatum:
     @cache
     def elements(self) -> frozenset:
         """The set of element matrices, enumerated by BFS (spec bound enforced)."""
-        ident = self._identity()
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in self.generators:
-                    mm = self._matmul(m, g)
-                    if mm not in seen:
-                        if len(seen) >= ENUMERATION_BOUND:
-                            raise GroupDataError(
-                                f"{self.name}: enumeration bound {ENUMERATION_BOUND} exceeded"
-                            )
-                        seen.add(mm)
-                        nxt.append(mm)
-            frontier = nxt
-        if len(seen) != self.order:
-            raise GroupDataError(
-                f"{self.name}: generated group has order {len(seen)}, datum says {self.order}"
-            )
-        return frozenset(seen)
+        return frozenset(self._enumeration()[1])
 
     @cache
     def class_index_map(self) -> dict:
-        """Map every element matrix to its class index (orbit closure from reps)."""
+        """Map every element matrix to its class index: the orbit of each
+        class representative under conjugation by the generators.
+
+        For a generator g, g^-1 is the x with x * g = 1, and left
+        multiplication by g^-1 is tabulated along the BFS tree, since
+        g^-1 * m = (g^-1 * parent(m)) * gen(m); the conjugate g^-1 * m * g
+        is then two lookups in the table."""
         self.elements()  # the generated order is checked before the orbits
-        gens = self.generators
-        inv = {}
-        # generator inverses: g^(order-1) found by cycling
-        for g in gens:
-            m, prev = g, self._identity()
-            while m != self._identity():
-                prev = m
-                m = self._matmul(m, g)
-            inv[g] = prev
-        cmap: dict = {}
-        for ci, ((size, _word), rep) in enumerate(zip(self.classes, self.class_matrices)):
+        elements, _index, table, parent = self._enumeration()
+        conjugators = []
+        for gi in range(len(self.generators)):
+            left = [next(x for x, row in enumerate(table) if row[gi] == 0)]
+            for j, g in parent[1:]:
+                left.append(table[left[j]][g])
+            conjugators.append([table[x][gi] for x in left])
+        owner: list = [None] * len(elements)
+        for ci, (size, word) in enumerate(self.classes):
+            rep = self._word_index(word)
             orbit = {rep}
             frontier = [rep]
             while frontier:
                 nxt = []
                 for m in frontier:
-                    for g in gens:
-                        mm = self._matmul(inv[g], self._matmul(m, g))
+                    for conj in conjugators:
+                        mm = conj[m]
                         if mm not in orbit:
                             orbit.add(mm)
                             nxt.append(mm)
@@ -178,12 +201,12 @@ class GroupDatum:
                     f"{self.name}: class {ci} has size {len(orbit)}, datum says {size}"
                 )
             for m in orbit:
-                if m in cmap:
-                    raise GroupDataError(f"{self.name}: classes {cmap[m]} and {ci} overlap")
-                cmap[m] = ci
-        if len(cmap) != self.order:
+                if owner[m] is not None:
+                    raise GroupDataError(f"{self.name}: classes {owner[m]} and {ci} overlap")
+                owner[m] = ci
+        if None in owner:
             raise GroupDataError(f"{self.name}: classes do not cover the group")
-        return cmap
+        return dict(zip(elements, owner))
 
     @cache
     def reflection_counts(self) -> tuple[int, int]:
@@ -264,6 +287,41 @@ def induce(P: ParabolicEmbedding, v) -> tuple:
 # -- fake degrees (Molien) -------------------------------------------------------
 
 
+def _molien_terms(W: GroupDatum):
+    """Yield prod(1 - x^d_i) / det(1 - xw) at the representative w of each
+    class, in class order."""
+    unit = LaurentPoly.const(one, W.mu)
+    prod = unit
+    for d in W.degrees:
+        prod = prod * (unit - LaurentPoly.x_power(d, W.mu))
+    r = W.rank
+    for m in W.class_matrices:
+        one_minus_xw = [
+            [LaurentPoly({0: one if i == j else zero, W.mu: -m[i][j]}, W.mu) for j in range(r)]
+            for i in range(r)
+        ]
+        yield poly_divexact(prod, _det(one_minus_xw, unit))
+
+
+def _first_invalid(W: GroupDatum, fds) -> int | None:
+    """The first i whose R_chi = fds[i] fails the fake-degree checks: a
+    nonzero integral series with R_chi(1) = chi(1), R_triv = 1, and x^N on
+    the determinant character, N the number of reflections."""
+    unit = LaurentPoly.const(one, W.mu)
+    top = LaurentPoly.x_power(W.reflection_counts()[1], W.mu)
+    for i, f in enumerate(fds):
+        if (
+            f.is_zero()
+            or any(not v.is_rational() or v.as_rational().denominator != 1
+                for v in f.coeffs.values())
+            or f.eval_x(rat(1)) != W.irr[i][0]
+            or all(v == one for v in W.irr[i]) and f != unit  # R_triv = 1
+            or i == W.det_index and f != top  # det carries the top coinvariant degree
+        ):
+            return i
+    return None
+
+
 def fake_degrees_molien(W: GroupDatum) -> tuple:
     """All fake degrees by the plain Molien sum
 
@@ -275,40 +333,51 @@ def fake_degrees_molien(W: GroupDatum) -> tuple:
     The conjugate sum, over conj(chi(w)), is a different convention; it
     agrees with this one only when V is self-dual, and it is not accepted.
     """
-    unit = LaurentPoly.const(one, W.mu)
-    prod = unit
-    for d in W.degrees:
-        prod = prod * (unit - LaurentPoly.x_power(d, W.mu))
-    r = W.rank
     # columns[e][ci] = |class ci| * (prod(1 - x^d_i) / det(1 - xw))[y^e] at w in ci
     columns: dict = {}
-    for ci, ((size, _w), m) in enumerate(zip(W.classes, W.class_matrices)):
-        one_minus_xw = [
-            [LaurentPoly({0: one if i == j else zero, W.mu: -m[i][j]}, W.mu) for j in range(r)]
-            for i in range(r)
-        ]
-        for e, v in poly_divexact(prod, _det(one_minus_xw, unit)).coeffs.items():
+    for ci, ((size, _w), term) in enumerate(zip(W.classes, _molien_terms(W))):
+        for e, v in term.coeffs.items():
             columns.setdefault(e, [zero] * len(W.classes))[ci] = v * size
     inv_order = Fraction(1, W.order)
     fds = []
     for chi in W.irr:
         coeffs = ((e, dot(chi, col) * inv_order) for e, col in columns.items())
         fds.append(LaurentPoly({e: v for e, v in coeffs if v}, W.mu, _clean=True))
-
-    top = LaurentPoly.x_power(W.reflection_counts()[1], W.mu)
-    for i, f in enumerate(fds):
-        if (
-            f.is_zero()
-            or any(not v.is_rational() or v.as_rational().denominator != 1
-                for v in f.coeffs.values())
-            or f.eval_x(rat(1)) != W.irr[i][0]
-            or all(v == one for v in W.irr[i]) and f != unit  # R_triv = 1
-            or i == W.det_index and f != top  # det carries the top coinvariant degree
-        ):
-            raise GroupDataError(
-                f"{W.name}: the Molien sum gives no valid fake degree for {W.char_names[i]}"
-            )
+    bad = _first_invalid(W, fds)
+    if bad is not None:
+        raise GroupDataError(
+            f"{W.name}: the Molien sum gives no valid fake degree for {W.char_names[bad]}"
+        )
     return tuple(fds)
+
+
+def _stated_fake_degrees_hold(W: GroupDatum, conj_irr) -> bool:
+    """Whether the stated fake degrees R are the Molien sums, decided
+    without summing: R passes the checks of `fake_degrees_molien`, and at
+    every class C
+
+        sum_chi R_chi conj(chi(C)) = prod(1 - x^d_i) / det(1 - x w_C).
+
+    Put into the Molien sum, the identity and row orthogonality (checked
+    before) give R^Molien_chi = sum_psi R_psi <chi, psi> = R_chi."""
+    R = W.fake_degrees
+    if not R or any(f.mu != W.mu for f in R):
+        return False
+    by_exp: dict = {}  # e -> (the y^e coefficients of R, their characters)
+    for i, f in enumerate(R):
+        for e, v in f.coeffs.items():
+            vals, rows = by_exp.setdefault(e, ([], []))
+            vals.append(v)
+            rows.append(i)
+    for ci, term in enumerate(_molien_terms(W)):
+        column = {}
+        for e, (vals, rows) in by_exp.items():
+            v = dot(vals, [conj_irr[i][ci] for i in rows])
+            if v:
+                column[e] = v
+        if column != term.coeffs:
+            return False
+    return _first_invalid(W, R) is None
 
 
 # -- validation --------------------------------------------------------------------
@@ -370,16 +439,18 @@ def _validate(W: GroupDatum) -> GroupDatum:
             raise GroupDataError(f"{name}: determinant character not found in the table") from None
     if W.irr[W.det_index] != det_vals:
         raise GroupDataError(f"{name}: det_index does not match the determinant character")
-    # fake degrees
-    molien = fake_degrees_molien(W)
-    if W.fake_degrees:
-        if tuple(W.fake_degrees) != molien:
-            bad = next(i for i in range(k) if W.fake_degrees[i] != molien[i])
-            raise GroupDataError(
-                f"{name}: stored fake degree for {W.char_names[bad]} disagrees with Molien"
-            )
-    else:
-        W.fake_degrees = molien
+    # fake degrees: stated ones proved by the column identity; the Molien
+    # sum otherwise, and to name the character on a mismatch
+    if not _stated_fake_degrees_hold(W, conj_irr):
+        molien = fake_degrees_molien(W)
+        if W.fake_degrees:
+            if tuple(W.fake_degrees) != molien:
+                bad = next(i for i in range(k) if W.fake_degrees[i] != molien[i])
+                raise GroupDataError(
+                    f"{name}: stored fake degree for {W.char_names[bad]} disagrees with Molien"
+                )
+        else:
+            W.fake_degrees = molien
     P = W.poincare()
     tot = LaurentPoly.const(zero, W.mu)
     for i in range(k):
@@ -522,19 +593,28 @@ def trivial_group() -> GroupDatum:
     return _validate(W)
 
 
+def _check_order(name: str, order: int) -> None:
+    """Reject a group of more than ENUMERATION_BOUND elements: a catalog
+    group before any of it is built, a document's as enumeration finds it."""
+    if order > ENUMERATION_BOUND:
+        raise GroupDataError(f"{name}: enumeration bound {ENUMERATION_BOUND} exceeded")
+
+
 @cache
 def cyclic_group(d: int) -> GroupDatum:
     """Z_d with its one-parameter cyclotomic Hecke data."""
     if d < 2:
         raise ValueError("cyclic_group expects d >= 2")
+    _check_order(f"Z{d}", d)
     gens = (((zeta(d),),),)
     classes = tuple((1, (1,) * k) for k in range(d))
     irr = tuple(tuple(zeta(d, i * k) for k in range(d)) for i in range(d))
     # chi_i has fake degree x^{d-i} (coinvariants of the dual space)
     names = tuple(f"phi{{1,{(d - i) % d}}}" for i in range(d))
+    fake = tuple(LaurentPoly.x_power((d - i) % d) for i in range(d))
     W = GroupDatum(
         name=f"Z{d}", order=d, mu=1, rank=1, generators=gens, degrees=(d,),
-        classes=classes, char_names=names, irr=irr, fake_degrees=(),
+        classes=classes, char_names=names, irr=irr, fake_degrees=fake,
         schur_elements=tuple(cyclic_schur(d)), spetsial=True,
     )
     return _validate(W)
@@ -542,9 +622,11 @@ def cyclic_group(d: int) -> GroupDatum:
 
 @cache
 def dihedral_group(n: int) -> GroupDatum:
-    """I2(n), n >= 3, generated by two reflections."""
+    """I2(n), n >= 3, generated by two reflections, with the fake degrees
+    1, x^n, x^(n/2) (twice, n even) and x^j + x^(n-j) of phi{2,j}."""
     if n < 3:
         raise ValueError("dihedral_group expects n >= 3")
+    _check_order(f"I2({n})", 2 * n)
     s = ((zero, one), (one, zero))
     t = ((zero, zeta(n, -1)), (zeta(n), zero))
     m = n // 2
@@ -565,6 +647,7 @@ def dihedral_group(n: int) -> GroupDatum:
 
     chars = []
     names = []
+    fake = [LaurentPoly.x_power(0), LaurentPoly.x_power(n)]
     nrot = m if n % 2 == 1 else m - 1
     # trivial
     chars.append(tuple([one] + [one] * nrot + ([one, one, one] if n % 2 == 0 else [one])))
@@ -580,6 +663,7 @@ def dihedral_group(n: int) -> GroupDatum:
         names.append(f"phi{{1,{m}}}'")
         chars.append(tuple(eps + [-one, one]))
         names.append(f"phi{{1,{m}}}''")
+        fake += [LaurentPoly.x_power(m)] * 2
     for j in range(1, nrot + 1):
         row = [rat(2)] + [rot_val(j, k) for k in range(1, nrot + 1)]
         if n % 2 == 0:
@@ -588,12 +672,13 @@ def dihedral_group(n: int) -> GroupDatum:
             row += [zero]
         chars.append(tuple(row))
         names.append(f"phi{{2,{j}}}")
+        fake.append(LaurentPoly({j: one, n - j: one}, _clean=True))
     parabolics = [{"datum": cyclic_group(2), "generators": ((1,),)}]
     if n % 2 == 0:
         parabolics.append({"datum": cyclic_group(2), "generators": ((2,),)})
     W = GroupDatum(
         name=f"I2({n})", order=2 * n, mu=1, rank=2, generators=(s, t), degrees=(2, n),
-        classes=classes, char_names=tuple(names), irr=tuple(chars), fake_degrees=(),
+        classes=classes, char_names=tuple(names), irr=tuple(chars), fake_degrees=tuple(fake),
         schur_elements=tuple(dihedral_schur(n)), spetsial=True,
         parabolic_specs=tuple(parabolics),
     )
@@ -607,19 +692,38 @@ def _data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def load_group(doc, _loading: tuple = ()) -> GroupDatum:
+# the files being loaded in this thread, outermost first
+_loading: ContextVar[tuple] = ContextVar("_loading", default=())
+
+
+def load_group(doc) -> GroupDatum:
     """Build and validate a GroupDatum from a parsed JSON document or a path.
-    A parabolic names its group by catalog name or file path; _loading holds
-    the files being loaded, outermost first, and a file reached again while
-    it is being loaded raises GroupDataError naming the cycle."""
-    if isinstance(doc, (str, Path)):
-        path = Path(doc).resolve()
-        if path in _loading:
-            cycle = [*_loading[_loading.index(path):], path]
-            raise GroupDataError("parabolics form a cycle: " + " -> ".join(map(str, cycle)))
-        _loading = (*_loading, path)
+    A parabolic names its group by catalog name or file path; a file reached
+    again while it is being loaded (it is on _loading) raises GroupDataError
+    naming the cycle."""
+    if not isinstance(doc, (str, Path)):
+        return _build(doc)
+    path = Path(doc).resolve()
+    chain = _loading.get()
+    if path in chain:
+        cycle = [*chain[chain.index(path):], path]
+        raise GroupDataError("parabolics form a cycle: " + " -> ".join(map(str, cycle)))
+    token = _loading.set((*chain, path))
+    try:
         with open(doc) as fh:
-            doc = json.load(fh)
+            return _build(json.load(fh))
+    finally:
+        _loading.reset(token)
+
+
+@cache
+def _load_file(path: Path) -> GroupDatum:
+    """`load_group(path)`, once per resolved path per process."""
+    return load_group(path)
+
+
+def _build(doc) -> GroupDatum:
+    """The validated GroupDatum of a parsed JSON document."""
     if not isinstance(doc, dict):
         raise GroupDataError("group document must be a JSON object")
     if doc.get("format") != 1:
@@ -656,7 +760,7 @@ def load_group(doc, _loading: tuple = ()) -> GroupDatum:
     if mu < 1:
         raise GroupDataError(f"mu must be a positive integer, not {mu}")
     paraspecs = tuple(
-        {"datum": get_group(pname, _loading), "generators": words, "induction_matrix": matrix}
+        {"datum": get_group(pname), "generators": words, "induction_matrix": matrix}
         for pname, words, matrix in parabolics
     )
     W = GroupDatum(
@@ -675,9 +779,9 @@ def g4_group() -> GroupDatum:
     return load_group(_data_dir() / "g4.json")
 
 
-def get_group(name: str, _loading: tuple = ()) -> GroupDatum:
+def get_group(name: str) -> GroupDatum:
     """Resolve a group by catalog name ("G4", "Z5", "I2.7", "I2(7)") or file
-    path, loaded with `load_group` under _loading."""
+    path, a file loaded once per process."""
     name = str(name)
     if name in ("1", "triv", "trivial"):
         return trivial_group()
@@ -691,5 +795,5 @@ def get_group(name: str, _loading: tuple = ()) -> GroupDatum:
             if num.isdigit():
                 return dihedral_group(int(num))
     if os.path.exists(name):
-        return load_group(name, _loading)
+        return _load_file(Path(name).resolve())
     raise GroupDataError(f"unknown group {name!r} (not a catalog name or file)")

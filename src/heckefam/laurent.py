@@ -229,8 +229,10 @@ class LaurentPoly:
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Division with remainder; both must have nonnegative exponents.
 
-    Long division on the dense coefficient list of a: each step subtracts
-    c * b from the remainder in place, and no inverse is taken when b is monic."""
+    Long division on the dense coefficient list of a by b / lead(b), which
+    is monic: each step subtracts c * b / lead(b) from the remainder in
+    place, and the quotient is scaled by lead(b)^-1 once at the end.  The
+    lower coefficients are scaled once, and not at all when b is monic."""
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     a._check(b)
@@ -239,19 +241,20 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     db = b.max_exp()
     lead = b._c[db]
     lead_inv = None if lead == one else lead.inverse()
-    lower = [(e - db, v) for e, v in b._c.items() if e != db]
+    lower = [(e - db, v if lead_inv is None else v * lead_inv)
+             for e, v in b._c.items() if e != db]
     r = a.dense()
     q: dict = {}
     for top in range(len(r) - 1, db - 1, -1):
         c = r[top]
         if not c:
             continue
-        if lead_inv is not None:
-            c = c * lead_inv
         q[top - db] = c
         for off, v in lower:
             r[top + off] = r[top + off] - v * c
     rem = {e: v for e, v in enumerate(r[:db]) if v}
+    if lead_inv is not None:
+        q = {e: v * lead_inv for e, v in q.items()}
     return LaurentPoly(q, a.mu, _clean=True), LaurentPoly(rem, a.mu, _clean=True)
 
 
@@ -440,7 +443,8 @@ def _images(a: list, n: int) -> list | None:
 @cache
 def factor_unit_part(f: LaurentPoly) -> UnitFactorization:
     """Split f into scalar * y^k * prod (y - omega)^m * non_unit, each omega a
-    root of unity and non_unit free of root-of-unity zeros.
+    root of unity and non_unit free of root-of-unity zeros.  For k != 0 this
+    is the factorization of f / y^k, kept once by the cache, with y_power k.
 
     The search is complete.  Let g = f / y^k over K = Q(zeta_c), c the
     conductor of the coefficients, and omega a root of g of order m.  Its
@@ -471,7 +475,9 @@ def factor_unit_part(f: LaurentPoly) -> UnitFactorization:
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     y_power = f.min_exp()
-    a = f.shift(-y_power).dense()
+    if y_power:
+        return factor_unit_part(f.shift(-y_power))._replace(y_power=y_power)
+    a = f.dense()
     factors: list = []
     cond = f.conductor_lcm()
     phi_c = euler_phi(cond)
@@ -506,7 +512,7 @@ def factor_unit_part(f: LaurentPoly) -> UnitFactorization:
     scalar = a[0]
     inv = scalar.inverse()
     non_unit = LaurentPoly({e: v * inv for e, v in enumerate(a) if v}, f.mu, _clean=True)
-    return UnitFactorization(scalar, y_power, tuple(factors), non_unit)
+    return UnitFactorization(scalar, 0, tuple(factors), non_unit)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Helpers that only the tests use: partition comparisons, reassembly of a
 unit-part factorization, serialization of a group to a format-1 document,
-and restriction to a parabolic subgroup."""
+restriction to a parabolic subgroup, and the reference algorithms that the
+package's table-driven classes and long division replaced."""
 
 from fractions import Fraction
 
 from heckefam.cyclotomic import one, to_literal, zero
-from heckefam.groups import enumerate_and_fuse
+from heckefam.groups import GroupDataError, enumerate_and_fuse
 from heckefam.laurent import LaurentPoly, laurent_to_doc
 
 
@@ -78,3 +79,71 @@ def restrict(W, P, v) -> tuple:
         ) * Fraction(1, sub.order)
         out.append(int(ip.as_rational()))
     return tuple(out)
+
+
+def orbit_class_index_map(W) -> dict:
+    """Every element matrix of W mapped to its class index, by matrix
+    products alone: each class representative's orbit under conjugation by
+    the generators, the generator inverses found by cycling their powers."""
+    W.elements()  # the generated order is checked before the orbits
+    ident = W._identity()
+
+    def word_matrix(word):
+        m = ident
+        for g in word:
+            m = W._matmul(m, W.generators[g - 1])
+        return m
+
+    gens = W.generators
+    inv = {}
+    for g in gens:
+        m, prev = g, ident
+        while m != ident:
+            prev = m
+            m = W._matmul(m, g)
+        inv[g] = prev
+    cmap: dict = {}
+    for ci, (size, word) in enumerate(W.classes):
+        rep = word_matrix(word)
+        orbit = {rep}
+        frontier = [rep]
+        while frontier:
+            nxt = []
+            for m in frontier:
+                for g in gens:
+                    mm = W._matmul(inv[g], W._matmul(m, g))
+                    if mm not in orbit:
+                        orbit.add(mm)
+                        nxt.append(mm)
+            frontier = nxt
+        if len(orbit) != size:
+            raise GroupDataError(f"{W.name}: class {ci} has size {len(orbit)}, datum says {size}")
+        for m in orbit:
+            if m in cmap:
+                raise GroupDataError(f"{W.name}: classes {cmap[m]} and {ci} overlap")
+            cmap[m] = ci
+    if len(cmap) != W.order:
+        raise GroupDataError(f"{W.name}: classes do not cover the group")
+    return cmap
+
+
+def poly_divmod_reference(a, b) -> tuple:
+    """Long division of ordinary polynomials that multiplies each quotient
+    coefficient by lead(b)^-1 as it is found."""
+    db = b.max_exp()
+    lead = b.coeffs[db]
+    lead_inv = None if lead == one else lead.inverse()
+    lower = [(e - db, v) for e, v in b.coeffs.items() if e != db]
+    r = a.dense()
+    q: dict = {}
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r[top]
+        if not c:
+            continue
+        if lead_inv is not None:
+            c = c * lead_inv
+        q[top - db] = c
+        for off, v in lower:
+            r[top + off] = r[top + off] - v * c
+    rem = {e: v for e, v in enumerate(r[:db]) if v}
+    return LaurentPoly(q, a.mu), LaurentPoly(rem, a.mu)

@@ -4,13 +4,15 @@ import json
 from fractions import Fraction
 
 import pytest
-from helpers import group_to_doc, restrict
+from helpers import group_to_doc, orbit_class_index_map, restrict
 from test_acceptance import BUNDLED
 
 from heckefam.cyclotomic import one, rat, zeta, zero
+from heckefam import groups
 from heckefam.groups import (
     GroupDataError,
     GroupDatum,
+    _data_dir,
     cyclic_group,
     dihedral_group,
     enumerate_and_fuse,
@@ -206,6 +208,115 @@ class TestFakeDegrees:
         W.det_index = 0  # the trivial character: R_triv = 1, not x^9
         with pytest.raises(GroupDataError, match=r"G\(3,3,3\): the Molien sum .* chi0"):
             fake_degrees_molien(W)
+
+
+class TestStatedFakeDegrees:
+    """The catalog states its fake degrees in closed form and every bundled
+    group states them; validation proves them by the column identity, and
+    reaches the Molien sum only when a stated list fails, to name the
+    character."""
+
+    CATALOG = [(cyclic_group, d) for d in range(2, 13)] + [(dihedral_group, n)
+                                                          for n in range(3, 31)]
+
+    @pytest.mark.parametrize("ctor,arg", CATALOG, ids=[f"{c.__name__}-{a}" for c, a in CATALOG])
+    def test_closed_forms_are_the_molien_sums(self, ctor, arg):
+        W = ctor(arg)
+        assert W.fake_degrees == fake_degrees_molien(W)
+
+    @staticmethod
+    def refuse(W):
+        raise AssertionError(f"{W.name} reached the Molien sum")
+
+    def test_bundled_groups_never_reach_the_molien_sum(self, monkeypatch):
+        monkeypatch.setattr(groups, "fake_degrees_molien", self.refuse)
+        built = [trivial_group.__wrapped__(), load_group(_data_dir() / "g4.json")]
+        built += [ctor.__wrapped__(arg) for ctor, arg in self.CATALOG]
+        for W in built:  # fresh data, equal to the cached ones
+            assert W.fake_degrees == get_group(W.name).fake_degrees
+
+    @staticmethod
+    def with_mu_two(doc):
+        """The same group with mu = 2: every y-exponent doubled."""
+        doc["mu"] = 2
+        for f in doc["fake_degrees"] + doc["schur_elements"]:
+            f["mu"] = 2
+            f["terms"] = [[2 * e, v] for e, v in f["terms"]]
+        return doc
+
+    def corrupt(self, how):
+        if how == "swapped":  # phi{2,1} and phi{2,2} of I2(5)
+            doc = group_to_doc(dihedral_group(5))
+            fd = doc["fake_degrees"]
+            fd[2], fd[3] = fd[3], fd[2]
+        elif how == "coefficient":  # phi{3,2} of G4: x^2 + x^4 + x^6 with 2x^4
+            doc = group_to_doc(g4_group())
+            doc["fake_degrees"][6]["terms"][1][1] = "2"
+        elif how == "mu":  # x^4 of phi{1,4} of G4 as y^8 with y^2 = x
+            doc = group_to_doc(g4_group())
+            doc["fake_degrees"][1] = {"mu": 2, "terms": [[8, "1"]]}
+        elif how == "fractional":  # I2(5) with mu = 2: x^(3/2) + x^(7/2) for phi{2,1}
+            doc = self.with_mu_two(group_to_doc(dihedral_group(5)))
+            doc["fake_degrees"][2]["terms"] = [[3, "1"], [7, "1"]]
+        else:  # the conjugate orientation: phi{1,1} and phi{1,2} of Z3 swapped
+            doc = group_to_doc(cyclic_group(3))
+            fd = doc["fake_degrees"]
+            fd[1], fd[2] = fd[2], fd[1]
+        return doc
+
+    @pytest.mark.parametrize("how,message", [
+        ("swapped", "I2(5): stored fake degree for phi{2,1} disagrees with Molien"),
+        ("coefficient", "G4: stored fake degree for phi{3,2} disagrees with Molien"),
+        ("mu", "G4: stored fake degree for phi{1,4} disagrees with Molien"),
+        ("fractional", "I2(5): stored fake degree for phi{2,1} disagrees with Molien"),
+        ("conjugate", "Z3: stored fake degree for phi{1,2} disagrees with Molien"),
+    ])
+    def test_a_wrong_list_gets_the_molien_message(self, how, message):
+        with pytest.raises(GroupDataError) as exc:
+            load_group(self.corrupt(how))
+        assert str(exc.value) == message
+
+    def test_mu_two_takes_the_fast_path(self, monkeypatch):
+        doc = self.with_mu_two(group_to_doc(dihedral_group(5)))
+        monkeypatch.setattr(groups, "fake_degrees_molien", self.refuse)
+        W = load_group(doc)
+        assert W.mu == 2 and W.fake_degrees[2] == LaurentPoly({2: one, 8: one}, 2)
+
+    def test_no_stated_list_gets_the_molien_sums(self):
+        doc = group_to_doc(dihedral_group(8))
+        del doc["fake_degrees"]
+        assert load_group(doc).fake_degrees == dihedral_group(8).fake_degrees
+
+
+class TestClassTable:
+    """Classes, representatives and fusion read off the multiplication table
+    of the enumeration."""
+
+    GROUPS = (["G4", "G(3,3,3)"] + [f"Z{d}" for d in range(2, 9)]
+              + [f"I2.{n}" for n in range(3, 31)])
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_same_map_as_the_orbit_closure(self, name):
+        W = g333() if name == "G(3,3,3)" else get_group(name)
+        assert W.class_index_map() == orbit_class_index_map(W)
+
+    def test_no_matrix_product_after_the_enumeration(self, monkeypatch):
+        W0 = dihedral_group(6)
+        W = GroupDatum(
+            name=W0.name, order=W0.order, mu=W0.mu, rank=W0.rank, generators=W0.generators,
+            degrees=W0.degrees, classes=W0.classes, char_names=W0.char_names, irr=W0.irr,
+            fake_degrees=W0.fake_degrees, schur_elements=W0.schur_elements, spetsial=True,
+        )
+        assert len(W.elements()) == 12
+
+        def refuse(*_args):
+            raise AssertionError("matrix product after the enumeration")
+
+        monkeypatch.setattr(GroupDatum, "_matmul", refuse)
+        assert W.class_index_map() == W0.class_index_map()
+        assert W.class_matrices == W0.class_matrices
+        assert [enumerate_and_fuse(W, P) for P in W0.parabolics] == [
+            enumerate_and_fuse(W0, P) for P in W0.parabolics]
 
 
 def g333() -> GroupDatum:

@@ -3,13 +3,16 @@ diagnostics, and end-to-end block computation from an ingested file."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from helpers import group_to_doc
 
-from heckefam import cli
+from heckefam import cli, groups
 from heckefam.blocks import families
-from heckefam.cyclotomic import to_literal, zeta
+from heckefam.cyclotomic import from_literal, to_literal, zeta
 from heckefam.groups import (
     GroupDataError,
     dihedral_group,
@@ -175,6 +178,30 @@ class TestZeroDenominator:
         assert code == 1 and out == "" and err.startswith("error: malformed group document: ")
 
 
+class TestInexactLiteral:
+    """A float or a boolean in a cyclotomic literal is malformed: JSON would
+    give its binary approximation or 0 and 1 in place of an exact number."""
+
+    CASES = {
+        "float coefficient": {"n": 3, "c": {"0": 0.1}},
+        "boolean coefficient": {"n": 3, "c": {"0": True}},
+        "bare boolean": True,
+    }
+
+    @pytest.mark.parametrize("literal", CASES.values(), ids=CASES.keys())
+    def test_rejected_with_a_line(self, literal, tmp_path, capsys):
+        with pytest.raises(ValueError, match="malformed cyclotomic literal"):
+            from_literal(literal)
+        doc = group_to_doc(cyclic_group(3))
+        doc["characters"][1]["values"][1] = literal
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = _run(["validate", str(path)], capsys)
+        assert code == 1 and out.startswith("INVALID: malformed group document: ")
+        code, out, err = _run(["families", "--group", str(path)], capsys)
+        assert code == 1 and out == "" and err.startswith("error: malformed group document: ")
+
+
 class TestParabolicCycle:
     """A parabolic named by a file path is loaded from that file; a file
     reached again while it is being loaded is a cycle, rejected by name."""
@@ -215,6 +242,52 @@ class TestParabolicCycle:
         assert [tuple(p) for p in families(W).parts] == [
             tuple(p) for p in families(dihedral_group(4)).parts
         ]
+
+    def test_a_file_named_twice_is_loaded_once(self, tmp_path, monkeypatch):
+        z2 = tmp_path / "z2.json"
+        z2.write_text(json.dumps(group_to_doc(cyclic_group(2))))
+        doc = group_to_doc(dihedral_group(4))
+        for para in doc["parabolics"]:
+            para["name"] = str(z2)
+        path = tmp_path / "i24.json"
+        path.write_text(json.dumps(doc))
+        loads = []
+        original = groups.load_group
+
+        def counted(doc):
+            loads.append(doc)
+            return original(doc)
+
+        monkeypatch.setattr(groups, "load_group", counted)
+        W = groups.load_group(path)
+        assert loads == [path, z2.resolve()]
+        first, second, _trivial = W.parabolics
+        assert first.subgroup is second.subgroup is groups.get_group(str(z2))
+
+
+class TestCatalogBound:
+    """A catalog group of order above ENUMERATION_BOUND is rejected before
+    any of it is built, so a large n costs neither time nor memory."""
+
+    def test_rejected_in_a_memory_limited_child(self):
+        def limit():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        src = Path(groups.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "heckefam.cli", "families", "--group", "I2.25001"],
+            env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=limit,
+            capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == "error: I2(25001): enumeration bound 50000 exceeded\n"
+
+    def test_the_bound_itself_is_allowed(self):
+        groups._check_order("I2(25000)", 2 * 25000)
+        with pytest.raises(GroupDataError, match=r"^Z50001: enumeration bound 50000 exceeded$"):
+            groups.cyclic_group(50_001)
 
 
 class TestIngestedComputation:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from helpers import reassemble
+from helpers import poly_divmod_reference, reassemble
 from hypothesis import given, settings, strategies as st
 
 from heckefam import laurent
@@ -168,6 +168,14 @@ class TestProperties:
         assert reassemble(u) == f
 
     @settings(max_examples=40, deadline=None)
+    @given(laurents(), st.integers(-6, 6))
+    def test_shift_moves_only_the_y_power(self, f, k):
+        if f.is_zero():
+            return
+        assert factor_unit_part(f.shift(k)) == factor_unit_part(f)._replace(
+            y_power=factor_unit_part(f).y_power + k)
+
+    @settings(max_examples=40, deadline=None)
     @given(laurents(), laurents())
     def test_ratfun_roundtrip(self, a, b):
         if b.is_zero():
@@ -208,6 +216,17 @@ class TestDivmod:
         q, r = poly_divmod(a, b)
         assert q == LaurentPoly({0: zeta(4), 2: rat(7)})
         assert r == LaurentPoly({1: rat(1), 2: zeta(5)})
+
+    @settings(max_examples=80, deadline=None)
+    @given(ordinary(), ordinary(max_exp=4), scalars.filter(lambda v: v != one),
+           st.integers(0, 5))
+    def test_non_monic_divisor_agrees_with_the_reference(self, a, b, lead, top):
+        # the quotient is scaled by lead(b)^-1 once, not each coefficient as found
+        b = b + LaurentPoly({b.max_exp() + top + 1: lead})
+        q, r = poly_divmod(a, b)
+        assert q * b + r == a
+        assert r.is_zero() or r.max_exp() < b.max_exp()
+        assert (q, r) == poly_divmod_reference(a, b)
 
     def test_dividend_of_lower_degree(self):
         a, b = L([1, zeta(3)]), L([0, 0, 2])
