@@ -24,7 +24,7 @@ from math import gcd, lcm
 from .cyclotomic import one, zero
 from .groups import induce
 from .laurent import LaurentPoly, factor_unit_part, synthetic_division
-from .ntheory import _UnionFind
+from .ntheory import join
 from .schur import a_plus_A, bad_primes, compute_invariants
 from .valuation import integrality_conditions, laurent_content_val, primes_above, reduction
 
@@ -78,15 +78,6 @@ class DecompApprox:
         return "\n".join(out)
 
 
-def _join(k: int, pieces) -> list[tuple]:
-    """The finest partition of range(k) in which each piece lies inside one part."""
-    uf = _UnionFind(k)
-    for piece in pieces:
-        for a, b in zip(piece, piece[1:]):
-            uf.union(a, b)
-    return uf.groups(k)
-
-
 def _cuts(partition: BlockPartition, columns) -> list[list[int]]:
     """The support of each column within each part of the partition."""
     return [[i for i in part if col[i]] for col in columns for part in partition.parts]
@@ -99,8 +90,8 @@ def _bounded(k: int, upper, lower) -> BlockPartition:
     lies inside one block, so does every part of theirs.  A part where the
     two joins agree is then a block.  With no lower pieces, exactly the
     singletons are exact."""
-    proven = set(_join(k, lower))
-    parts = _join(k, upper)
+    proven = set(join(k, lower))
+    parts = join(k, upper)
     return BlockPartition(parts, [EXACT if part in proven else UPPER for part in parts])
 
 

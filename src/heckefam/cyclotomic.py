@@ -6,7 +6,8 @@ c = {k: integer} of nonzero numerators on the power basis
 and one positive denominator d with gcd(d, all numerators) = 1, so the value
 is sum(c[k] * zeta_n^k) / d.  Zero is (1, {}, 1).  Addition scales both
 sides to the common denominator, multiplication works on the integers before
-the reduction modulo Phi_n, and a single gcd pass normalizes the result.
+the reduction modulo Phi_n, and a single gcd pass normalizes the result;
+across two conductors, a + b and a * b are one call of `dot` (below).
 
 Canonical conductor.  Every value is stored at its minimal conductor, and a
 conductor congruent to 2 mod 4 is never stored (Q(zeta_2m) = Q(zeta_m) for
@@ -42,7 +43,8 @@ the conductors, with the exponents lifted to zeta_N and each product scaled
 to D, the lcm of the products of denominators.  The array is reduced modulo
 Phi_N once and the sum is canonicalized once, where the chain of `*` and `+`
 would reduce and canonicalize after every operation.  Class sums (the
-Molien sum, orthogonality relations, Frobenius inner products) use it.
+Molien sum, orthogonality relations, Frobenius inner products) use it, and
+so do `+` and `*` across conductors.
 
 Inverse.  For a = A/d, 1/a = d*P/N where P is the product of the conjugates
 of A other than A and N = A*P is its norm, an integer.  P is built on the
@@ -388,28 +390,20 @@ class Cyclotomic:
 
     # -- ring operations ----------------------------------------------------
 
-    def _lift_raw(self, N: int) -> dict:
-        step = N // self._n
-        return {k * step: v for k, v in self._c.items()}
-
     def __add__(self, other):
         other = coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._n != other._n and self._n != 1 and other._n != 1:
+            return dot((self, other), (one, one))
         da, db = self._d, other._d
         g = gcd(da, db)
         sa, sb = db // g, da // g
-        d = da * sa
+        c = _combine(self._c, sa, other._c, sb)
         if self._n == other._n:
-            return _canonical(self._n, _combine(self._c, sa, other._c, sb), d)
-        if self._n == 1 or other._n == 1:
-            # adding a rational keeps the conductor of the other term
-            return _normalized(max(self._n, other._n), _combine(self._c, sa, other._c, sb), d)
-        n = lcm(self._n, other._n)
-        c = _reduce_map(
-            _combine(self._lift_raw(n), sa, other._lift_raw(n), sb), n, _reduction_table(n)
-        )
-        return _canonical(n, c, d)
+            return _canonical(self._n, c, da * sa)
+        # adding a rational keeps the conductor of the other term
+        return _normalized(max(self._n, other._n), c, da * sa)
 
     __radd__ = __add__
 
@@ -437,20 +431,10 @@ class Cyclotomic:
             a, b = (self, other) if other._n == 1 else (other, self)
             q = b._c[0]
             return _normalized(a._n, {k: v * q for k, v in a._c.items()}, d)
-        if self._n == other._n:
-            n = self._n
-            table = _reduction_table(n)
-            c = _mul_reduce(self._c, other._c, n, table)
-        else:
-            n = lcm(self._n, other._n)
-            table = _reduction_table(n)
-            c = _mul_reduce(
-                _reduce_map(self._lift_raw(n), n, table),
-                _reduce_map(other._lift_raw(n), n, table),
-                n,
-                table,
-            )
-        return _canonical(n, c, d)
+        if self._n != other._n:
+            return dot((self,), (other,))
+        n = self._n
+        return _canonical(n, _mul_reduce(self._c, other._c, n, _reduction_table(n)), d)
 
     __rmul__ = __mul__
 
@@ -652,6 +636,14 @@ def make(n: int, raw: dict) -> Cyclotomic:
 def to_literal(a: Cyclotomic):
     """Serialize: {"n": 12, "c": {"0": "1/2", "7": "-2"}}; rationals as "p/q" or "p"."""
     return {"n": a.conductor, "c": {str(k): str(v) for k, v in sorted(a.coeffs.items())}}
+
+
+def integer(v) -> int:
+    """The integer of a document field, an int or a decimal string; a float
+    or a boolean, which int() would truncate or read as 0 and 1, raises."""
+    if isinstance(v, (bool, float)):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
 
 
 def from_literal(doc) -> Cyclotomic:

@@ -12,7 +12,7 @@ from functools import cache
 from math import lcm
 from pathlib import Path
 
-from .cyclotomic import dot, from_literal, one, rat, zero, zeta
+from .cyclotomic import dot, from_literal, integer, one, rat, zero, zeta
 from .laurent import (
     LaurentPoly,
     factor_unit_part,
@@ -20,6 +20,7 @@ from .laurent import (
     poly_divexact,
     ratfun_reduce,
 )
+from .ntheory import join
 from .schur import cyclic_schur, dihedral_schur
 
 ENUMERATION_BOUND = 50_000
@@ -167,46 +168,34 @@ class GroupDatum:
 
     @cache
     def class_index_map(self) -> dict:
-        """Map every element matrix to its class index: the orbit of each
-        class representative under conjugation by the generators.
-
-        For a generator g, g^-1 is the x with x * g = 1, and left
-        multiplication by g^-1 is tabulated along the BFS tree, since
-        g^-1 * m = (g^-1 * parent(m)) * gen(m); the conjugate g^-1 * m * g
-        is then two lookups in the table."""
-        self.elements()  # the generated order is checked before the orbits
+        """Map every element matrix to its class index.  The classes are the
+        join of the pairs {m, g^-1 * m * g} over the elements m and the
+        generators g, and each stated class must be the whole class of its
+        representative.  Left multiplication by g^-1, the x with x * g = 1,
+        is tabulated along the BFS tree, as g^-1 * m = (g^-1 * parent(m)) *
+        gen(m), so each conjugate is two lookups in the table."""
         elements, _index, table, parent = self._enumeration()
-        conjugators = []
+        pairs = []
         for gi in range(len(self.generators)):
             left = [next(x for x, row in enumerate(table) if row[gi] == 0)]
             for j, g in parent[1:]:
                 left.append(table[left[j]][g])
-            conjugators.append([table[x][gi] for x in left])
-        owner: list = [None] * len(elements)
+            pairs += [(m, table[x][gi]) for m, x in enumerate(left)]
+        parts = join(len(elements), pairs)
+        part_of = {m: pi for pi, part in enumerate(parts) for m in part}
+        owner: list = [None] * len(parts)
         for ci, (size, word) in enumerate(self.classes):
-            rep = self._word_index(word)
-            orbit = {rep}
-            frontier = [rep]
-            while frontier:
-                nxt = []
-                for m in frontier:
-                    for conj in conjugators:
-                        mm = conj[m]
-                        if mm not in orbit:
-                            orbit.add(mm)
-                            nxt.append(mm)
-                frontier = nxt
-            if len(orbit) != size:
+            pi = part_of[self._word_index(word)]
+            if len(parts[pi]) != size:
                 raise GroupDataError(
-                    f"{self.name}: class {ci} has size {len(orbit)}, datum says {size}"
+                    f"{self.name}: class {ci} has size {len(parts[pi])}, datum says {size}"
                 )
-            for m in orbit:
-                if owner[m] is not None:
-                    raise GroupDataError(f"{self.name}: classes {owner[m]} and {ci} overlap")
-                owner[m] = ci
+            if owner[pi] is not None:
+                raise GroupDataError(f"{self.name}: classes {owner[pi]} and {ci} overlap")
+            owner[pi] = ci
         if None in owner:
             raise GroupDataError(f"{self.name}: classes do not cover the group")
-        return dict(zip(elements, owner))
+        return {m: owner[part_of[i]] for i, m in enumerate(elements)}
 
     @cache
     def reflection_counts(self) -> tuple[int, int]:
@@ -236,7 +225,7 @@ class GroupDatum:
 
 def enumerate_and_fuse(W: GroupDatum, P: ParabolicEmbedding) -> tuple:
     """Map each class of the parabolic subgroup to the ambient class of its
-    representative, by brute-force matrix search in the enumerated group."""
+    representative, looked up in the class map of the enumerated group."""
     cmap = W.class_index_map()
     sub = P.subgroup
     fusion = []
@@ -247,21 +236,19 @@ def enumerate_and_fuse(W: GroupDatum, P: ParabolicEmbedding) -> tuple:
 
 
 def induction_matrix_from_fusion(W: GroupDatum, sub: GroupDatum, fusion) -> tuple:
-    """Frobenius-formula induction multiplicities; validated nonneg integers."""
+    """Induction multiplicities by Frobenius reciprocity,
+
+        <Ind psi, chi> = (1/|W'|) sum_C' |C'| psi(C') conj(chi(fusion(C'))),
+
+    a sum over the classes C' of the subgroup W'; validated nonneg integers."""
+    inv_order = Fraction(1, sub.order)
+    conj_fused = [[W.irr[W.conj_perm[j]][ci] for ci in fusion] for j in range(W.n_irr)]
     rows = []
     for psi in sub.irr:
-        ind_vals = []
-        for ci, (size, _w) in enumerate(W.classes):
-            tot = zero
-            for cj, (ssize, _sw) in enumerate(sub.classes):
-                if fusion[cj] == ci:
-                    tot = tot + psi[cj] * ssize
-            ind_vals.append(tot * Fraction(W.order, size * sub.order))
-        # inner products with Irr(W)
-        weighted = [v * size for v, (size, _w) in zip(ind_vals, W.classes)]
+        weighted = [v * size for v, (size, _w) in zip(psi, sub.classes)]
         row = []
-        for j in range(W.n_irr):
-            ip = dot(weighted, W.irr[W.conj_perm[j]]) * Fraction(1, W.order)
+        for chi_bar in conj_fused:
+            ip = dot(weighted, chi_bar) * inv_order
             if not ip.is_rational() or ip.as_rational().denominator != 1 or ip.as_rational() < 0:
                 raise GroupDataError(
                     f"{W.name}: induction from {sub.name} gives non-integral multiplicity {ip}"
@@ -417,7 +404,6 @@ def _validate(W: GroupDatum) -> GroupDatum:
     if sum(W.char_degree(i) ** 2 for i in range(k)) != W.order:
         raise GroupDataError(f"{name}: sum of squared degrees != |W|")
     # enumeration-backed checks
-    W.elements()
     W.class_index_map()
     # conj_perm, inferred when the document leaves it out
     if W.conj_perm is None:
@@ -502,16 +488,13 @@ def _validate(W: GroupDatum) -> GroupDatum:
     paras = []
     for pspec in W.parabolic_specs:
         sub = pspec["datum"]
-        gen_words = tuple(tuple(w) for w in pspec["generators"])
-        emb = ParabolicEmbedding(sub, gen_words, ())
+        emb = ParabolicEmbedding(sub, tuple(map(tuple, pspec["generators"])), ())
         fusion = enumerate_and_fuse(W, emb)
         matrix = induction_matrix_from_fusion(W, sub, fusion)
-        if pspec.get("induction_matrix") is not None:
-            given = tuple(tuple(int(x) for x in row) for row in pspec["induction_matrix"])
-            if given != matrix:
-                raise GroupDataError(
-                    f"{name}: supplied induction matrix for {sub.name} disagrees with fusion"
-                )
+        if pspec.get("induction_matrix") not in (None, matrix):
+            raise GroupDataError(
+                f"{name}: supplied induction matrix for {sub.name} disagrees with fusion"
+            )
         emb.induction_matrix = matrix
         # dimension identity: sum_chi M[psi,chi] deg(chi) = [W:W'] deg(psi)
         index = W.order // sub.order
@@ -733,11 +716,15 @@ def _build(doc) -> GroupDatum:
     for fkey in required:
         if fkey not in doc:
             raise GroupDataError(f"missing required field {fkey!r}")
+
+    def ints(row) -> tuple:
+        return tuple(integer(v) for v in row)
+
     try:
         generators = tuple(
             tuple(tuple(from_literal(v) for v in row) for row in g) for g in doc["generators"]
         )
-        classes = tuple((int(c["size"]), tuple(int(w) for w in c["word"])) for c in doc["classes"])
+        classes = tuple((integer(c["size"]), ints(c["word"])) for c in doc["classes"])
         names = tuple(ch["name"] for ch in doc["characters"])
         irr = tuple(
             tuple(from_literal(v) for v in ch["values"]) for ch in doc["characters"]
@@ -745,16 +732,19 @@ def _build(doc) -> GroupDatum:
         fake = tuple(laurent_from_doc(f) for f in doc.get("fake_degrees", []))
         schur = tuple(laurent_from_doc(cdoc) for cdoc in doc["schur_elements"])
         parabolics = [
-            (p["name"], tuple(tuple(int(w) for w in word) for word in p["generators"]),
-             p.get("induction_matrix"))
+            (p["name"], tuple(map(ints, p["generators"])),
+             None if p.get("induction_matrix") is None else tuple(map(ints, p["induction_matrix"])))
             for p in doc.get("parabolics", [])
         ]
-        conj_perm = tuple(int(j) for j in doc["conj_perm"]) if "conj_perm" in doc else None
-        det_index = int(doc["det_index"]) if "det_index" in doc else None
-        mu = int(doc.get("mu", 1))
-        order = int(doc["order"])
-        rank = int(doc["rank"])
-        degrees = tuple(int(d) for d in doc["degrees"])
+        conj_perm = ints(doc["conj_perm"]) if "conj_perm" in doc else None
+        det_index = integer(doc["det_index"]) if "det_index" in doc else None
+        mu = integer(doc.get("mu", 1))
+        order = integer(doc["order"])
+        rank = integer(doc["rank"])
+        degrees = ints(doc["degrees"])
+        spetsial = doc.get("spetsial", False)
+        if not isinstance(spetsial, bool):
+            raise ValueError(f"spetsial must be true or false, not {spetsial!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupDataError(f"malformed group document: {exc}") from exc
     if mu < 1:
@@ -768,8 +758,7 @@ def _build(doc) -> GroupDatum:
         generators=generators, degrees=degrees,
         classes=classes, char_names=names, irr=irr, fake_degrees=fake,
         schur_elements=schur, conj_perm=conj_perm, det_index=det_index,
-        spetsial=bool(doc.get("spetsial", False)),
-        parabolic_specs=paraspecs,
+        spetsial=spetsial, parabolic_specs=paraspecs,
     )
     return _validate(W)
 

@@ -15,6 +15,7 @@ from .cyclotomic import (
     _residue,
     coerce,
     from_literal,
+    integer,
     one,
     rat,
     to_literal,
@@ -525,8 +526,9 @@ def laurent_to_doc(f: LaurentPoly):
 def laurent_from_doc(doc) -> LaurentPoly:
     if not isinstance(doc, dict) or "terms" not in doc:
         raise ValueError(f"malformed laurent literal: {doc!r}")
-    mu = int(doc.get("mu", 1))
+    mu = integer(doc.get("mu", 1))
     out: dict = {}
     for e, lit in doc["terms"]:
-        out[int(e)] = out.get(int(e), zero) + from_literal(lit)
+        e = integer(e)
+        out[e] = out.get(e, zero) + from_literal(lit)
     return LaurentPoly(out, mu)

@@ -1,10 +1,11 @@
-"""Elementary number theory helpers and the union-find shared across the
-package; it imports nothing from it."""
+"""Elementary number theory helpers, a primality test that is a proof or
+an error, and the one union-find of the package, used through `join` (and
+by `symbols`); it imports nothing from it."""
 
 from __future__ import annotations
 
 from functools import cache
-from math import gcd, isqrt
+from math import gcd
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -28,15 +29,29 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3_317_044_064_679_887_385_961_981  # the least composite that passes them all
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
+    """Whether n is prime, by the Miller-Rabin test over MILLER_RABIN_BASES,
+    a proof for n < PSI_13 (Sorenson and Webster, Math. Comp. 86 (2017));
+    ValueError at or above PSI_13, where the test proves nothing."""
+    if n >= PSI_13:
+        raise ValueError(f"{n} is too large for a proven primality test (the bound is {PSI_13})")
+    if n < 2 or any(n % b == 0 for b in MILLER_RABIN_BASES):
+        return n in MILLER_RABIN_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -153,3 +168,13 @@ class _UnionFind:
         for i in range(n):
             out.setdefault(self.find(i), []).append(i)
         return [tuple(sorted(g)) for g in out.values()]
+
+
+def join(k: int, pieces) -> list[tuple]:
+    """The finest partition of range(k) in which each piece lies inside one
+    part, its parts sorted and listed by their least element."""
+    uf = _UnionFind(k)
+    for piece in pieces:
+        for a, b in zip(piece, piece[1:]):
+            uf.union(a, b)
+    return uf.groups(k)

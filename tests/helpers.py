@@ -1,11 +1,12 @@
 """Helpers that only the tests use: partition comparisons, reassembly of a
 unit-part factorization, serialization of a group to a format-1 document,
 restriction to a parabolic subgroup, and the reference algorithms that the
-package's table-driven classes and long division replaced."""
+package's table-driven classes, long division and induction by Frobenius
+reciprocity replaced."""
 
 from fractions import Fraction
 
-from heckefam.cyclotomic import one, to_literal, zero
+from heckefam.cyclotomic import dot, one, to_literal, zero
 from heckefam.groups import GroupDataError, enumerate_and_fuse
 from heckefam.laurent import LaurentPoly, laurent_to_doc
 
@@ -125,6 +126,32 @@ def orbit_class_index_map(W) -> dict:
     if len(cmap) != W.order:
         raise GroupDataError(f"{W.name}: classes do not cover the group")
     return cmap
+
+
+def induction_matrix_reference(W, sub, fusion) -> tuple:
+    """Induction multiplicities by inner products over W: each induced class
+    function Ind psi(C) = |W| / (|C| |W'|) sum_{C' -> C} |C'| psi(C') is
+    built on the classes of W, then paired with every conj(chi)."""
+    rows = []
+    for psi in sub.irr:
+        ind_vals = []
+        for ci, (size, _w) in enumerate(W.classes):
+            tot = zero
+            for cj, (ssize, _sw) in enumerate(sub.classes):
+                if fusion[cj] == ci:
+                    tot = tot + psi[cj] * ssize
+            ind_vals.append(tot * Fraction(W.order, size * sub.order))
+        weighted = [v * size for v, (size, _w) in zip(ind_vals, W.classes)]
+        row = []
+        for j in range(W.n_irr):
+            ip = dot(weighted, W.irr[W.conj_perm[j]]) * Fraction(1, W.order)
+            if not ip.is_rational() or ip.as_rational().denominator != 1 or ip.as_rational() < 0:
+                raise GroupDataError(
+                    f"{W.name}: induction from {sub.name} gives non-integral multiplicity {ip}"
+                )
+            row.append(int(ip.as_rational()))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def poly_divmod_reference(a, b) -> tuple:

@@ -14,7 +14,6 @@ from heckefam.blocks import (
     _bounded,
     _cuts,
     _defect_zero,
-    _join,
     _numerators,
     _prime,
     coarse_partition,
@@ -29,7 +28,7 @@ from heckefam.blocks import (
 from heckefam.groups import cyclic_group, dihedral_group, g4_group, get_group, trivial_group
 from heckefam.cyclotomic import zero
 from heckefam.laurent import LaurentPoly, factor_unit_part, poly_divexact, ratfun_reduce
-from heckefam.ntheory import factorize
+from heckefam.ntheory import factorize, join as _join
 from heckefam.schur import bad_primes, compute_invariants, a_plus_A, relative_trace_scalar
 from heckefam.valuation import (
     YES,

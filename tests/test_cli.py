@@ -113,6 +113,20 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("prime, code, err", [
+        ("1000000000000000000000007", 0, ""),
+        ("3317044064679887385961981", 1, "error: 3317044064679887385961981 is too large for "
+         "a proven primality test (the bound is 3317044064679887385961981)\n"),
+    ])
+    def test_a_large_prime_is_answered_at_once(self, prime, code, err):
+        done = subprocess.run(
+            [sys.executable, "-m", "heckefam.cli", "decomp", "--group", "I2.5", "--prime", prime],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent)),
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (done.returncode, done.stderr) == (code, err)
+        assert (f"at p={prime}" in done.stdout) == (code == 0)
+
     @pytest.mark.parametrize(
         "bounds", [("--rank", "-1", "--defect", "3"), ("--rank", "3", "--defect", "-1")]
     )

@@ -49,6 +49,8 @@ def commands() -> list[list[str]]:
         ["families"],
         ["families", "--group", "nonexistent"],
         ["decomp", "--group", "I2.5", "--prime", "4"],
+        ["decomp", "--group", "I2.5", "--prime", "1000000000000000000000007"],
+        ["decomp", "--group", "I2.5", "--prime", "3317044064679887385961981"],
     ]
     return out
 

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from helpers import group_to_doc, orbit_class_index_map, restrict
+from helpers import group_to_doc, induction_matrix_reference, orbit_class_index_map, restrict
 from test_acceptance import BUNDLED
 
 from heckefam.cyclotomic import one, rat, zeta, zero
@@ -12,6 +12,7 @@ from heckefam import groups
 from heckefam.groups import (
     GroupDataError,
     GroupDatum,
+    ParabolicEmbedding,
     _data_dir,
     cyclic_group,
     dihedral_group,
@@ -20,6 +21,7 @@ from heckefam.groups import (
     g4_group,
     get_group,
     induce,
+    induction_matrix_from_fusion,
     load_group,
     trivial_group,
 )
@@ -317,6 +319,59 @@ class TestClassTable:
         assert W.class_matrices == W0.class_matrices
         assert [enumerate_and_fuse(W, P) for P in W0.parabolics] == [
             enumerate_and_fuse(W0, P) for P in W0.parabolics]
+
+    @pytest.mark.parametrize("n, ci, word, message", [
+        (4, 2, [1, 2], "I2(4): class 2 has size 2, datum says 1"),
+        (5, 2, [2, 1], "I2(5): classes 1 and 2 overlap"),
+    ])
+    def test_a_stated_class_that_is_not_a_whole_class(self, n, ci, word, message):
+        doc = group_to_doc(dihedral_group(n))
+        doc["classes"][ci]["word"] = word
+        with pytest.raises(GroupDataError) as exc:
+            load_group(doc)
+        assert str(exc.value) == message
+
+    def test_classes_that_do_not_cover_the_group(self):
+        W0 = dihedral_group(5)
+        W = GroupDatum(
+            name=W0.name, order=W0.order, mu=W0.mu, rank=W0.rank, generators=W0.generators,
+            degrees=W0.degrees, classes=W0.classes[:-1], char_names=W0.char_names,
+            irr=W0.irr, fake_degrees=(), schur_elements=(), spetsial=True,
+        )
+        with pytest.raises(GroupDataError, match=r"^I2\(5\): classes do not cover the group$"):
+            W.class_index_map()
+
+
+class TestInductionMatrix:
+    """Induction multiplicities by Frobenius reciprocity over the subgroup's
+    classes equal the inner products over W of the induced class functions."""
+
+    @pytest.mark.parametrize("name", TestClassTable.GROUPS)
+    def test_same_matrix_as_the_induced_class_functions(self, name):
+        if name == "G(3,3,3)":
+            W = g333()
+            parabolics = [ParabolicEmbedding(trivial_group(), (), ()),
+                          ParabolicEmbedding(cyclic_group(2), ((1,),), ()),
+                          ParabolicEmbedding(cyclic_group(2), ((3,),), ()),
+                          ParabolicEmbedding(dihedral_group(3), ((1,), (2,)), ())]
+        else:
+            W = get_group(name)
+            parabolics = W.parabolics
+        for P in parabolics:
+            fusion = enumerate_and_fuse(W, P)
+            matrix = induction_matrix_from_fusion(W, P.subgroup, fusion)
+            assert matrix == induction_matrix_reference(W, P.subgroup, fusion)
+            if P.induction_matrix:
+                assert matrix == P.induction_matrix
+
+    def test_non_integral_multiplicity(self):
+        # a rotation of order 5 as the generator of Z2: no homomorphism
+        doc = group_to_doc(dihedral_group(5))
+        doc["parabolics"] = [{"name": "Z2", "generators": [[1, 2]]}]
+        with pytest.raises(GroupDataError) as exc:
+            load_group(doc)
+        assert str(exc.value) == ("I2(5): induction from Z2 gives non-integral multiplicity "
+                                  "1/2 - 1/2*z5^2 - 1/2*z5^3")
 
 
 def g333() -> GroupDatum:

@@ -13,6 +13,7 @@ from helpers import group_to_doc
 from heckefam import cli, groups
 from heckefam.blocks import families
 from heckefam.cyclotomic import from_literal, to_literal, zeta
+from heckefam.laurent import laurent_from_doc
 from heckefam.groups import (
     GroupDataError,
     dihedral_group,
@@ -200,6 +201,49 @@ class TestInexactLiteral:
         assert code == 1 and out.startswith("INVALID: malformed group document: ")
         code, out, err = _run(["families", "--group", str(path)], capsys)
         assert code == 1 and out == "" and err.startswith("error: malformed group document: ")
+
+
+class TestInexactInteger:
+    """An integer field of a group document read from a float, a boolean, or
+    a flag that is not a JSON boolean, is malformed: it would otherwise be
+    truncated, read as 0 and 1, or read as true."""
+
+    CASES = {
+        "order 10.7": (("order",), 10.7),
+        "class word [true, 2.9]": (("classes", 1, "word"), [True, 2.9]),
+        "class size true": (("classes", 0, "size"), True),
+        "det_index true": (("det_index",), True),
+        "induction matrix of floats and a boolean":
+            (("parabolics", 0, "induction_matrix"), [[1.0, 0, 1.9, 1], [0, True, 1, 1]]),
+        "parabolic word [1.0]": (("parabolics", 0, "generators"), [[1.0]]),
+        "conj_perm entry 1.0": (("conj_perm",), [0, 1.0, 2, 3]),
+        "rank 2.0": (("rank",), 2.0),
+        "mu true": (("mu",), True),
+        "degree 2.0": (("degrees",), [2.0, 5]),
+        "spetsial \"false\"": (("spetsial",), "false"),
+        "fake degree exponent 5.0": (("fake_degrees", 1, "terms", 0, 0), 5.0),
+        "schur element mu 1.9": (("schur_elements", 0, "mu"), 1.9),
+    }
+
+    @pytest.mark.parametrize("path,value", CASES.values(), ids=CASES.keys())
+    def test_rejected_with_a_line(self, path, value, tmp_path, capsys):
+        doc = _malformed(path, value)
+        with pytest.raises(GroupDataError, match="^malformed group document: "):
+            load_group(doc)
+        path = tmp_path / "i25.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = _run(["validate", str(path)], capsys)
+        assert code == 1 and out.startswith("INVALID: malformed group document: ")
+        code, out, err = _run(["families", "--group", str(path)], capsys)
+        assert code == 1 and out == "" and err.startswith("error: malformed group document: ")
+
+    @pytest.mark.parametrize("doc", [
+        {"mu": 1, "terms": [[1.5, "1"]]}, {"mu": 1.9, "terms": [[1, "1"]]},
+        {"mu": 1, "terms": [[True, "1"]]},
+    ])
+    def test_laurent_literal(self, doc):
+        with pytest.raises(ValueError, match="is not an integer"):
+            laurent_from_doc(doc)
 
 
 class TestParabolicCycle:

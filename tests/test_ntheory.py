@@ -1,0 +1,58 @@
+"""Number-theory helpers: the proven primality test and the one join."""
+
+from math import isqrt
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from heckefam.ntheory import PSI_13, is_prime, join
+
+
+def trial_division(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(-3, 200_000) if is_prime(n) != trial_division(n)] == []
+
+    @pytest.mark.parametrize("n", [
+        3_825_123_056_546_413_051,  # strong pseudoprime to the bases 2..23
+        318_665_857_834_031_151_167_461,  # psi_12: to the bases 2..37
+    ])
+    def test_rejects_strong_pseudoprimes(self, n):
+        assert not is_prime(n)
+
+    def test_large_primes_below_the_bound(self):
+        assert is_prime(10**24 + 7) and is_prime(2**61 - 1)
+        assert not is_prime((2**17 - 1) * (2**61 - 1))
+
+    @pytest.mark.parametrize("n", [PSI_13, PSI_13 + 2, 2**89 - 1])
+    def test_no_answer_at_or_above_the_bound(self, n):
+        with pytest.raises(ValueError, match="too large for a proven primality test"):
+            is_prime(n)
+
+
+def closure(k: int, pieces) -> list[tuple]:
+    """The parts of range(k) under the transitive closure of "in one piece"."""
+    linked = [{i} for i in range(k)]
+    for piece in pieces:
+        for a in piece:
+            linked[a] |= set(piece)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k):
+            grown = set().union(*(linked[j] for j in linked[i]))
+            if grown != linked[i]:
+                linked[i], changed = grown, True
+    return sorted({tuple(sorted(s)) for s in linked})
+
+
+class TestJoin:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.lists(st.integers(0, k - 1), max_size=4), max_size=8))))
+    def test_equals_the_transitive_closure(self, case):
+        k, pieces = case
+        assert join(k, pieces) == closure(k, pieces)
