@@ -119,8 +119,11 @@ def _prime(W, p: int):
 @cache
 def _defect_zero(W, spec) -> tuple[bool, ...]:
     """Whether each character has defect zero at spec: the Gauss content of
-    its Schur element, val(scalar) when the element is unit-shaped, is 0.
-    A Schur element that is not integral at spec raises ValueError."""
+    its Schur element is 0.  `laurent_content_val` reads it as val(xi) when
+    the element is unit-shaped, xi y^k prod (y - omega)^m: each other factor
+    has content 0 at every prime, so by Gauss's lemma only xi can be
+    divisible by P.  A Schur element that is not integral at spec raises
+    ValueError."""
     vals = [laurent_content_val(c, spec) for c in W.schur_elements]
     for name, v in zip(W.char_names, vals):
         if v < 0:
@@ -284,6 +287,20 @@ def _box_points(hnf, box):
 # -- the algorithm steps -----------------------------------------------------------
 
 
+@cache
+def _central_characters(W) -> tuple:
+    """omega_chi(C) = |C| chi(g_C) / chi(1), a row per character and an
+    entry per class; equal values are one object, so the table keeps only
+    the distinct ones (19 of the 324 entries of I2(30))."""
+    distinct: dict = {}
+    return tuple(
+        tuple(distinct.setdefault(w, w) for w in (
+            W.irr[i][ci] * Fraction(size, W.char_degree(i))
+            for ci, (size, _w) in enumerate(W.classes)))
+        for i in range(W.n_irr)
+    )
+
+
 def group_p_blocks(W, p: int) -> BlockPartition:
     """Brauer p-blocks of the reflection group itself: the fibres of the
     reduction modulo the fixed prime P above p of the central characters
@@ -291,16 +308,12 @@ def group_p_blocks(W, p: int) -> BlockPartition:
     exactly when their central characters agree mod P on every class
     (Navarro, Characters and Blocks of Finite Groups, ch. 3).  The central
     characters of a group are algebraic integers; a table with a
-    non-integral one raises ValueError."""
+    non-integral one raises ValueError.  The central characters are
+    computed once per group, and `reduction` once per distinct value."""
     spec = _prime(W, p)
     fibres: dict = {}
-    for i in range(W.n_irr):
-        deg = Fraction(1, W.char_degree(i))
-        key = tuple(
-            reduction(spec, W.irr[i][ci] * (size * deg))
-            for ci, (size, _w) in enumerate(W.classes)
-        )
-        fibres.setdefault(key, []).append(i)
+    for i, row in enumerate(_central_characters(W)):
+        fibres.setdefault(tuple(reduction(spec, w) for w in row), []).append(i)
     parts = list(fibres.values())
     return BlockPartition(parts, [EXACT] * len(parts))
 

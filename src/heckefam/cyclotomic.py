@@ -49,7 +49,9 @@ so do `+` and `*` across conductors.
 Inverse.  For a = A/d, 1/a = d*P/N where P is the product of the conjugates
 of A other than A and N = A*P is its norm, an integer.  P is built on the
 integer maps by doubling along generators of (Z/n)^*, with O(log phi(n))
-products, and Q(1/a) = Q(a) keeps the conductor.
+products, and Q(1/a) = Q(a) keeps the conductor.  Each inverse is cached by
+value, so a Schur scalar that several layers divide by is inverted once.
+A sum with a zero operand is the other operand itself.
 """
 
 from __future__ import annotations
@@ -394,6 +396,11 @@ class Cyclotomic:
         other = coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # a zero operand leaves the other one, which is already canonical
+        if not other._c:
+            return self
+        if not self._c:
+            return other
         if self._n != other._n and self._n != 1 and other._n != 1:
             return dot((self, other), (one, one))
         da, db = self._d, other._d
@@ -438,10 +445,13 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
+    @cache
     def inverse(self) -> "Cyclotomic":
         """1/a = d * P / N, where a = A/d, P is the product of the other
         conjugates of A and N = A * P its norm; Q(1/a) = Q(a), so the
-        conductor is unchanged."""
+        conductor is unchanged.  Cached by value: a canonical value is its
+        own key, and the same Schur scalar is inverted by every layer that
+        divides by it."""
         if not self._c:
             raise ZeroDivisionError("inverse of zero cyclotomic")
         N, cof = _norm_and_cofactor(self._c, self._n)
@@ -644,6 +654,14 @@ def integer(v) -> int:
     if isinstance(v, (bool, float)):
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
+
+
+def json_list(v) -> list:
+    """A document field that must be a JSON list; anything else raises,
+    a string above all, which iterating would read character by character."""
+    if not isinstance(v, list):
+        raise ValueError(f"expected a list, not {v!r}")
+    return v
 
 
 def from_literal(doc) -> Cyclotomic:

@@ -12,7 +12,7 @@ from functools import cache
 from math import lcm
 from pathlib import Path
 
-from .cyclotomic import dot, from_literal, integer, one, rat, zero, zeta
+from .cyclotomic import dot, from_literal, integer, json_list, one, rat, zero, zeta
 from .laurent import (
     LaurentPoly,
     factor_unit_part,
@@ -718,23 +718,24 @@ def _build(doc) -> GroupDatum:
             raise GroupDataError(f"missing required field {fkey!r}")
 
     def ints(row) -> tuple:
-        return tuple(integer(v) for v in row)
+        return tuple(integer(v) for v in json_list(row))
+
+    def literals(row) -> tuple:
+        return tuple(from_literal(v) for v in json_list(row))
 
     try:
-        generators = tuple(
-            tuple(tuple(from_literal(v) for v in row) for row in g) for g in doc["generators"]
-        )
-        classes = tuple((integer(c["size"]), ints(c["word"])) for c in doc["classes"])
-        names = tuple(ch["name"] for ch in doc["characters"])
-        irr = tuple(
-            tuple(from_literal(v) for v in ch["values"]) for ch in doc["characters"]
-        )
-        fake = tuple(laurent_from_doc(f) for f in doc.get("fake_degrees", []))
-        schur = tuple(laurent_from_doc(cdoc) for cdoc in doc["schur_elements"])
+        generators = tuple(tuple(map(literals, json_list(g))) for g in json_list(doc["generators"]))
+        classes = tuple((integer(c["size"]), ints(c["word"])) for c in json_list(doc["classes"]))
+        characters = json_list(doc["characters"])
+        names = tuple(ch["name"] for ch in characters)
+        irr = tuple(literals(ch["values"]) for ch in characters)
+        fake = tuple(map(laurent_from_doc, json_list(doc.get("fake_degrees", []))))
+        schur = tuple(map(laurent_from_doc, json_list(doc["schur_elements"])))
         parabolics = [
-            (p["name"], tuple(map(ints, p["generators"])),
-             None if p.get("induction_matrix") is None else tuple(map(ints, p["induction_matrix"])))
-            for p in doc.get("parabolics", [])
+            (p["name"], tuple(map(ints, json_list(p["generators"]))),
+             None if p.get("induction_matrix") is None
+             else tuple(map(ints, json_list(p["induction_matrix"]))))
+            for p in json_list(doc.get("parabolics", []))
         ]
         conj_perm = ints(doc["conj_perm"]) if "conj_perm" in doc else None
         det_index = integer(doc["det_index"]) if "det_index" in doc else None

@@ -16,6 +16,7 @@ from .cyclotomic import (
     coerce,
     from_literal,
     integer,
+    json_list,
     one,
     rat,
     to_literal,
@@ -528,7 +529,8 @@ def laurent_from_doc(doc) -> LaurentPoly:
         raise ValueError(f"malformed laurent literal: {doc!r}")
     mu = integer(doc.get("mu", 1))
     out: dict = {}
-    for e, lit in doc["terms"]:
+    for term in json_list(doc["terms"]):
+        e, lit = json_list(term)
         e = integer(e)
         out[e] = out.get(e, zero) + from_literal(lit)
     return LaurentPoly(out, mu)

@@ -216,20 +216,23 @@ class _Completion:
             raise ArithmeticError(f"{self.spec}: no root of x^{n} - 1 lifts t to precision {L}")
         return tau
 
-    def _t_rows(self, L: int) -> list[list[int]]:
-        """tau^i mod (h, p^L) for i in [0, n'), as coordinate rows of length f."""
+    @cache
+    def _t_rows(self, L: int) -> tuple:
+        """tau^i mod (h, p^L) for i in [0, n'), as coordinate rows of length
+        f; once per precision, for the tables of every conductor."""
         m = self.p**L
         tau = self._root(L)
         rows = []
         cur = [1]
         for _ in range(self.nprime):
-            rows.append(cur + [0] * (self.f - len(cur)))
+            rows.append(tuple(cur) + (0,) * (self.f - len(cur)))
             cur = _pmod(_pmul(cur, tau, m), self.h, m)
-        return rows
+        return tuple(rows)
 
     @cache
     def image_tables(self, conductor: int, L: int) -> list:
-        """Per power-basis exponent of Q(zeta_conductor): e x f digit matrix mod p^L."""
+        """Per power-basis exponent of Q(zeta_conductor): its e x f digit
+        matrix mod p^L, flattened row by row into one tuple of length e f."""
         if self.n % conductor:
             raise ValueError(f"conductor {conductor} incompatible with spec at {self.n}")
         m = self.p**L
@@ -244,39 +247,26 @@ class _Completion:
             K = idx * step % self.n
             a = K % self.nprime * inv_pa % self.nprime if self.nprime > 1 else 0
             b = K % self.ppart * inv_np % self.ppart if self.ppart > 1 else 0
-            # zeta_{p^a}^b over the s-power basis (integer rewriting)
-            srow = pa_table[b]
-            svec = [0] * self.e
-            if srow is None:
-                svec[b] = 1
-            else:
-                for j, c in srow:
-                    svec[j] = c
-            trow = t_rows[a]
-            # compose with the binomial transform into pi-coordinates
-            mat = []
-            for k in range(self.e):
-                scalar = sum(self.binom[k][j] * svec[j] for j in range(self.e))
-                mat.append([scalar * trow[i] % m for i in range(self.f)])
-            tables.append(mat)
+            # zeta_{p^a}^b over the s-power basis (integer rewriting), then
+            # the binomial transform into pi-coordinates
+            srow = pa_table[b] or ((b, 1),)
+            scalars = [sum(row[j] * c for j, c in srow) for row in self.binom]
+            tables.append(tuple(s * t % m for s in scalars for t in t_rows[a]))
         return tables
 
     def image(self, coeffs: dict[int, int], conductor: int, L: int) -> list[list[int]]:
-        """Digit matrix (e rows, f cols) mod p^L of an integer-coefficient element."""
+        """Digit matrix (e rows, f cols) mod p^L of an integer-coefficient
+        element: the sum of each coefficient times its flat table row,
+        reduced mod p^L once and cut into rows."""
         m = self.p**L
         tables = self.image_tables(conductor, L)
-        out = [[0] * self.f for _ in range(self.e)]
+        flat = [0] * (self.e * self.f)
         for idx, c in coeffs.items():
             c %= m
-            if not c:
-                continue
-            mat = tables[idx]
-            for k in range(self.e):
-                row = mat[k]
-                ok = out[k]
-                for i in range(self.f):
-                    ok[i] = (ok[i] + c * row[i]) % m
-        return out
+            if c:
+                flat = [x + c * t for x, t in zip(flat, tables[idx])]
+        f = self.f
+        return [[x % m for x in flat[k:k + f]] for k in range(0, len(flat), f)]
 
 
 @cache
@@ -381,6 +371,7 @@ def val_at_least(spec: PrimeIdealSpec, a, bound: int) -> bool:
     return not any(x % mod for x, mod in zip(row, moduli))
 
 
+@cache
 def reduction(spec: PrimeIdealSpec, a) -> tuple[int, ...]:
     """The image of the algebraic integer a in O/P = F_p[t]/(h), as its
     coordinates over 1, t, ..., t^{f-1}: the pi^0 row of its digit matrix
@@ -391,7 +382,8 @@ def reduction(spec: PrimeIdealSpec, a) -> tuple[int, ...]:
     Unlike `cyclotomic._residue`, a screen that maps into F_l at a split
     prime l != p and may miss, this is the residue map at P itself; it
     raises ValueError on a non-integral value (denominator not 1: the power
-    basis is an integral basis of Z[zeta_n])."""
+    basis is an integral basis of Z[zeta_n]).  Cached by (spec, a): the
+    central characters of a group take few distinct values."""
     a = coerce(a)
     if a.denominator != 1:
         raise ValueError(f"{a} is not an algebraic integer")
@@ -399,13 +391,24 @@ def reduction(spec: PrimeIdealSpec, a) -> tuple[int, ...]:
 
 
 def laurent_content_val(f: LaurentPoly, spec: PrimeIdealSpec):
-    """Minimum valuation over the coefficients (the Gauss content); INF for 0."""
-    out = INF
-    for v in f.coeffs.values():
-        w = val(spec, v)
-        if w < out:
-            out = w
-    return out
+    """Minimum valuation over the coefficients (the Gauss content); INF for 0.
+
+    When the cached `factor_unit_part` of f is unit-shaped,
+    f = xi y^k prod (y - omega)^m, the content is val(xi): the cofactor
+    f / xi is monic with algebraic-integer coefficients, so its content is
+    0 (Gauss's lemma gives the same from the factors, each of content 0),
+    and xi is the lead coefficient of f.  Otherwise the minimum is taken
+    over the coefficients."""
+    if f.is_zero():
+        return INF
+    if spec.conductor % f.conductor_lcm():
+        raise ValueError(
+            f"conductor {f.conductor_lcm()} incompatible with prime spec at {spec.conductor}"
+        )
+    fact = factor_unit_part(f)
+    if fact.is_unit():
+        return val(spec, fact.scalar)
+    return min(val(spec, v) for v in f.coeffs.values())
 
 
 # -- Rouquier-ring membership -------------------------------------------------------

@@ -1,14 +1,16 @@
 """Helpers that only the tests use: partition comparisons, reassembly of a
 unit-part factorization, serialization of a group to a format-1 document,
 restriction to a parabolic subgroup, and the reference algorithms that the
-package's table-driven classes, long division and induction by Frobenius
-reciprocity replaced."""
+package's table-driven classes, long division, induction by Frobenius
+reciprocity, content from the unit factorization and one-comprehension
+digit images replaced."""
 
 from fractions import Fraction
 
 from heckefam.cyclotomic import dot, one, to_literal, zero
 from heckefam.groups import GroupDataError, enumerate_and_fuse
 from heckefam.laurent import LaurentPoly, laurent_to_doc
+from heckefam.valuation import INF, val
 
 
 def refines(partition, other) -> bool:
@@ -174,3 +176,32 @@ def poly_divmod_reference(a, b) -> tuple:
             r[top + off] = r[top + off] - v * c
     rem = {e: v for e, v in enumerate(r[:db]) if v}
     return LaurentPoly(q, a.mu), LaurentPoly(rem, a.mu)
+
+
+def laurent_content_val_reference(f, spec):
+    """The Gauss content of f at spec, the minimum valuation over its
+    coefficients; INF for 0."""
+    out = INF
+    for v in f.coeffs.values():
+        w = val(spec, v)
+        if w < out:
+            out = w
+    return out
+
+
+def image_reference(comp, coeffs, conductor, L) -> list:
+    """`_Completion.image` by e x f indexed updates: each coefficient times
+    each entry of its table row, reduced mod p^L after every addition."""
+    m = comp.p**L
+    tables = comp.image_tables(conductor, L)
+    out = [[0] * comp.f for _ in range(comp.e)]
+    for idx, c in coeffs.items():
+        c %= m
+        if not c:
+            continue
+        row = tables[idx]
+        for k in range(comp.e):
+            ok = out[k]
+            for i in range(comp.f):
+                ok[i] = (ok[i] + c * row[k * comp.f + i]) % m
+    return out

@@ -135,8 +135,12 @@ class TestGroupPBlocks:
         # no group has this table: omega(C) = 1/2 on the second class
         import heckefam.blocks as blocks
 
+        class Fake(SimpleNamespace):
+            # hashable by identity, as a group datum is a per-group cache key
+            __hash__ = object.__hash__
+
         W = cyclic_group(2)
-        fake = SimpleNamespace(
+        fake = Fake(
             n_irr=2, classes=W.classes, char_degree=lambda i: 1,
             irr=(W.irr[0], (W.irr[1][0], W.irr[1][1] * Fraction(1, 2))),
         )

@@ -80,6 +80,11 @@ class TestRingOps:
         with pytest.raises(ZeroDivisionError):
             zero.inverse()
 
+    def test_adding_zero_returns_the_other_operand(self):
+        for a in (zeta(12, 7) * Fraction(3, 4) + 1, zeta(5), rat(Fraction(-5, 3)), zero):
+            assert a + zero is a and zero + a is a
+            assert a + 0 is a and 0 + a is a
+
     def test_mixed_conductor_lift(self):
         a = zeta(3) + zeta(4)
         assert a.conductor == 12

@@ -126,7 +126,10 @@ class TestAgainstReference:
         a, A = pair(*x)
         if a.is_zero():
             return
-        assert_same(a.inverse(), A.inverse())
+        inv = a.inverse()
+        assert_same(inv, A.inverse())
+        # the cache answers a value built again, as the same object
+        assert make(*x).inverse() is inv
         assert a.norm() == A.norm()
         n = x[0]
         assert a.norm(conductor=n) == A.norm(conductor=n)

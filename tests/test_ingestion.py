@@ -206,7 +206,9 @@ class TestInexactLiteral:
 class TestInexactInteger:
     """An integer field of a group document read from a float, a boolean, or
     a flag that is not a JSON boolean, is malformed: it would otherwise be
-    truncated, read as 0 and 1, or read as true."""
+    truncated, read as 0 and 1, or read as true.  So is a string where a
+    list belongs, which would be read character by character: each string
+    below reads as the list it replaces."""
 
     CASES = {
         "order 10.7": (("order",), 10.7),
@@ -223,6 +225,13 @@ class TestInexactInteger:
         "spetsial \"false\"": (("spetsial",), "false"),
         "fake degree exponent 5.0": (("fake_degrees", 1, "terms", 0, 0), 5.0),
         "schur element mu 1.9": (("schur_elements", 0, "mu"), 1.9),
+        "degrees string 25": (("degrees",), "25"),
+        "class word string 12": (("classes", 1, "word"), "12"),
+        "conj_perm string 0123": (("conj_perm",), "0123"),
+        "character values string 1111": (("characters", 0, "values"), "1111"),
+        "generator rows strings 01 and 10": (("generators", 0), ["01", "10"]),
+        "parabolic words string 1": (("parabolics", 0, "generators"), "1"),
+        "fake degree term string 01": (("fake_degrees", 0, "terms", 0), "01"),
     }
 
     @pytest.mark.parametrize("path,value", CASES.values(), ids=CASES.keys())

@@ -4,11 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from heckefam.cyclotomic import make, one, rat, zero, zeta
-from heckefam.laurent import LaurentPoly, ratfun_reduce
-from heckefam.ntheory import cyclotomic_polynomial, euler_phi, factorize, prime_to_part
+from heckefam.laurent import LaurentPoly, factor_unit_part, ratfun_reduce
+from heckefam.ntheory import cyclotomic_polynomial, divisors, euler_phi, factorize, prime_to_part
 from heckefam.valuation import (
     INF,
     NO,
@@ -17,12 +17,14 @@ from heckefam.valuation import (
     PrimeIdealSpec,
     _completion,
     integrality_conditions,
+    laurent_content_val,
     op_member,
     primes_above,
     reduction,
     val,
     val_at_least,
 )
+from helpers import image_reference, laurent_content_val_reference
 
 L = LaurentPoly.from_x_coeffs
 
@@ -373,6 +375,78 @@ class TestReduction:
             assert reduction(spec, rat(7)) == reduction(spec, rat(2))
 
     def test_non_integral_value_is_rejected(self):
+        # on every call: the cache keeps results, not exceptions
         (spec,) = primes_above(3, 3)
-        with pytest.raises(ValueError, match="not an algebraic integer"):
-            reduction(spec, zeta(3) / 2)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not an algebraic integer"):
+                reduction(spec, zeta(3) / 2)
+
+
+# (n, p) with ramified primes (e > 1), inert ones (f > 1), or both
+CONTENT_CASES = ((9, 3), (8, 2), (5, 5), (5, 2), (7, 3), (15, 2), (15, 5), (12, 2), (12, 3))
+
+
+@st.composite
+def unit_shaped(draw):
+    """(n, p, f): f = s y^k prod (y - omega)^m with s a nonzero value of
+    Q(zeta_n) times p^i (1 - zeta_n)^j, i, j <= 2, and omega roots of unity
+    of Q(zeta_n); 1 - zeta_n is a uniformizer when n is a power of p."""
+    n, p = draw(st.sampled_from(CONTENT_CASES))
+    roots = n if n % 2 == 0 else 2 * n  # the roots of unity of Q(zeta_n)
+    raw = draw(st.dictionaries(
+        st.integers(0, n - 1), st.fractions(min_value=-50, max_value=50, max_denominator=12),
+        min_size=1, max_size=4))
+    s = make(n, raw) * p ** draw(st.integers(0, 2)) * (1 - zeta(n)) ** draw(st.integers(0, 2))
+    assume(not s.is_zero())
+    f = LaurentPoly({draw(st.integers(-3, 3)): s})
+    for _ in range(draw(st.integers(0, 3))):
+        omega = zeta(roots, draw(st.integers(0, roots - 1)))
+        f = f * LaurentPoly({1: one, 0: -omega}) ** draw(st.integers(1, 2))
+    return n, p, f
+
+
+class TestContent:
+    """laurent_content_val reads a unit-shaped polynomial's content off its
+    scalar, and agrees with the minimum over the coefficients."""
+
+    def test_cases_reach_ramified_and_inert_primes(self):
+        specs = [s for n, p in CONTENT_CASES for s in primes_above(p, n)]
+        assert any(s.e > 1 for s in specs) and any(s.f > 1 for s in specs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(unit_shaped())
+    def test_unit_shaped_agrees_with_the_coefficient_minimum(self, x):
+        n, p, f = x
+        assert factor_unit_part(f).is_unit()
+        for spec in primes_above(p, n):
+            assert laurent_content_val(f, spec) == laurent_content_val_reference(f, spec), spec
+
+    def test_non_unit_polynomial(self):
+        # 3 x^2 + 2 has no root of unity as a root; its content at 3 is 0,
+        # though its lead coefficient has valuation 1 there
+        f = L([2, 0, 3])
+        assert not factor_unit_part(f).is_unit()
+        for p in (2, 3, 5):
+            for spec in primes_above(p, 12):
+                assert laurent_content_val(f, spec) == laurent_content_val_reference(f, spec) == 0
+
+    def test_incompatible_conductor(self):
+        (spec,) = primes_above(2, 1)
+        with pytest.raises(ValueError, match="incompatible"):
+            laurent_content_val(LaurentPoly({1: one, 0: -zeta(5)}), spec)
+
+
+class TestImage:
+    """`_Completion.image` equals the e x f indexed updates it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(((2, 24), (3, 21), (19, 19))), st.sampled_from((1, 3, 32)), st.data())
+    def test_matches_indexed_updates(self, case, precision, data):
+        p, n = case
+        spec = data.draw(st.sampled_from(primes_above(p, n)))
+        conductor = data.draw(st.sampled_from(divisors(n)))
+        coeffs = data.draw(st.dictionaries(
+            st.integers(0, euler_phi(conductor) - 1), st.integers(-10**40, 10**40), max_size=8))
+        comp = _completion(spec)
+        assert (comp.image(coeffs, conductor, precision)
+                == image_reference(comp, coeffs, conductor, precision))
