@@ -21,9 +21,9 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from .cyclotomic import one, zero
+from .cyclotomic import zero
 from .groups import induce
-from .laurent import LaurentPoly, factor_unit_part, synthetic_division
+from .laurent import common_unit_multiple, factor_unit_part
 from .ntheory import join
 from .schur import a_plus_A, bad_primes, compute_invariants
 from .valuation import integrality_conditions, laurent_content_val, primes_above, reduction
@@ -100,7 +100,8 @@ def _bounded(k: int, upper, lower) -> BlockPartition:
 
 @cache
 def _factorizations(W) -> tuple:
-    """factor_unit_part of each Schur element of W."""
+    """factor_unit_part of each Schur element of W: hits of the cache that
+    validation filled, as it factors every Schur element."""
     return tuple(factor_unit_part(c) for c in W.schur_elements)
 
 
@@ -119,11 +120,11 @@ def _prime(W, p: int):
 @cache
 def _defect_zero(W, spec) -> tuple[bool, ...]:
     """Whether each character has defect zero at spec: the Gauss content of
-    its Schur element is 0.  `laurent_content_val` reads it as val(xi) when
-    the element is unit-shaped, xi y^k prod (y - omega)^m: each other factor
-    has content 0 at every prime, so by Gauss's lemma only xi can be
-    divisible by P.  A Schur element that is not integral at spec raises
-    ValueError."""
+    its Schur element is 0.  `laurent_content_val` reads it as val(xi) off
+    the unit-shaped element xi y^k prod (y - omega)^m (validation rejects
+    any other shape): each other factor has content 0 at every prime, so by
+    Gauss's lemma only xi can be divisible by P.  A Schur element that is
+    not integral at spec raises ValueError."""
     vals = [laurent_content_val(c, spec) for c in W.schur_elements]
     for name, v in zip(W.char_names, vals):
         if v < 0:
@@ -131,45 +132,15 @@ def _defect_zero(W, spec) -> tuple[bool, ...]:
     return tuple(v == 0 for v in vals)
 
 
-def _numerators(W, support: tuple) -> list[LaurentPoly]:
-    """D/c_i for i in the support, D = prod (y - omega)^max the common unit
-    denominator.  With c_i = s y^k prod (y - omega)^m_i from the
-    factorization, D/c_i = s^-1 y^-k D / prod (y - omega)^m_i: D is built
-    once, and each of c_i's linear factors comes off it by one synthetic
-    division.  A Schur element with a non-unit part raises ValueError."""
-    facts = _factorizations(W)
-    maxmult: dict = {}
-    for i in support:
-        if not facts[i].is_unit():
-            raise ValueError(f"membership test unsupported: Schur element of "
-                             f"{W.char_names[i]} has a non-unit part")
-        for omega, m in facts[i].unit_factors:
-            maxmult[omega] = max(maxmult.get(omega, 0), m)
-    common = [one]  # D, dense and ascending
-    for omega, m in maxmult.items():
-        for _ in range(m):
-            common = [a - omega * b for a, b in zip([zero, *common], [*common, zero])]
-    mu = W.schur_elements[0].mu
-    out = []
-    for i in support:
-        fact = facts[i]
-        q = common
-        for omega, m in fact.unit_factors:
-            for _ in range(m):
-                q, _r = synthetic_division(q, omega)
-        inv = fact.scalar.inverse()
-        out.append(
-            LaurentPoly({e - fact.y_power: v * inv for e, v in enumerate(q) if v}, mu, _clean=True)
-        )
-    return out
-
-
 @cache
 def _lattice(W, spec, support: tuple):
     """Hermite normal form of the lattice of vectors s over `support` that
-    pass the O_p integrality test: every coefficient of
-    sum_i s_i D/c_i (`_numerators`) integral at spec."""
-    numerators = _numerators(W, support)
+    pass the O_p integrality test: every coefficient of sum_i s_i D/c_i
+    integral at spec, D the common multiple of the linear factors of the
+    Schur elements c_i (`common_unit_multiple`).  A Schur element with a
+    non-unit part raises ValueError."""
+    facts = _factorizations(W)
+    _d, numerators = common_unit_multiple([facts[i] for i in support])
     slots = sorted({e for npoly in numerators for e in npoly.coeffs})
     columns = [[npoly.coeffs.get(e, zero) for e in slots] for npoly in numerators]
     return _kernel_hnf(*integrality_conditions(spec, columns), len(support))

@@ -13,13 +13,7 @@ from math import lcm
 from pathlib import Path
 
 from .cyclotomic import dot, from_literal, integer, json_list, one, rat, zero, zeta
-from .laurent import (
-    LaurentPoly,
-    factor_unit_part,
-    laurent_from_doc,
-    poly_divexact,
-    ratfun_reduce,
-)
+from .laurent import LaurentPoly, factor_unit_part, laurent_from_doc, poly_divexact
 from .ntheory import join
 from .schur import cyclic_schur, dihedral_schur
 
@@ -72,7 +66,6 @@ class GroupDatum:
         self.spetsial = spetsial
         self.parabolic_specs = parabolic_specs
         self.parabolics: tuple[ParabolicEmbedding, ...] = ()
-        self.generic_degrees: tuple = ()      # P/c_chi, set by validation
 
     # -- simple accessors ---------------------------------------------------
 
@@ -348,7 +341,7 @@ def _stated_fake_degrees_hold(W: GroupDatum, conj_irr) -> bool:
     Put into the Molien sum, the identity and row orthogonality (checked
     before) give R^Molien_chi = sum_psi R_psi <chi, psi> = R_chi."""
     R = W.fake_degrees
-    if not R or any(f.mu != W.mu for f in R):
+    if not R:
         return False
     by_exp: dict = {}  # e -> (the y^e coefficients of R, their characters)
     for i, f in enumerate(R):
@@ -443,47 +436,7 @@ def _validate(W: GroupDatum) -> GroupDatum:
         tot = tot + W.fake_degrees[i] * W.irr[i][0]
     if tot != P:
         raise GroupDataError(f"{name}: sum of deg * fake degree != Poincare polynomial")
-    # Schur identities
-    if len(W.schur_elements) != k:
-        raise GroupDataError(f"{name}: expected {k} Schur elements")
-    generic = []
-    for i, c in enumerate(W.schur_elements):
-        val_at_1 = c.eval_y(rat(1))
-        if val_at_1 != rat(Fraction(W.order, W.char_degree(i))):
-            raise GroupDataError(
-                f"{name}: c({W.char_names[i]})(1) != |W|/deg "
-                f"(got {val_at_1})"
-            )
-        try:
-            generic.append(poly_divexact(P, c))
-        except ArithmeticError:
-            if W.spetsial:
-                raise GroupDataError(
-                    f"{name}: generic degree P/c is not a Laurent polynomial "
-                    f"for {W.char_names[i]}"
-                )
-            generic.append(ratfun_reduce(P, c))
-    # symmetrizing form: sum_chi deg(chi) * P/c_chi = P
-    gate = LaurentPoly.const(zero, W.mu)
-    if not all(isinstance(delta, LaurentPoly) for delta in generic):
-        gate = ratfun_reduce(gate, LaurentPoly.const(one, W.mu))
-    for delta, row in zip(generic, W.irr):
-        gate = gate + delta * row[0]
-    if gate != P:
-        raise GroupDataError(f"{name}: symmetrizing-form gate sum deg/c != 1 fails")
-    if W.spetsial:
-        for i, c in enumerate(W.schur_elements):
-            if not c.is_x_polynomial():
-                raise GroupDataError(
-                    f"{name}: spetsial flag set but c({W.char_names[i]}) has "
-                    "y-exponents not divisible by mu"
-                )
-            fact = factor_unit_part(c)
-            if not fact.is_unit():
-                raise GroupDataError(
-                    f"{name}: spetsial flag set but c({W.char_names[i]}) has a "
-                    f"non-unit part {fact.non_unit}"
-                )
+    _check_schur_elements(W, P)
     # parabolics
     paras = []
     for pspec in W.parabolic_specs:
@@ -512,8 +465,62 @@ def _validate(W: GroupDatum) -> GroupDatum:
         emb.induction_matrix = (tuple(W.char_degree(i) for i in range(k)),)
         paras.append(emb)
     W.parabolics = tuple(paras)
-    W.generic_degrees = tuple(generic)
     return W
+
+
+def _check_schur_elements(W: GroupDatum, P: LaurentPoly) -> None:
+    """The Schur-element rules: one per character, c(1) = |W|/chi(1), each
+    unit-shaped, xi y^k prod (y - omega)^m with every omega a root of unity
+    (Chlouveraki, LNM 1981), and sum_chi chi(1)/c_chi = 1, checked as
+    sum_chi chi(1) (P E)/c_chi = P E with E = prod (y - omega)^e the least
+    product that makes every division exact (`_excess`).  A spetsial
+    document also needs every y-exponent divisible by mu, and E = 1: every
+    P/c a Laurent polynomial, and the divisions those of P itself."""
+    name, chars = W.name, W.char_names
+    if len(W.schur_elements) != W.n_irr:
+        raise GroupDataError(f"{name}: expected {W.n_irr} Schur elements")
+    facts = []
+    for i, c in enumerate(W.schur_elements):
+        val_at_1 = c.eval_y(rat(1))
+        if val_at_1 != rat(Fraction(W.order, W.char_degree(i))):
+            raise GroupDataError(f"{name}: c({chars[i]})(1) != |W|/deg (got {val_at_1})")
+        facts.append(factor_unit_part(c))
+        if not facts[i].is_unit():
+            raise GroupDataError(f"{name}: c({chars[i]}) has a non-unit part {facts[i].non_unit}")
+        if W.spetsial and not c.is_x_polynomial():
+            raise GroupDataError(f"{name}: spetsial flag set but c({chars[i]}) has "
+                                 "y-exponents not divisible by mu")
+    E: dict = {}
+    for i, excess in enumerate(_excess(facts, W.degrees, W.mu)):
+        if excess and W.spetsial:
+            raise GroupDataError(f"{name}: generic degree P/c is not a Laurent polynomial "
+                                 f"for {chars[i]}")
+        for omega, e in excess.items():
+            E[omega] = max(E.get(omega, 0), e)
+    for omega, e in E.items():
+        P = P * LaurentPoly({1: one, 0: -omega}, W.mu) ** e
+    gate = LaurentPoly.const(zero, W.mu)
+    for c, row in zip(W.schur_elements, W.irr):
+        gate = gate + poly_divexact(P, c) * row[0]
+    if gate != P:
+        raise GroupDataError(f"{name}: symmetrizing-form gate sum deg/c != 1 fails")
+
+
+def _excess(facts, degrees, mu: int) -> list[dict]:
+    """For each factorization xi y^k prod (y - omega)^m, {omega: m - m_P}
+    over the omegas with m above their multiplicity m_P in the Poincare
+    polynomial P = prod_d (y^(mu d) - 1)/(y^mu - 1): P/c is a Laurent
+    polynomial exactly when it is empty.  Each factor of P is squarefree, so
+    m_P(omega) is the number of degrees d with omega^(mu d) = 1, or 0 when
+    omega^mu = 1; it is computed once per distinct omega."""
+    m_P: dict = {}
+    for fact in facts:
+        for omega, _m in fact.unit_factors:
+            if omega not in m_P:
+                m_P[omega] = (0 if omega ** mu == one
+                              else sum(omega ** (mu * d) == one for d in degrees))
+    return [{omega: m - m_P[omega] for omega, m in fact.unit_factors if m > m_P[omega]}
+            for fact in facts]
 
 
 def _check_indices(W: GroupDatum) -> None:
@@ -746,10 +753,14 @@ def _build(doc) -> GroupDatum:
         spetsial = doc.get("spetsial", False)
         if not isinstance(spetsial, bool):
             raise ValueError(f"spetsial must be true or false, not {spetsial!r}")
+        if mu < 1:
+            raise ValueError(f"mu must be a positive integer, not {mu}")
+        for key, polys in (("fake_degrees", fake), ("schur_elements", schur)):
+            for i, f in enumerate(polys):
+                if f.mu != mu:
+                    raise ValueError(f"{key}[{i}] has mu {f.mu}, the document has mu {mu}")
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupDataError(f"malformed group document: {exc}") from exc
-    if mu < 1:
-        raise GroupDataError(f"mu must be a positive integer, not {mu}")
     paraspecs = tuple(
         {"datum": get_group(pname), "generators": words, "induction_matrix": matrix}
         for pname, words, matrix in parabolics

@@ -1,5 +1,11 @@
 """Laurent polynomials in y (y^mu = x) over cyclotomic coefficients,
-reduced rational functions, and extraction of root-of-unity linear factors.
+extraction of root-of-unity linear factors, and common multiples of
+unit-shaped polynomials.
+
+A quotient of Laurent polynomials is never reduced by a gcd here: a Schur
+element is xi y^k prod (y - omega)^m with each omega a root of unity, so a
+sum of such quotients is a numerator over the common multiple of their
+linear factors (`common_unit_multiple`).
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from .cyclotomic import (
     integer,
     json_list,
     one,
-    rat,
     to_literal,
     zeta,
     zero,
@@ -162,7 +167,7 @@ class LaurentPoly:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative powers: use RationalFunction")
+            raise ValueError("negative powers of a Laurent polynomial")
         out = LaurentPoly.const(one, self.mu)
         base = self
         while k:
@@ -225,7 +230,7 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-# -- polynomial division and gcd ---------------------------------------------
+# -- polynomial division -----------------------------------------------------
 
 
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -280,132 +285,6 @@ def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if not r.is_zero():
         raise ArithmeticError("inexact polynomial division")
     return q.shift(sa - sb)
-
-
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd in the polynomial ring after clearing y-powers."""
-    a._check(b)
-    if a.is_zero():
-        x, y = b, a
-    else:
-        x, y = a.shift(-a.min_exp()), (b if b.is_zero() else b.shift(-b.min_exp()))
-    while not y.is_zero():
-        _, r = poly_divmod(x, y)
-        x, y = y, (r if r.is_zero() else r.shift(-r.min_exp()))
-    if x.is_zero():
-        return x
-    return x * x.leading_coeff().inverse()
-
-
-# -- reduced rational functions ------------------------------------------------
-
-
-class RationalFunction:
-    """num/den with den an ordinary polynomial, constant coefficient 1, gcd(num, den) = 1."""
-
-    __slots__ = ("num", "den", "_hash")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly, _clean: bool = False):
-        if not _clean:
-            reduced = ratfun_reduce(num, den)
-            num, den = reduced.num, reduced.den
-        self.num = num
-        self.den = den
-        self._hash = None
-
-    @property
-    def mu(self) -> int:
-        return self.num.mu
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den == LaurentPoly.const(one, self.den.mu)
-
-    def as_polynomial(self) -> LaurentPoly:
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not a Laurent polynomial")
-        return self.num
-
-    def __add__(self, other):
-        other = _rf_coerce(other, self.mu)
-        return ratfun_reduce(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den, _clean=True)
-
-    def __sub__(self, other):
-        return self + (-_rf_coerce(other, self.mu))
-
-    def __rsub__(self, other):
-        return _rf_coerce(other, self.mu) - self
-
-    def __mul__(self, other):
-        other = _rf_coerce(other, self.mu)
-        return ratfun_reduce(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RationalFunction":
-        return ratfun_reduce(self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * _rf_coerce(other, self.mu).inverse()
-
-    def __rtruediv__(self, other):
-        return _rf_coerce(other, self.mu) / self
-
-    def eval_y(self, point) -> Cyclotomic:
-        d = self.den.eval_y(point)
-        if not d:
-            raise ZeroDivisionError(f"pole at {point}")
-        return self.num.eval_y(point) / d
-
-    def eval_x(self, point) -> Cyclotomic:
-        d = self.den.eval_x(point)
-        if not d:
-            raise ZeroDivisionError(f"pole at {point}")
-        return self.num.eval_x(point) / d
-
-    def __eq__(self, other):
-        other = _rf_coerce(other, self.mu)
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
-
-    def __repr__(self):
-        return f"({self.num}) / ({self.den})" if not self.is_polynomial() else repr(self.num)
-
-
-def _rf_coerce(v, mu: int) -> RationalFunction:
-    if isinstance(v, RationalFunction):
-        return v
-    if isinstance(v, LaurentPoly):
-        return RationalFunction(v, LaurentPoly.const(one, v.mu))
-    return RationalFunction(LaurentPoly.const(v, mu), LaurentPoly.const(one, mu))
-
-
-def ratfun_reduce(num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
-    """Reduced, normalized quotient of Laurent polynomials."""
-    num._check(den)
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    mu = num.mu
-    if num.is_zero():
-        return RationalFunction(num, LaurentPoly.const(one, mu), _clean=True)
-    en, ed = num.min_exp(), den.min_exp()
-    n, d = num.shift(-en), den.shift(-ed)
-    g = poly_gcd(n, d)
-    if not g.is_zero() and g.max_exp() > 0:
-        n, d = poly_divexact(n, g), poly_divexact(d, g)
-    c = d.lowest_coeff().inverse()
-    return RationalFunction((n * c).shift(en - ed), d * c, _clean=True)
 
 
 def derivative_at_one(f: LaurentPoly) -> Cyclotomic:
@@ -515,6 +394,38 @@ def factor_unit_part(f: LaurentPoly) -> UnitFactorization:
     inv = scalar.inverse()
     non_unit = LaurentPoly({e: v * inv for e, v in enumerate(a) if v}, f.mu, _clean=True)
     return UnitFactorization(scalar, 0, tuple(factors), non_unit)
+
+
+def common_unit_multiple(facts) -> tuple[LaurentPoly, list[LaurentPoly]]:
+    """(D, [D/f for each f]) for the unit-shaped Laurent polynomials f whose
+    factorizations are `facts`, D = prod (y - omega)^max the least common
+    multiple of their linear factors, so that sum_i a_i / f_i is
+    (sum_i a_i D/f_i) / D.  With f = s y^k prod (y - omega)^m, D/f =
+    s^-1 y^-k D / prod (y - omega)^m: D is built once, and each of f's
+    linear factors comes off it by one synthetic division.  A factorization
+    with a non-unit part raises ValueError."""
+    mu = facts[0].non_unit.mu
+    maxmult: dict = {}
+    for fact in facts:
+        if not fact.is_unit():
+            raise ValueError(f"no common unit multiple: {fact.non_unit} is a non-unit part")
+        for omega, m in fact.unit_factors:
+            maxmult[omega] = max(maxmult.get(omega, 0), m)
+    common = [one]  # D, dense and ascending
+    for omega, m in maxmult.items():
+        for _ in range(m):
+            common = [a - omega * b for a, b in zip([zero, *common], [*common, zero])]
+    quotients = []
+    for fact in facts:
+        q = common
+        for omega, m in fact.unit_factors:
+            for _ in range(m):
+                q, _r = synthetic_division(q, omega)
+        inv = fact.scalar.inverse()
+        quotients.append(
+            LaurentPoly({e - fact.y_power: v * inv for e, v in enumerate(q) if v}, mu, _clean=True)
+        )
+    return LaurentPoly(dict(enumerate(common)), mu), quotients
 
 
 # -- serialization ----------------------------------------------------------------

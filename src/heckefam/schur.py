@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import cache
 
 from .cyclotomic import Cyclotomic, one, rat, zeta, zero
-from .laurent import LaurentPoly, RationalFunction, derivative_at_one, ratfun_reduce
+from .laurent import LaurentPoly, common_unit_multiple, derivative_at_one, factor_unit_part
 from .ntheory import factorize
 from .valuation import laurent_content_val, primes_above
 
@@ -124,18 +124,22 @@ def omega_pi_exponent(W, i: int) -> Fraction:
     return n_hyp + n_refl - a_plus_A(W, i, records)
 
 
-def relative_trace_scalar(W, P, i: int) -> RationalFunction:
-    """c_chi * sum_psi <Res chi, psi> / c_psi for a parabolic embedding P;
-    evaluates to [W:W'] at x = 1."""
+def relative_trace_scalar(W, P, i: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """c_chi * sum_psi <Res chi, psi> / c_psi for a parabolic embedding P, as
+    the pair (N, D) of its numerator and denominator: D is the common
+    multiple of the linear factors of the parabolic's Schur elements, the
+    same for every chi, and N = c_chi * sum_psi <Res chi, psi> D/c_psi.
+    N(1)/D(1) = [W:W']."""
     sub = P.subgroup
     if not sub.schur_elements:
         raise ValueError(f"missing Schur data for subgroup {sub.name}")
-    total = ratfun_reduce(LaurentPoly.const(zero, W.mu), LaurentPoly.const(one, W.mu))
-    for si in range(sub.n_irr):
+    D, quotients = common_unit_multiple([factor_unit_part(c) for c in sub.schur_elements])
+    total = LaurentPoly.const(zero, W.mu)
+    for si, q in enumerate(quotients):
         mult = P.induction_matrix[si][i]
         if mult:
-            total = total + ratfun_reduce(LaurentPoly.const(rat(mult), W.mu), sub.schur_elements[si])
-    return total * ratfun_reduce(W.schur_elements[i], LaurentPoly.const(one, W.mu))
+            total = total + q * mult
+    return W.schur_elements[i] * total, D
 
 
 # -- reporting ---------------------------------------------------------------

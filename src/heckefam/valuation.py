@@ -23,7 +23,7 @@ from collections import namedtuple
 from functools import cache
 
 from .cyclotomic import _reduction_table, coerce
-from .laurent import LaurentPoly, RationalFunction, factor_unit_part
+from .laurent import LaurentPoly, factor_unit_part
 from .ntheory import cyclotomic_polynomial, euler_phi, is_prime, multiplicative_order, prime_to_part
 
 INF = math.inf
@@ -393,12 +393,12 @@ def reduction(spec: PrimeIdealSpec, a) -> tuple[int, ...]:
 def laurent_content_val(f: LaurentPoly, spec: PrimeIdealSpec):
     """Minimum valuation over the coefficients (the Gauss content); INF for 0.
 
-    When the cached `factor_unit_part` of f is unit-shaped,
-    f = xi y^k prod (y - omega)^m, the content is val(xi): the cofactor
-    f / xi is monic with algebraic-integer coefficients, so its content is
-    0 (Gauss's lemma gives the same from the factors, each of content 0),
-    and xi is the lead coefficient of f.  Otherwise the minimum is taken
-    over the coefficients."""
+    f must be unit-shaped, f = xi y^k prod (y - omega)^m, as every Schur
+    element is; its content is then val(xi), read off the cached
+    `factor_unit_part`: the cofactor f / xi is monic with algebraic-integer
+    coefficients, so its content is 0 (Gauss's lemma gives the same from
+    the factors, each of content 0), and xi is the lead coefficient of f.
+    Any other f raises ValueError."""
     if f.is_zero():
         return INF
     if spec.conductor % f.conductor_lcm():
@@ -406,33 +406,30 @@ def laurent_content_val(f: LaurentPoly, spec: PrimeIdealSpec):
             f"conductor {f.conductor_lcm()} incompatible with prime spec at {spec.conductor}"
         )
     fact = factor_unit_part(f)
-    if fact.is_unit():
-        return val(spec, fact.scalar)
-    return min(val(spec, v) for v in f.coeffs.values())
+    if not fact.is_unit():
+        raise ValueError(f"content of {f} unsupported: {fact.non_unit} is a non-unit part")
+    return val(spec, fact.scalar)
 
 
 # -- Rouquier-ring membership -------------------------------------------------------
 
 
-def op_member(S: RationalFunction, spec: PrimeIdealSpec) -> str:
-    """Decide S in O_p for the localized Rouquier ring.
+def in_ideal(num: LaurentPoly, den: LaurentPoly, spec: PrimeIdealSpec, power: int = 1) -> str:
+    """Decide whether num/den lies in the power-th power of the maximal ideal
+    of O_p, the localized Rouquier ring; power 0 decides num/den in O_p.
 
-    Decidable when the denominator is a unit of O times a scalar: a y-power
-    times root-of-unity linear factors.  Everything arising from the bundled
-    Schur elements has this shape; anything else answers "unsupported".
-    """
-    return in_ideal(S, spec, 0)
-
-
-def in_ideal(S: RationalFunction, spec: PrimeIdealSpec, power: int = 1) -> str:
-    """Decide whether S lies in the power-th power of the maximal ideal of O_p."""
-    if S.is_zero():
+    Decidable when den is unit-shaped, xi y^k prod (y - omega)^m with every
+    omega a root of unity, as the common multiples of Schur elements are:
+    all but xi are units of O_p, so num/den lies there exactly when every
+    coefficient of num has valuation at least val(xi) + power.  Any other
+    den answers "unsupported"."""
+    if num.is_zero():
         return YES
-    fact = factor_unit_part(S.den)
+    fact = factor_unit_part(den)
     if not fact.is_unit():
         return UNSUPPORTED
     v_den = val(spec, fact.scalar)
-    for c in S.num.coeffs.values():
+    for c in num.coeffs.values():
         if not val_at_least(spec, c, v_den + power):
             return NO
     return YES

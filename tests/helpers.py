@@ -1,15 +1,17 @@
 """Helpers that only the tests use: partition comparisons, reassembly of a
-unit-part factorization, serialization of a group to a format-1 document,
-restriction to a parabolic subgroup, and the reference algorithms that the
-package's table-driven classes, long division, induction by Frobenius
-reciprocity, content from the unit factorization and one-comprehension
-digit images replaced."""
+unit-part factorization, sums of quotients by Schur elements over their
+common unit multiple, serialization of a group to a format-1 document
+(at another mu, or Z2 with chosen Schur elements), restriction to a
+parabolic subgroup, and the reference algorithms that the package's
+table-driven classes, long division, induction by Frobenius reciprocity,
+content from the unit factorization and one-comprehension digit images
+replaced."""
 
 from fractions import Fraction
 
 from heckefam.cyclotomic import dot, one, to_literal, zero
-from heckefam.groups import GroupDataError, enumerate_and_fuse
-from heckefam.laurent import LaurentPoly, laurent_to_doc
+from heckefam.groups import GroupDataError, cyclic_group, enumerate_and_fuse
+from heckefam.laurent import LaurentPoly, common_unit_multiple, factor_unit_part, laurent_to_doc
 from heckefam.valuation import INF, val
 
 
@@ -31,6 +33,16 @@ def reassemble(u) -> LaurentPoly:
         for _ in range(mult):
             out = out * factor
     return out
+
+
+def schur_sum(W, coefficients) -> tuple:
+    """sum_i coefficients[i] / c_i over the Schur elements c_i of W, as
+    (N, D): D their common unit multiple, N = sum_i coefficients[i] D/c_i."""
+    D, quotients = common_unit_multiple([factor_unit_part(c) for c in W.schur_elements])
+    N = LaurentPoly.const(zero, W.mu)
+    for a, q in zip(coefficients, quotients):
+        N = N + q * a
+    return N, D
 
 
 def group_to_doc(W) -> dict:
@@ -63,6 +75,27 @@ def group_to_doc(W) -> dict:
             if P.subgroup.order > 1
         ],
     }
+
+
+def with_mu(doc, mu: int) -> dict:
+    """The same group at y^mu = x: the document's mu set and every
+    y-exponent of a mu = 1 document multiplied by mu."""
+    doc["mu"] = mu
+    for f in doc["fake_degrees"] + doc["schur_elements"]:
+        f["mu"] = mu
+        f["terms"] = [[mu * e, v] for e, v in f["terms"]]
+    return doc
+
+
+def z2_doc(spetsial=True, mu=1, **schur) -> dict:
+    """The document of Z2 at y^mu = x, with Schur elements replaced by index:
+    schur[f"c{i}"] maps each y-exponent to its coefficient."""
+    doc = with_mu(group_to_doc(cyclic_group(2)), mu)
+    doc["spetsial"] = spetsial
+    for key, terms in schur.items():
+        doc["schur_elements"][int(key[1:])] = {
+            "mu": mu, "terms": [[e, str(v)] for e, v in terms.items()]}
+    return doc
 
 
 def restrict(W, P, v) -> tuple:

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from helpers import as_sets, group_to_doc
+from helpers import as_sets, group_to_doc, schur_sum
 
 from heckefam import cli
 from heckefam.blocks import families, hecke_blocks, indecomposability_check
@@ -20,7 +20,7 @@ from heckefam.groups import (
     load_group,
     GroupDataError,
 )
-from heckefam.laurent import LaurentPoly, poly_divexact, ratfun_reduce
+from heckefam.laurent import LaurentPoly, poly_divexact
 from heckefam.ntheory import factorize
 from heckefam.schur import (
     a_plus_A,
@@ -173,15 +173,10 @@ def test_criterion_4_invariant_suite():
             total = total + poly_divexact(P, W.schur_elements[i]) * W.irr[i][0]
         assert total == P, W.name
         if W.order <= 30:
-            # small groups: also verify by direct rational-function arithmetic
-            s = ratfun_reduce(LaurentPoly({}, W.mu), LaurentPoly.const(one, W.mu))
-            for i in range(k):
-                s = s + ratfun_reduce(
-                    LaurentPoly.const(W.irr[i][0], W.mu), W.schur_elements[i]
-                )
-            assert s == ratfun_reduce(
-                LaurentPoly.const(one, W.mu), LaurentPoly.const(one, W.mu)
-            ), W.name
+            # small groups: also over the common unit multiple D of the
+            # Schur elements, as sum chi(1) * (D/c) = D
+            N, D = schur_sum(W, [row[0] for row in W.irr])
+            assert N == D, W.name
         # c(1) = |W|/deg
         for i in range(k):
             assert W.schur_elements[i].eval_y(rat(1)) == rat(
@@ -211,10 +206,8 @@ def test_criterion_4_invariant_suite():
         for PE in W.parabolics:
             index = W.order // PE.subgroup.order
             for i in range(k):
-                assert relative_trace_scalar(W, PE, i).eval_x(rat(1)) == index, (
-                    W.name,
-                    PE.subgroup.name,
-                )
+                N, D = relative_trace_scalar(W, PE, i)
+                assert N.eval_x(rat(1)) / D.eval_x(rat(1)) == index, (W.name, PE.subgroup.name)
     elapsed = time.time() - t0
     assert elapsed < 120
     report(4, f"Schur identities, invariants, specials, stability and trace "

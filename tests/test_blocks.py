@@ -5,7 +5,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from helpers import as_sets, refines
+from helpers import as_sets, refines, schur_sum
 
 from heckefam.blocks import (
     EXACT,
@@ -14,7 +14,7 @@ from heckefam.blocks import (
     _bounded,
     _cuts,
     _defect_zero,
-    _numerators,
+    _factorizations,
     _prime,
     coarse_partition,
     candidate_projectives,
@@ -27,14 +27,13 @@ from heckefam.blocks import (
 )
 from heckefam.groups import cyclic_group, dihedral_group, g4_group, get_group, trivial_group
 from heckefam.cyclotomic import zero
-from heckefam.laurent import LaurentPoly, factor_unit_part, poly_divexact, ratfun_reduce
+from heckefam.laurent import LaurentPoly, common_unit_multiple, factor_unit_part, poly_divexact
 from heckefam.ntheory import factorize, join as _join
 from heckefam.schur import bad_primes, compute_invariants, a_plus_A, relative_trace_scalar
 from heckefam.valuation import (
     YES,
     in_ideal,
     integrality_conditions,
-    op_member,
     primes_above,
     val_at_least,
 )
@@ -65,10 +64,16 @@ def components(k, pieces):
     return sorted(tuple(g) for g in out.values())
 
 
+def numerators_of(W, support):
+    """D/c_i for i in the support, D the common unit multiple."""
+    facts = _factorizations(W)
+    return common_unit_multiple([facts[i] for i in support])[1]
+
+
 def digit_conditions(W, p, support):
     """The (rows, moduli) whose kernel `_lattice` builds: the digit
     conditions on the coefficients of the tester numerators."""
-    numerators = _numerators(W, support)
+    numerators = numerators_of(W, support)
     slots = sorted({e for npoly in numerators for e in npoly.coeffs})
     columns = [[npoly.coeffs.get(e, zero) for e in slots] for npoly in numerators]
     return integrality_conditions(_prime(W, p), columns)
@@ -427,7 +432,7 @@ class TestTesterNumerators:
             for omega, m in maxmult.items():
                 D = D * LaurentPoly({1: 1, 0: -omega}, mu) ** m
             want = [poly_divexact(D, W.schur_elements[i]) for i in support]
-            assert _numerators(W, support) == want, support
+            assert numerators_of(W, support) == want, support
 
 
 class TestHeckeBlocks:
@@ -463,15 +468,8 @@ class TestHeckeBlocks:
         # every emitted column, paired with 1/c, lies in O_p
         for W, p in ((g4_group(), 2), (g4_group(), 3), (dihedral_group(6), 3)):
             _, decomp = hecke_blocks(W, p)
-            zero_rf = ratfun_reduce(LaurentPoly({}), LaurentPoly.from_x_coeffs([1]))
             for col in decomp.columns:
-                total = zero_rf
-                for i, m in enumerate(col):
-                    if m:
-                        total = total + ratfun_reduce(
-                            LaurentPoly.from_x_coeffs([m]), W.schur_elements[i]
-                        )
-                assert op_member(total, _prime(W, p)) == YES
+                assert in_ideal(*schur_sum(W, col), _prime(W, p), 0) == YES
 
 
 class TestBounded:
@@ -580,9 +578,10 @@ class TestRelativeProjectivity:
                 for block, status in zip(part.parts, part.status):
                     if status != EXACT or len(block) == 1:
                         continue
+                    # one denominator D for the whole parabolic
                     scalars = [relative_trace_scalar(W, P, i) for i in block]
-                    for s, t in zip(scalars, scalars[1:]):
-                        assert in_ideal(s - t, _prime(W, p), 1) == YES
+                    for (s, D), (t, _D) in zip(scalars, scalars[1:]):
+                        assert in_ideal(s - t, D, _prime(W, p), 1) == YES
 
 
 class TestHonestAmbiguity:

@@ -4,8 +4,11 @@ of its stdout and of its stderr must match the recording.
 
 The recording covers every subcommand on the small bundled groups, the
 per-prime commands at every bad prime of a spread of groups, the symbol
-checks and the error exits.  A change that alters any of these bytes must
-re-record the file and say in CHANGES.md which bytes changed and why:
+checks, the error exits, and one ingested document: `validate` and
+`families` on the bundled G4 file, recorded by its path from the repository
+root and replayed from this file's location, so the recording does not
+depend on the working directory.  A change that alters any of these bytes
+must re-record the file and say in CHANGES.md which bytes changed and why:
 
     PYTHONPATH=src python tests/test_cli_digests.py
 """
@@ -21,7 +24,9 @@ from pathlib import Path
 
 from heckefam import cli
 
-DIGESTS = Path(__file__).resolve().parent / "cli_digests.json"
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ROOT / "tests" / "cli_digests.json"
+G4_DOC = "src/heckefam/data/g4.json"  # recorded as is, replayed as ROOT / G4_DOC
 
 SMALL_GROUPS = ["G4", "1", "Z2", "Z3", "Z5", "Z6"] + [f"I2.{n}" for n in range(3, 31)]
 BAD_PRIMES = {
@@ -52,6 +57,9 @@ def commands() -> list[list[str]]:
         ["decomp", "--group", "I2.5", "--prime", "1000000000000000000000007"],
         ["decomp", "--group", "I2.5", "--prime", "3317044064679887385961981"],
     ]
+    out += [["validate", G4_DOC]] + [
+        ["families", "--group", G4_DOC, "--format", fmt] for fmt in ("md", "json")
+    ]
     return out
 
 
@@ -62,9 +70,10 @@ def _sha(text: str) -> str:
 def digest(argv) -> dict:
     """Exit code and output digests of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
+    run = [str(ROOT / a) if a == G4_DOC else a for a in argv]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(list(argv))
+            code = cli.main(run)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     return {"argv": list(argv), "code": code, "stdout_sha256": _sha(out.getvalue()),

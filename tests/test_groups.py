@@ -4,10 +4,18 @@ import json
 from fractions import Fraction
 
 import pytest
-from helpers import group_to_doc, induction_matrix_reference, orbit_class_index_map, restrict
+from helpers import (
+    group_to_doc,
+    induction_matrix_reference,
+    orbit_class_index_map,
+    restrict,
+    with_mu,
+    z2_doc,
+)
+from hypothesis import given, settings, strategies as st
 from test_acceptance import BUNDLED
 
-from heckefam.cyclotomic import one, rat, zeta, zero
+from heckefam.cyclotomic import from_literal, one, rat, zeta, zero
 from heckefam import groups
 from heckefam.groups import (
     GroupDataError,
@@ -25,7 +33,8 @@ from heckefam.groups import (
     load_group,
     trivial_group,
 )
-from heckefam.laurent import LaurentPoly, poly_divexact
+from heckefam.laurent import LaurentPoly, factor_unit_part, laurent_from_doc, poly_divexact
+from heckefam.ntheory import divisors
 
 L = LaurentPoly.from_x_coeffs
 
@@ -237,15 +246,6 @@ class TestStatedFakeDegrees:
         for W in built:  # fresh data, equal to the cached ones
             assert W.fake_degrees == get_group(W.name).fake_degrees
 
-    @staticmethod
-    def with_mu_two(doc):
-        """The same group with mu = 2: every y-exponent doubled."""
-        doc["mu"] = 2
-        for f in doc["fake_degrees"] + doc["schur_elements"]:
-            f["mu"] = 2
-            f["terms"] = [[2 * e, v] for e, v in f["terms"]]
-        return doc
-
     def corrupt(self, how):
         if how == "swapped":  # phi{2,1} and phi{2,2} of I2(5)
             doc = group_to_doc(dihedral_group(5))
@@ -254,11 +254,8 @@ class TestStatedFakeDegrees:
         elif how == "coefficient":  # phi{3,2} of G4: x^2 + x^4 + x^6 with 2x^4
             doc = group_to_doc(g4_group())
             doc["fake_degrees"][6]["terms"][1][1] = "2"
-        elif how == "mu":  # x^4 of phi{1,4} of G4 as y^8 with y^2 = x
-            doc = group_to_doc(g4_group())
-            doc["fake_degrees"][1] = {"mu": 2, "terms": [[8, "1"]]}
         elif how == "fractional":  # I2(5) with mu = 2: x^(3/2) + x^(7/2) for phi{2,1}
-            doc = self.with_mu_two(group_to_doc(dihedral_group(5)))
+            doc = with_mu(group_to_doc(dihedral_group(5)), 2)
             doc["fake_degrees"][2]["terms"] = [[3, "1"], [7, "1"]]
         else:  # the conjugate orientation: phi{1,1} and phi{1,2} of Z3 swapped
             doc = group_to_doc(cyclic_group(3))
@@ -269,7 +266,6 @@ class TestStatedFakeDegrees:
     @pytest.mark.parametrize("how,message", [
         ("swapped", "I2(5): stored fake degree for phi{2,1} disagrees with Molien"),
         ("coefficient", "G4: stored fake degree for phi{3,2} disagrees with Molien"),
-        ("mu", "G4: stored fake degree for phi{1,4} disagrees with Molien"),
         ("fractional", "I2(5): stored fake degree for phi{2,1} disagrees with Molien"),
         ("conjugate", "Z3: stored fake degree for phi{1,2} disagrees with Molien"),
     ])
@@ -279,7 +275,7 @@ class TestStatedFakeDegrees:
         assert str(exc.value) == message
 
     def test_mu_two_takes_the_fast_path(self, monkeypatch):
-        doc = self.with_mu_two(group_to_doc(dihedral_group(5)))
+        doc = with_mu(group_to_doc(dihedral_group(5)), 2)
         monkeypatch.setattr(groups, "fake_degrees_molien", self.refuse)
         W = load_group(doc)
         assert W.mu == 2 and W.fake_degrees[2] == LaurentPoly({2: one, 8: one}, 2)
@@ -507,7 +503,7 @@ class TestIngestion:
     def test_perturbed_schur_fails_gate(self):
         doc = group_to_doc(cyclic_group(3))
         doc["schur_elements"][0] = {"mu": 1, "terms": [[0, "1"], [1, "1"], [2, "2"]]}
-        with pytest.raises(GroupDataError, match="c\\(phi\\{1,0\\}\\)\\(1\\)|gate"):
+        with pytest.raises(GroupDataError, match=r"c\(phi\{1,0\}\)\(1\) != \|W\|/deg \(got 4\)"):
             load_group(doc)
 
     def test_wrong_class_size_detected(self):
@@ -529,6 +525,84 @@ class TestIngestion:
         doc["fake_degrees"][1] = {"mu": 1, "terms": [[1, "1"]]}
         with pytest.raises(GroupDataError, match="fake degree"):
             load_group(doc)
+
+
+def divides(P, c) -> bool:
+    try:
+        poly_divexact(P, c)
+    except ArithmeticError:
+        return False
+    return True
+
+
+def poincare(degrees, mu) -> LaurentPoly:
+    out = LaurentPoly.const(one, mu)
+    for d in degrees:
+        out = out * LaurentPoly.from_x_coeffs([1] * d, mu)
+    return out
+
+
+class TestGenericDegreeCriterion:
+    """`groups._excess`, which reads from the multiplicities of the roots of
+    unity whether P/c is a Laurent polynomial, agrees with whether the
+    division poly_divexact(P, c) raises."""
+
+    @pytest.mark.parametrize("name", [name for name, _ctor, _arg in BUNDLED])
+    def test_bundled_schur_elements(self, name):
+        W = get_group(name.replace("(", ".").rstrip(")"))
+        P = W.poincare()
+        facts = [factor_unit_part(c) for c in W.schur_elements]
+        for c, excess in zip(W.schur_elements, groups._excess(facts, W.degrees, W.mu)):
+            assert (not excess) == divides(P, c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_drawn_unit_shaped(self, data):
+        mu = data.draw(st.sampled_from((1, 2, 3)), label="mu")
+        degrees = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3), label="degrees")
+        # orders up to 12, half of them among the orders of the roots of P
+        root_orders = sorted({m for d in degrees for m in divisors(mu * d) if m <= 12})
+        order = st.one_of(st.integers(1, 12), st.sampled_from(root_orders))
+        planted = data.draw(st.lists(st.tuples(order, st.integers(0, 11), st.integers(1, 3)),
+                                     max_size=3), label="planted")
+        scalar = data.draw(st.sampled_from((one, rat(Fraction(3, 2)), 2 + zeta(3))))
+        c = LaurentPoly.const(scalar, mu).shift(data.draw(st.integers(-3, 3)))
+        for m, j, mult in planted:
+            c = c * LaurentPoly({1: one, 0: -zeta(m, j % m)}, mu) ** mult
+        (excess,) = groups._excess([factor_unit_part(c)], tuple(degrees), mu)
+        assert (not excess) == divides(poincare(degrees, mu), c)
+
+    CLEARED = {
+        "G4": lambda: group_to_doc(g4_group()),
+        "Z2(x^2,-1)": lambda: z2_doc(False, c0={0: 1, 2: 1}, c1={0: 1, -2: 1}),
+        "Z2 with c0 = x + 1/x": lambda: z2_doc(False, c0={1: 1, -1: 1}),
+    }
+
+    @pytest.mark.parametrize("make", CLEARED.values(), ids=CLEARED.keys())
+    def test_gate_agrees_with_the_cleared_identity(self, make):
+        # sum chi(1)/c_chi = 1 with every denominator cleared:
+        # sum chi(1) prod_{j != chi} c_j = prod_j c_j
+        doc = make()
+        cs = [laurent_from_doc(c) for c in doc["schur_elements"]]
+        degrees = [from_literal(ch["values"][0]) for ch in doc["characters"]]
+        unit = LaurentPoly.const(one, doc["mu"])
+        total = LaurentPoly.const(zero, doc["mu"])
+        for i, deg in enumerate(degrees):
+            others = unit
+            for j, c in enumerate(cs):
+                if j != i:
+                    others = others * c
+            total = total + others * deg
+        product = unit
+        for c in cs:
+            product = product * c
+        try:
+            load_group(doc)
+        except GroupDataError as exc:
+            assert "symmetrizing-form gate" in str(exc)
+            assert total != product
+        else:
+            assert total == product
 
 
 class TestEnumerationBound:

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import group_to_doc
+from helpers import group_to_doc, z2_doc
 
 from heckefam import cli, groups
 from heckefam.blocks import families
@@ -38,8 +38,7 @@ class TestRejection:
         doc["schur_elements"][2] = {"mu": 1, "terms": [[e, lit] for e, lit in terms] + [[9, "1"]]}
         with pytest.raises(GroupDataError) as exc:
             load_group(doc)
-        msg = str(exc.value)
-        assert "c(" in msg or "gate" in msg
+        assert "Z4: c(phi{1,2})(1) != |W|/deg" in str(exc.value)
 
     def test_degree_product_checked(self):
         doc = group_to_doc(cyclic_group(3))
@@ -121,6 +120,9 @@ MALFORMED = {
     "mu zero": (("mu",), 0),
     "mu minus two": (("mu",), -2),
     "degree 2.5": (("degrees",), [2, "2.5"]),
+    "schur element with mu 2":
+        (("schur_elements", 0), lambda d: {**d["schur_elements"][0], "mu": 2}),
+    "fake degree with mu 2": (("fake_degrees", 3), lambda d: {**d["fake_degrees"][3], "mu": 2}),
 }
 
 
@@ -149,6 +151,16 @@ class TestMalformedIndices:
         path.write_text(json.dumps(doc))
         assert cli.main(["validate", str(path)]) == 1
         assert capsys.readouterr().out.startswith("INVALID: ")
+
+    @pytest.mark.parametrize("key,i", [("schur_elements", 0), ("fake_degrees", 3)])
+    def test_literal_mu_names_its_field(self, key, i, tmp_path, capsys):
+        doc = _malformed((key, i), lambda d: {**d[key][i], "mu": 2})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            f"INVALID: malformed group document: {key}[{i}] has mu 2, the document has mu 1\n"
+        )
 
 
 def _run(argv, capsys):
@@ -341,6 +353,50 @@ class TestCatalogBound:
         groups._check_order("I2(25000)", 2 * 25000)
         with pytest.raises(GroupDataError, match=r"^Z50001: enumeration bound 50000 exceeded$"):
             groups.cyclic_group(50_001)
+
+
+class TestSchurElementRules:
+    """Each Schur-element rule of validation is reached by its own message,
+    through `load_group` and through `validate`."""
+
+    CASES = {
+        "one element for two characters":
+            (lambda: {**z2_doc(), "schur_elements": z2_doc()["schur_elements"][:1]},
+             "Z2: expected 2 Schur elements"),
+        "c(1) != |W|/chi(1)":
+            (lambda: z2_doc(c0={0: 1, 1: 1, 2: 1}), "Z2: c(phi{1,0})(1) != |W|/deg (got 3)"),
+        "non-unit part, spetsial":
+            (lambda: z2_doc(c0={0: "2/3", 1: "4/3"}), "Z2: c(phi{1,0}) has a non-unit part"),
+        "non-unit part, not spetsial":
+            (lambda: z2_doc(False, c0={0: "2/3", 1: "4/3"}),
+             "Z2: c(phi{1,0}) has a non-unit part"),
+        "spetsial P/c not Laurent":
+            (lambda: z2_doc(c0={0: 1, 2: 1}, c1={0: 1, -2: 1}),
+             "Z2: generic degree P/c is not a Laurent polynomial for phi{1,0}"),
+        "spetsial y-exponent not divisible by mu":
+            (lambda: z2_doc(mu=2, c0={0: 1, 1: 1}),
+             "Z2: spetsial flag set but c(phi{1,0}) has y-exponents not divisible by mu"),
+        # x + 1/x is unit-shaped (roots +-i) with value 2 at 1, but
+        # 1/(x + 1/x) + 1/(1 + 1/x) != 1
+        "symmetrizing-form gate":
+            (lambda: z2_doc(False, c0={1: 1, -1: 1}),
+             "Z2: symmetrizing-form gate sum deg/c != 1 fails"),
+    }
+
+    def test_the_documents_differ_from_a_valid_one_only_there(self):
+        for doc in (z2_doc(), z2_doc(False), z2_doc(mu=2)):
+            load_group(doc)
+
+    @pytest.mark.parametrize("make,message", CASES.values(), ids=CASES.keys())
+    def test_rule_named(self, make, message, tmp_path, capsys):
+        doc = make()
+        with pytest.raises(GroupDataError) as exc:
+            load_group(doc)
+        assert str(exc.value).startswith(message)
+        path = tmp_path / "z2.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = _run(["validate", str(path)], capsys)
+        assert code == 1 and out.startswith(f"INVALID: {message}")
 
 
 class TestIngestedComputation:

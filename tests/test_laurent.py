@@ -1,4 +1,5 @@
-"""Laurent polynomials, reduced rational functions, unit-part factorization."""
+"""Laurent polynomials, unit-part factorization, and common multiples of
+unit-shaped polynomials."""
 
 from fractions import Fraction
 from math import gcd
@@ -12,14 +13,12 @@ from heckefam.cyclotomic import _evaluation_point, one, rat, zeta, zero
 from heckefam.ntheory import cyclotomic_polynomial, euler_phi, orders_with_phi_at_most
 from heckefam.laurent import (
     LaurentPoly,
+    common_unit_multiple,
     derivative_at_one,
     factor_unit_part,
     laurent_from_doc,
     laurent_to_doc,
-    poly_divexact,
     poly_divmod,
-    poly_gcd,
-    ratfun_reduce,
 )
 
 L = LaurentPoly.from_x_coeffs
@@ -33,44 +32,34 @@ def z3_schur_pair():
 
 
 class TestRatfun:
+    """Rational functions a/f with unit-shaped denominators f, held as the
+    pair (a D/f, D), D the common unit multiple (`common_unit_multiple`)."""
+
     def test_cancellation(self):
-        r = ratfun_reduce(L([-1, 0, 1]), L([-1, 1]))
-        assert r.is_polynomial() and r.as_polynomial() == L([1, 1])
+        # the factor x - 1 that x - 1 and x^2 - 1 share enters D once
+        a, b = L([-1, 1]), L([-1, 0, 1])
+        D, (qa, qb) = common_unit_multiple([factor_unit_part(a), factor_unit_part(b)])
+        assert D == b and qa == L([1, 1]) and qb == L([1])
 
     def test_f_over_f(self):
-        f = L([2, 0, 5, 1])
-        assert ratfun_reduce(f, f) == ratfun_reduce(L([1]), L([1]))
+        f = L([1, 1]) ** 2 * L([1, 1, 1]) * 3
+        D, (q,) = common_unit_multiple([factor_unit_part(f.shift(-1))])
+        assert f.shift(-1) * q == D and D == f * Fraction(1, 3)
 
     def test_z3_schur_sum_matches_pointwise_evaluation(self):
         c1, c2 = z3_schur_pair()
-        s = ratfun_reduce(LaurentPoly.const(one), c1) + ratfun_reduce(LaurentPoly.const(one), c2)
-        assert s.eval_x(rat(2)) == c1.eval_x(rat(2)).inverse() + c2.eval_x(rat(2)).inverse()
+        D, (q1, q2) = common_unit_multiple([factor_unit_part(c1), factor_unit_part(c2)])
+        pt = rat(2)
+        want = c1.eval_x(pt).inverse() + c2.eval_x(pt).inverse()
+        assert (q1 + q2).eval_x(pt) / D.eval_x(pt) == want
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            ratfun_reduce(L([1]), LaurentPoly({}))
+        with pytest.raises(ValueError, match="zero polynomial"):
+            common_unit_multiple([factor_unit_part(LaurentPoly({}))])
 
-    def test_den_normalized_lowest_coeff_one(self):
-        r = ratfun_reduce(L([1, 1]), L([0, 0, 3, 3, 1]))
-        assert r.den.min_exp() == 0
-        assert r.den.lowest_coeff() == one
-
-    def test_arithmetic_commutes_with_evaluation(self):
-        a = ratfun_reduce(L([1, 2]), L([1, 0, 1]))
-        b = ratfun_reduce(L([-1, 0, 0, 1]), L([3, 1]))
-        pt = rat(Fraction(5, 3))
-        for op in ("add", "mul", "div"):
-            got = {
-                "add": a + b,
-                "mul": a * b,
-                "div": a / b,
-            }[op].eval_x(pt)
-            want = {
-                "add": a.eval_x(pt) + b.eval_x(pt),
-                "mul": a.eval_x(pt) * b.eval_x(pt),
-                "div": a.eval_x(pt) / b.eval_x(pt),
-            }[op]
-            assert got == want, op
+    def test_non_unit_denominator(self):
+        with pytest.raises(ValueError, match="non-unit"):
+            common_unit_multiple([factor_unit_part(L([1, 1])), factor_unit_part(L([1, 2]))])
 
 
 class TestDerivative:
@@ -148,16 +137,35 @@ def laurents(draw):
     return LaurentPoly(c)
 
 
+# a unit-shaped polynomial s y^k prod (y - omega)^m, by (s, k, [(order, j, m)])
+unit_shapes = st.tuples(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.integers(-3, 3),
+    st.lists(st.tuples(st.integers(1, 8), st.integers(0, 7), st.integers(1, 2)), max_size=3),
+)
+
+
 class TestProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(laurents(), laurents())
-    def test_gcd_divides(self, a, b):
-        if a.is_zero() or b.is_zero():
-            return
-        g = poly_gcd(a, b)
-        if not g.is_zero():
-            poly_divexact(a, g)
-            poly_divexact(b, g)
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(laurents(), unit_shapes), min_size=1, max_size=3))
+    def test_ratfun_roundtrip(self, terms):
+        # a/f as (a D/f, D): times f it is D a, and D is the product of each
+        # omega to its largest multiplicity
+        polys, most = [], {}
+        for _a, (s, k, planted) in terms:
+            f = LaurentPoly.const(s).shift(k)
+            for m, j, mult in planted:
+                f = f * LaurentPoly({1: one, 0: -zeta(m, j % m)}) ** mult
+            polys.append(f)
+            for omega, mult in factor_unit_part(f).unit_factors:
+                most[omega] = max(most.get(omega, 0), mult)
+        D, quotients = common_unit_multiple([factor_unit_part(f) for f in polys])
+        want = LaurentPoly.const(one)
+        for omega, mult in most.items():
+            want = want * LaurentPoly({1: one, 0: -omega}) ** mult
+        assert D == want
+        for (a, _shape), f, q in zip(terms, polys, quotients):
+            assert a * q * f == D * a
 
     @settings(max_examples=40, deadline=None)
     @given(laurents())
@@ -174,15 +182,6 @@ class TestProperties:
             return
         assert factor_unit_part(f.shift(k)) == factor_unit_part(f)._replace(
             y_power=factor_unit_part(f).y_power + k)
-
-    @settings(max_examples=40, deadline=None)
-    @given(laurents(), laurents())
-    def test_ratfun_roundtrip(self, a, b):
-        if b.is_zero():
-            return
-        r = ratfun_reduce(a, b)
-        # num * b == den * a
-        assert r.num * b == r.den * a
 
 
 # a nonzero cyclotomic scalar: a small rational times a root of unity

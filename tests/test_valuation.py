@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from heckefam.cyclotomic import make, one, rat, zero, zeta
-from heckefam.laurent import LaurentPoly, factor_unit_part, ratfun_reduce
+from heckefam.laurent import LaurentPoly, factor_unit_part
 from heckefam.ntheory import cyclotomic_polynomial, divisors, euler_phi, factorize, prime_to_part
 from heckefam.valuation import (
     INF,
@@ -17,8 +17,8 @@ from heckefam.valuation import (
     PrimeIdealSpec,
     _completion,
     integrality_conditions,
+    in_ideal,
     laurent_content_val,
-    op_member,
     primes_above,
     reduction,
     val,
@@ -164,72 +164,74 @@ class TestValProperties:
 
 
 class TestOpMember:
+    """Membership of num/den in O_p, `in_ideal(num, den, spec, 0)`."""
+
     def test_half_at_two(self):
         (p2,) = primes_above(2, 1)
-        S = ratfun_reduce(L([1]), L([2]))
-        assert op_member(S, p2) == NO
+        assert in_ideal(L([1]), L([2]), p2, 0) == NO
 
     def test_one_plus_x_over_one_minus_x(self):
-        S = ratfun_reduce(L([1, 1]), L([1, -1]))
         for spec in (primes_above(2, 1)[0], primes_above(3, 3)[0], primes_above(5, 5)[0]):
-            assert op_member(S, spec) == YES
+            assert in_ideal(L([1, 1]), L([1, -1]), spec, 0) == YES
 
     def test_golden_ratio_style_failure(self):
         (p5,) = primes_above(5, 5)
         sqrt5 = 1 + 2 * zeta(5) + 2 * zeta(5, 4)
         assert sqrt5 * sqrt5 == 5
-        S = ratfun_reduce(LaurentPoly.const(rat(5) - sqrt5), LaurentPoly.const(rat(10)))
-        assert op_member(S, p5) == NO
+        assert in_ideal(LaurentPoly.const(rat(5) - sqrt5), LaurentPoly.const(rat(10)), p5, 0) == NO
         assert val(p5, rat(5) - sqrt5) == 2 and val(p5, 10) == 4
 
     def test_non_unit_denominator_unsupported(self):
-        S = ratfun_reduce(L([1]), L([1, 2]))
         (p2,) = primes_above(2, 1)
-        assert op_member(S, p2) == UNSUPPORTED
+        assert in_ideal(L([1]), L([1, 2]), p2, 0) == UNSUPPORTED
 
     def test_denominator_with_roots_of_large_order(self):
-        S = ratfun_reduce(L([1]), L(list(cyclotomic_polynomial(210))))
+        den = L(list(cyclotomic_polynomial(210)))
         for spec in (primes_above(2, 1)[0], primes_above(7, 105)[0]):
-            assert op_member(S, spec) == YES
+            assert in_ideal(L([1]), den, spec, 0) == YES
 
     def test_zero_numerator(self):
         (p2,) = primes_above(2, 1)
-        assert op_member(ratfun_reduce(LaurentPoly({}), L([2])), p2) == YES
+        assert in_ideal(LaurentPoly({}), L([2]), p2, 0) == YES
 
     def test_ring_closure(self):
-        # yes-elements are closed under + and *
+        # yes-elements are closed under + and *, taken on the pairs
         (p3,) = primes_above(3, 3)
         z = zeta(3)
         elems = [
-            ratfun_reduce(L([1, 1]), L([1, -1])),
-            ratfun_reduce(LaurentPoly.const(z), L([1, 0, 1])),
-            ratfun_reduce(LaurentPoly.const(rat(Fraction(1, 2))), L([1])),
-            ratfun_reduce(LaurentPoly.const(1 - z), L([1, 1])),
+            (L([1, 1]), L([1, -1])),
+            (LaurentPoly.const(z), L([1, 0, 1])),
+            (LaurentPoly.const(rat(Fraction(1, 2))), L([1])),
+            (LaurentPoly.const(1 - z), L([1, 1])),
         ]
-        yes = [S for S in elems if op_member(S, p3) == YES]
+        yes = [S for S in elems if in_ideal(*S, p3, 0) == YES]
         assert len(yes) >= 3
-        for a in yes:
-            for b in yes:
-                assert op_member(a + b, p3) == YES
-                assert op_member(a * b, p3) == YES
+        for an, ad in yes:
+            for bn, bd in yes:
+                assert in_ideal(an * bd + bn * ad, ad * bd, p3, 0) == YES
+                assert in_ideal(an * bn, ad * bd, p3, 0) == YES
+
+    def test_unreduced_pair_decides_as_its_quotient(self):
+        # (x - 1)/(3 (x - 1)) = 1/3: a common unit factor changes nothing
+        (p3,) = primes_above(3, 3)
+        assert in_ideal(L([-1, 1]), L([-3, 3]), p3, 0) == NO
+        assert in_ideal(L([-3, 3]), L([-1, 1]) * L([1, 1, 1]), p3, 1) == YES
 
 
 class TestGaloisRobustnessMembership:
-    def test_op_member_answers_permute_with_galois(self):
+    def test_membership_answers_permute_with_galois(self):
         # the two primes above 7 at conductor 3: applying the Galois twist to
         # the input swaps the per-prime yes/no pattern
         s1, s2 = primes_above(7, 3)
         z = zeta(3)
+        num = LaurentPoly.const(one)
         for scalar in (rat(7) * (2 - z), (rat(2) - z) ** 2, rat(1) - 2 * z):
-            S = ratfun_reduce(LaurentPoly.const(one), LaurentPoly.const(scalar))
-            T = ratfun_reduce(
-                LaurentPoly.const(one), LaurentPoly.const(scalar.galois(2))
-            )
-            assert {op_member(S, s1), op_member(S, s2)} == {
-                op_member(T, s1),
-                op_member(T, s2),
+            S, T = LaurentPoly.const(scalar), LaurentPoly.const(scalar.galois(2))
+            assert {in_ideal(num, S, s1, 0), in_ideal(num, S, s2, 0)} == {
+                in_ideal(num, T, s1, 0),
+                in_ideal(num, T, s2, 0),
             }
-            assert op_member(S, s1) == op_member(T, s2)
+            assert in_ideal(num, S, s1, 0) == in_ideal(num, T, s2, 0)
 
 
 def _mulmod(a, b, h, m):
@@ -407,7 +409,8 @@ def unit_shaped(draw):
 
 class TestContent:
     """laurent_content_val reads a unit-shaped polynomial's content off its
-    scalar, and agrees with the minimum over the coefficients."""
+    scalar, and agrees with the minimum over the coefficients; it raises on
+    any other polynomial."""
 
     def test_cases_reach_ramified_and_inert_primes(self):
         specs = [s for n, p in CONTENT_CASES for s in primes_above(p, n)]
@@ -423,12 +426,15 @@ class TestContent:
 
     def test_non_unit_polynomial(self):
         # 3 x^2 + 2 has no root of unity as a root; its content at 3 is 0,
-        # though its lead coefficient has valuation 1 there
+        # though its lead coefficient has valuation 1 there, so reading the
+        # content off the scalar would be wrong: it raises instead
         f = L([2, 0, 3])
         assert not factor_unit_part(f).is_unit()
         for p in (2, 3, 5):
             for spec in primes_above(p, 12):
-                assert laurent_content_val(f, spec) == laurent_content_val_reference(f, spec) == 0
+                assert laurent_content_val_reference(f, spec) == 0
+                with pytest.raises(ValueError, match="non-unit"):
+                    laurent_content_val(f, spec)
 
     def test_incompatible_conductor(self):
         (spec,) = primes_above(2, 1)
