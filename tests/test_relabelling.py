@@ -7,11 +7,14 @@ A "first found" choice in the per-prime layer (the prime above p, the
 minimal generators of the candidate monoid, the first lattice point) would
 show here as an answer that depends on the order of the document."""
 
+from math import gcd, lcm
+
 import pytest
 from helpers import group_to_doc
 from hypothesis import given, settings, strategies as st
 
 from heckefam.blocks import families, hecke_blocks
+from heckefam.cyclotomic import from_literal, to_literal
 from heckefam.groups import get_group, load_group
 from heckefam.schur import bad_primes
 
@@ -80,3 +83,50 @@ def test_outputs_follow_the_relabelling(name, data):
     classes = [0] + data.draw(st.permutations(range(1, len(W.classes))), label="classes")
     shuffled = load_group(shuffle_classes(doc, classes))
     assert outputs(shuffled, range(W.n_irr)) == want, classes
+
+
+def galois_twist(doc, j):
+    """The document with sigma_j: zeta -> zeta^j applied to every literal (the
+    generators, the character values and the coefficients of the fake
+    degrees and Schur elements; y is fixed), and with each supplied
+    induction matrix dropped: the catalog parabolic is not twisted, so
+    fusion must recompute the matrix."""
+
+    def twist(lit):
+        v = from_literal(lit)
+        return to_literal(v.galois(j % v.conductor))
+
+    def twist_poly(f):
+        return {**f, "terms": [[e, twist(v)] for e, v in f["terms"]]}
+
+    out = dict(doc)
+    out["generators"] = [[[twist(v) for v in row] for row in g] for g in doc["generators"]]
+    out["characters"] = [{**ch, "values": [twist(v) for v in ch["values"]]}
+                         for ch in doc["characters"]]
+    for key in ("fake_degrees", "schur_elements"):
+        out[key] = [twist_poly(f) for f in doc[key]]
+    out["parabolics"] = [{k: v for k, v in para.items() if k != "induction_matrix"}
+                         for para in doc["parabolics"]]
+    return out
+
+
+def document_conductor(W) -> int:
+    """The lcm of the conductors of every literal of W's document."""
+    values = [v for g in W.generators for row in g for v in row]
+    values += [v for row in W.irr for v in row]
+    values += [v for f in W.fake_degrees + W.schur_elements for v in f.coeffs.values()]
+    return lcm(*(v.conductor for v in values))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_outputs_are_galois_invariant(name, data):
+    """sigma_j of the whole document is the same reflection group with the
+    same Hecke data (sigma_j(c_chi) = c_{sigma_j(chi)} on every bundled
+    group), so its families, blocks and columns agree with W's by index."""
+    W = get_group(name)
+    n = document_conductor(W)
+    j = data.draw(st.sampled_from([u for u in range(1, n) if gcd(u, n) == 1]), label="unit")
+    twisted = load_group(galois_twist(group_to_doc(W), j))
+    assert outputs(twisted, range(W.n_irr)) == outputs(W, range(W.n_irr)), j
