@@ -52,6 +52,12 @@ integer maps by doubling along generators of (Z/n)^*, with O(log phi(n))
 products, and Q(1/a) = Q(a) keeps the conductor.  Each inverse is cached by
 value, so a Schur scalar that several layers divide by is inverted once.
 A sum with a zero operand is the other operand itself.
+
+Galois normal form.  Conjugate values share their work: `galois_normal_form`
+picks one representative r = sigma_u(v) per Galois orbit, by the residues of
+the conjugates at the evaluation point of the conductor, and a result at r
+is carried to v = sigma_t(r), t = u^-1, by the ring automorphism sigma_t,
+so it is exact.  P and N above are computed once per orbit (`_norm_at`).
 """
 
 from __future__ import annotations
@@ -220,6 +226,61 @@ def _residue(a: "Cyclotomic", n: int) -> int | None:
 
 
 @cache
+def _units(n: int) -> tuple:
+    """The units modulo n in ascending order; (1,) for n = 1."""
+    return tuple(u for u in range(1, n) if gcd(u, n) == 1) or (1,)
+
+
+def _conjugate_residue(a: "Cyclotomic", n: int):
+    """u -> the image of the numerators of sigma_u(a) under zeta_n -> w of
+    `_evaluation_point(n)`, which is the numerators of a at w^u; n must be a
+    multiple of the conductor of a.  The denominator is left out, as sigma_u
+    fixes it."""
+    ell, powers = _evaluation_powers(n)
+    step = n // a._n
+    terms = [(k * step, v) for k, v in a._c.items()]
+    return lambda u: sum(v * powers[k * u % n] for k, v in terms) % ell
+
+
+def least_unit(n: int, keys) -> int:
+    """The least unit u modulo n at which the tuple (key(u) for key in keys)
+    is least.  Each key is evaluated only on the units still tied."""
+    units = _units(n)
+    for key in keys:
+        if len(units) == 1:
+            break
+        vals = [key(u) for u in units]
+        least = min(vals)
+        units = [u for u, k in zip(units, vals) if k == least]
+    return units[0]
+
+
+def galois_normal_form(v) -> tuple:
+    """(r, t) with r the Galois representative of the Cyclotomic or
+    LaurentPoly v and v = sigma_t(r), sigma_t: zeta -> zeta^t fixing y.
+
+    Let n be the conductor of v (of its coefficients, for a polynomial).
+    r = sigma_u(v) for the least unit u modulo n whose conjugate sigma_u(v)
+    has the least tuple of residues: the residue of each coefficient, in
+    ascending order of exponents, at the evaluation point of n
+    (`_conjugate_residue`).  A residue is a function of the value, and
+    conjugate values have the same set of conjugates, so they pick the same
+    r; when two different conjugates tie, two conjugates may pick different
+    representatives, which only loses sharing.  t = u^-1 modulo n.
+
+    sigma_t is a ring automorphism of Q(zeta_n)[y, 1/y] that fixes Q, so a
+    result F(r) of a Galois-equivariant F carries to F(v) = sigma_t(F(r))
+    exactly: the inverse, the unit factorization, and a quotient a / v with
+    a rational."""
+    values = (v,) if isinstance(v, Cyclotomic) else [c for _e, c in sorted(v.coeffs.items())]
+    n = lcm(*(c._n for c in values))
+    if n == 1:
+        return v, 1
+    u = least_unit(n, [_conjugate_residue(c, n) for c in values if c._n > 1])
+    return (v, 1) if u == 1 else (v.galois(u), pow(u, -1, n))
+
+
+@cache
 def _descent_plan(n: int) -> tuple:
     """((p, None) for p^2 | n, then (p, (m, a, b, check)) for p || n,
     n = p*m, a*p + b*m = 1 mod n); empty when n is 1 or prime.
@@ -339,6 +400,14 @@ def _norm_and_cofactor(c: dict, n: int) -> tuple[int, dict]:
     return cur[0], cof
 
 
+@cache
+def _norm_at(r: "Cyclotomic") -> tuple[int, dict]:
+    """`_norm_and_cofactor` of the numerators of a Galois representative r
+    (`galois_normal_form`): computed once per orbit, for its inverse and
+    its norm alike."""
+    return _norm_and_cofactor(r._c, r._n)
+
+
 def _canonical(n: int, c: dict, d: int) -> "Cyclotomic":
     """The reduced map c / d at its minimal conductor."""
     n, c = _minimize(n, c)
@@ -451,14 +520,19 @@ class Cyclotomic:
         conjugates of A and N = A * P its norm; Q(1/a) = Q(a), so the
         conductor is unchanged.  Cached by value: a canonical value is its
         own key, and the same Schur scalar is inverted by every layer that
-        divides by it."""
+        divides by it.  P and N are computed once per Galois orbit, at the
+        representative r of `galois_normal_form` (`_norm_at`): with
+        a = sigma_t(r), 1/a = sigma_t(1/r) exactly, as sigma_t is a field
+        automorphism, and r has the denominator d of a."""
         if not self._c:
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        N, cof = _norm_and_cofactor(self._c, self._n)
+        r, t = galois_normal_form(self)
+        N, cof = _norm_at(r)
         d = self._d
         if N < 0:
             N, d = -N, -d
-        return _normalized(self._n, {k: v * d for k, v in cof.items()}, N)
+        inv = _normalized(self._n, {k: v * d for k, v in cof.items()}, N)
+        return inv if t == 1 else inv.galois(t)
 
     def __truediv__(self, other):
         other = coerce(other)
@@ -488,6 +562,8 @@ class Cyclotomic:
         """Image under zeta_n -> zeta_n^j; j must be prime to the conductor."""
         if gcd(j, self._n) != 1:
             raise ValueError(f"{j} is not prime to conductor {self._n}")
+        if self._n == 1:
+            return self
         return Cyclotomic(
             self._n, _conjugate_map(self._c, j % self._n, self._n), self._d, _canonical=True
         )
@@ -497,9 +573,11 @@ class Cyclotomic:
         return self.galois(self._n - 1) if self._n > 1 else self
 
     def norm(self, conductor: int | None = None) -> Fraction:
-        """Product of all Galois conjugates over Q, by default at the minimal conductor."""
+        """Product of all Galois conjugates over Q, by default at the minimal
+        conductor.  N(sigma(a)) = N(a), so it is read off the representative
+        of a's Galois orbit (`galois_normal_form`, `_norm_at`)."""
         if self._c:
-            N, _ = _norm_and_cofactor(self._c, self._n)
+            N, _ = _norm_at(galois_normal_form(self)[0])
             value = Fraction(N, self._d ** euler_phi(self._n))
         else:
             value = Fraction(0)

@@ -632,9 +632,8 @@ def dihedral_group(n: int) -> GroupDatum:
         classes.append((n, (1,)))
     classes = tuple(classes)
 
-    def rot_val(j, k):
-        return zeta(n, j * k) + zeta(n, -j * k)
-
+    # zeta^t + zeta^-t once per t = jk mod n
+    rot_vals = [zeta(n, t) + zeta(n, -t) for t in range(n)]
     chars = []
     names = []
     fake = [LaurentPoly.x_power(0), LaurentPoly.x_power(n)]
@@ -655,7 +654,7 @@ def dihedral_group(n: int) -> GroupDatum:
         names.append(f"phi{{1,{m}}}''")
         fake += [LaurentPoly.x_power(m)] * 2
     for j in range(1, nrot + 1):
-        row = [rat(2)] + [rot_val(j, k) for k in range(1, nrot + 1)]
+        row = [rat(2)] + [rot_vals[j * k % n] for k in range(1, nrot + 1)]
         if n % 2 == 0:
             row += [rat(2) * (-one) ** j, zero, zero]
         else:

@@ -6,6 +6,11 @@ A quotient of Laurent polynomials is never reduced by a gcd here: a Schur
 element is xi y^k prod (y - omega)^m with each omega a root of unity, so a
 sum of such quotients is a numerator over the common multiple of their
 linear factors (`common_unit_multiple`).
+
+The unit factorization, an exact division of a rational dividend and a
+quotient of a rational common multiple commute with the Galois action on
+the coefficients (y fixed), so each is computed once per Galois orbit, at
+the representative of `cyclotomic.galois_normal_form`, and carried.
 """
 
 from __future__ import annotations
@@ -17,18 +22,21 @@ from math import gcd, lcm
 
 from .cyclotomic import (
     Cyclotomic,
+    _conjugate_residue,
     _evaluation_powers,
     _residue,
     coerce,
     from_literal,
+    galois_normal_form,
     integer,
     json_list,
+    least_unit,
     one,
     to_literal,
     zeta,
     zero,
 )
-from .ntheory import euler_phi, orders_with_phi_at_most
+from .ntheory import cyclotomic_polynomial, euler_phi, orders_with_phi_at_most
 
 
 class LaurentPoly:
@@ -182,6 +190,11 @@ class LaurentPoly:
         """Multiply by y^e."""
         return LaurentPoly({k + e: v for k, v in self._c.items()}, self.mu, _clean=True)
 
+    def galois(self, j: int) -> "LaurentPoly":
+        """Image under zeta -> zeta^j on every coefficient, y fixed; j must
+        be prime to the conductor of every coefficient."""
+        return LaurentPoly({e: v.galois(j) for e, v in self._c.items()}, self.mu, _clean=True)
+
     # -- evaluation -----------------------------------------------------------
 
     def eval_y(self, point) -> Cyclotomic:
@@ -277,14 +290,32 @@ def synthetic_division(a: list, omega: Cyclotomic) -> tuple[list, Cyclotomic]:
 
 
 def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact Laurent division (remainder must vanish)."""
+    """Exact Laurent division (remainder must vanish).
+
+    With a rational dividend, a / sigma_t(r) = sigma_t(a / r), so the long
+    division is done once per Galois orbit of b, at its representative r
+    (`galois_normal_form`), and carried to b = sigma_t(r) exactly: sigma_t
+    fixes a and is a ring automorphism.  This covers the Molien terms
+    prod(1 - x^d_i) / det(1 - xw) and the divisions of the Poincare
+    polynomial by the Schur elements in validation."""
     if a.is_zero():
         return a
+    if a.conductor_lcm() > 1:
+        return _divexact(a, b)
+    r, t = galois_normal_form(b)
+    q = _divexact_at(a, r)
+    return q if t == 1 else q.galois(t)
+
+
+def _divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     sa, sb = a.min_exp(), b.min_exp()
     q, r = poly_divmod(a.shift(-sa), b.shift(-sb))
     if not r.is_zero():
         raise ArithmeticError("inexact polynomial division")
     return q.shift(sa - sb)
+
+
+_divexact_at = cache(_divexact)  # by (rational dividend, representative divisor)
 
 
 def derivative_at_one(f: LaurentPoly) -> Cyclotomic:
@@ -324,8 +355,57 @@ def _images(a: list, n: int) -> list | None:
 @cache
 def factor_unit_part(f: LaurentPoly) -> UnitFactorization:
     """Split f into scalar * y^k * prod (y - omega)^m * non_unit, each omega a
-    root of unity and non_unit free of root-of-unity zeros.  For k != 0 this
-    is the factorization of f / y^k, kept once by the cache, with y_power k.
+    root of unity and non_unit free of root-of-unity zeros (constant term
+    1), the factors in ascending order m of omega = zeta_m^j, then ascending
+    j.  For k != 0 this is the factorization of f / y^k, kept once by the
+    cache, with y_power k.
+
+    The factorization is unique, so sigma(f) factors as the image under
+    sigma of the factorization of f: sigma acts on the scalar, the roots and
+    the non-unit part.  It is computed once per Galois orbit, at the
+    representative r of `galois_normal_form` (`_unit_part_at`), and carried
+    to f = sigma_t(r) with its factors re-sorted (`_conjugate_factorization`).
+    """
+    if f.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    y_power = f.min_exp()
+    if y_power:
+        return factor_unit_part(f.shift(-y_power))._replace(y_power=y_power)
+    r, t = galois_normal_form(f)
+    return _conjugate_factorization(_unit_part_at(r), t, f.conductor_lcm())
+
+
+def _root_index(omega: Cyclotomic) -> tuple[int, int]:
+    """(m, j) with omega = zeta_m^j and j prime to m, for a root of unity
+    omega.  Its order divides L = lcm(2, conductor), and w of
+    `_evaluation_point(L)` has order L, so the residue of omega is w^e for
+    exactly one e modulo L, and (m, j) = (L, e) / gcd(L, e)."""
+    L = lcm(2, omega.conductor)
+    e = _evaluation_powers(L)[1].index(_residue(omega, L))
+    g = gcd(e, L)
+    return L // g, e // g
+
+
+def _conjugate_factorization(fact: UnitFactorization, t: int, n: int) -> UnitFactorization:
+    """sigma_t(fact) for t a unit modulo n, n a multiple of the conductor of
+    the factored polynomial, with the factors re-sorted into the order of
+    `factor_unit_part`.  sigma_t is first lifted to a unit modulo the lcm L
+    of n and the orders of the roots, which every conductor of the
+    factorization divides; any lift gives the same image of f's factors."""
+    if t == 1:
+        return fact
+    roots = [(_root_index(omega), mult) for omega, mult in fact.unit_factors]
+    L = lcm(n, *(m for (m, _j), _mult in roots))
+    t = next(s for s in range(t, t + L, n) if gcd(s, L) == 1)
+    roots = sorted((m, j * t % m, mult) for (m, j), mult in roots)
+    return UnitFactorization(fact.scalar.galois(t), fact.y_power,
+                             tuple((zeta(m, j), mult) for m, j, mult in roots),
+                             fact.non_unit.galois(t))
+
+
+def _unit_part(f: LaurentPoly) -> UnitFactorization:
+    """The factorization of `factor_unit_part` for f with lowest exponent 0,
+    by search.
 
     The search is complete.  Let g = f / y^k over K = Q(zeta_c), c the
     conductor of the coefficients, and omega a root of g of order m.  Its
@@ -353,11 +433,6 @@ def factor_unit_part(f: LaurentPoly) -> UnitFactorization:
     the next exact division, so unless the screen misses, every exact
     division has a zero remainder.
     """
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    y_power = f.min_exp()
-    if y_power:
-        return factor_unit_part(f.shift(-y_power))._replace(y_power=y_power)
     a = f.dense()
     factors: list = []
     cond = f.conductor_lcm()
@@ -396,36 +471,82 @@ def factor_unit_part(f: LaurentPoly) -> UnitFactorization:
     return UnitFactorization(scalar, 0, tuple(factors), non_unit)
 
 
+_unit_part_at = cache(_unit_part)  # by Galois representative
+
+
 def common_unit_multiple(facts) -> tuple[LaurentPoly, list[LaurentPoly]]:
     """(D, [D/f for each f]) for the unit-shaped Laurent polynomials f whose
     factorizations are `facts`, D = prod (y - omega)^max the least common
     multiple of their linear factors, so that sum_i a_i / f_i is
     (sum_i a_i D/f_i) / D.  With f = s y^k prod (y - omega)^m, D/f =
-    s^-1 y^-k D / prod (y - omega)^m: D is built once, and each of f's
-    linear factors comes off it by one synthetic division.  A factorization
-    with a non-unit part raises ValueError."""
+    s^-1 y^-k D / prod (y - omega)^m, and each of f's linear factors comes
+    off D by one synthetic division.  A factorization with a non-unit part
+    raises ValueError.
+
+    D is rational exactly when, for each order m, its roots are all the
+    phi(m) primitive m-th roots of unity with one multiplicity e_m; it is
+    then prod Phi_m^e_m.  In that case D / sigma_t(f) = sigma_t(D / f), so
+    each quotient is computed once per Galois orbit of the factorizations,
+    at the representative of `_factorization_normal_form`, and carried
+    exactly.  Otherwise D is expanded root by root."""
     mu = facts[0].non_unit.mu
-    maxmult: dict = {}
+    roots: dict = {}  # m -> {j: the largest multiplicity of zeta_m^j}
     for fact in facts:
         if not fact.is_unit():
             raise ValueError(f"no common unit multiple: {fact.non_unit} is a non-unit part")
-        for omega, m in fact.unit_factors:
-            maxmult[omega] = max(maxmult.get(omega, 0), m)
+        for omega, e in fact.unit_factors:
+            m, j = _root_index(omega)
+            js = roots.setdefault(m, {})
+            js[j] = max(js.get(j, 0), e)
+    if all(len(js) == euler_phi(m) and len(set(js.values())) == 1 for m, js in roots.items()):
+        D = LaurentPoly.const(one, mu)
+        for m, js in roots.items():
+            D = D * LaurentPoly(dict(enumerate(cyclotomic_polynomial(m))), mu) ** max(js.values())
+        quotients = []
+        for fact in facts:
+            r, t = _factorization_normal_form(fact)
+            q = _unit_quotient_at(D, r)
+            quotients.append(q if t == 1 else q.galois(t))
+        return D, quotients
     common = [one]  # D, dense and ascending
-    for omega, m in maxmult.items():
+    for m, js in roots.items():
+        for j, e in js.items():
+            omega = zeta(m, j)
+            for _ in range(e):
+                common = [a - omega * b for a, b in zip([zero, *common], [*common, zero])]
+    D = LaurentPoly(dict(enumerate(common)), mu)
+    return D, [_unit_quotient(D, fact) for fact in facts]
+
+
+def _unit_quotient(D: LaurentPoly, fact: UnitFactorization) -> LaurentPoly:
+    """D / f for the unit-shaped f of `fact`, f dividing D."""
+    q = D.dense()
+    for omega, m in fact.unit_factors:
         for _ in range(m):
-            common = [a - omega * b for a, b in zip([zero, *common], [*common, zero])]
-    quotients = []
-    for fact in facts:
-        q = common
-        for omega, m in fact.unit_factors:
-            for _ in range(m):
-                q, _r = synthetic_division(q, omega)
-        inv = fact.scalar.inverse()
-        quotients.append(
-            LaurentPoly({e - fact.y_power: v * inv for e, v in enumerate(q) if v}, mu, _clean=True)
-        )
-    return LaurentPoly(dict(enumerate(common)), mu), quotients
+            q, _r = synthetic_division(q, omega)
+    inv = fact.scalar.inverse()
+    return LaurentPoly({e - fact.y_power: v * inv for e, v in enumerate(q) if v}, D.mu, _clean=True)
+
+
+_unit_quotient_at = cache(_unit_quotient)  # by (rational D, representative factorization)
+
+
+def _factorization_normal_form(fact: UnitFactorization) -> tuple:
+    """(r, t) with fact = sigma_t(r), for a unit-shaped factorization, as in
+    `galois_normal_form` but with the key read off the factors: the sorted
+    (m, j u mod m, multiplicity) of the roots zeta_m^j of sigma_u(fact),
+    then the residue of sigma_u(scalar), over the units u modulo the lcm n
+    of the conductor of the scalar and the root orders."""
+    roots = [(_root_index(omega), mult) for omega, mult in fact.unit_factors]
+    n = lcm(fact.scalar.conductor, *(m for (m, _j), _mult in roots))
+    u = least_unit(n, [
+        lambda u: sorted((m, j * u % m, mult) for (m, j), mult in roots),
+        _conjugate_residue(fact.scalar, n),
+    ])
+    if u == 1:
+        return fact, 1
+    t = pow(u, -1, n)
+    return _conjugate_factorization(fact, u, n), t
 
 
 # -- serialization ----------------------------------------------------------------

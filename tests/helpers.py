@@ -1,5 +1,5 @@
 """Helpers that only the tests use: partition comparisons, reassembly of a
-unit-part factorization, sums of quotients by Schur elements over their
+unit-part factorization and the uncached search behind it, sums of quotients by Schur elements over their
 common unit multiple, serialization of a group to a format-1 document
 (at another mu, or Z2 with chosen Schur elements), restriction to a
 parabolic subgroup, and the reference algorithms that the package's
@@ -10,6 +10,7 @@ replaced."""
 from fractions import Fraction
 
 from heckefam.cyclotomic import dot, one, to_literal, zero
+from heckefam import laurent
 from heckefam.groups import GroupDataError, cyclic_group, enumerate_and_fuse
 from heckefam.laurent import LaurentPoly, common_unit_multiple, factor_unit_part, laurent_to_doc
 from heckefam.valuation import INF, val
@@ -33,6 +34,13 @@ def reassemble(u) -> LaurentPoly:
         for _ in range(mult):
             out = out * factor
     return out
+
+
+def unit_part_uncached(f) -> "UnitFactorization":
+    """factor_unit_part(f) by the search itself, with no cache and no Galois
+    carrying."""
+    k = f.min_exp()
+    return laurent._unit_part(f.shift(-k))._replace(y_power=k)
 
 
 def schur_sum(W, coefficients) -> tuple:
