@@ -32,11 +32,12 @@ from .cyclotomic import (
     json_list,
     least_unit,
     one,
+    rat,
     to_literal,
     zeta,
     zero,
 )
-from .ntheory import cyclotomic_polynomial, euler_phi, orders_with_phi_at_most
+from .ntheory import _poly_divexact, cyclotomic_polynomial, euler_phi, orders_with_phi_at_most
 
 
 class LaurentPoly:
@@ -404,8 +405,37 @@ def _conjugate_factorization(fact: UnitFactorization, t: int, n: int) -> UnitFac
 
 
 def _unit_part(f: LaurentPoly) -> UnitFactorization:
-    """The factorization of `factor_unit_part` for f with lowest exponent 0,
-    by search.
+    """The factorization of `factor_unit_part` for f with lowest exponent 0:
+    one Galois orbit of roots at a time when f is rational, by search
+    otherwise."""
+    return _rational_unit_part(f) if f.conductor_lcm() == 1 else _root_search(f)
+
+
+def _rational_unit_part(f: LaurentPoly) -> UnitFactorization:
+    """`_unit_part` of a rational f.  For rational q, q(zeta_m^j) =
+    sigma_j(q(zeta_m)), so the primitive m-th roots of unity are roots of q
+    together, each with the multiplicity of Phi_m in q, which exact division
+    by Phi_m over Z finds once q is scaled to integer coefficients.  The
+    orders m are those of `_root_search`, phi(m) <= deg q."""
+    a = [v.as_rational() for v in f.dense()]
+    d = lcm(*(v.denominator for v in a))
+    q = [int(v * d) for v in a]
+    factors: list = []
+    for m in orders_with_phi_at_most(len(q) - 1):
+        cyc, mult = cyclotomic_polynomial(m), 0
+        while len(q) >= len(cyc):
+            try:
+                q = _poly_divexact(q, cyc)
+            except ArithmeticError:
+                break
+            mult += 1
+        factors += [(zeta(m, j), mult) for j in range(m) if mult and gcd(j, m) == 1]
+    non_unit = LaurentPoly({e: Fraction(v, q[0]) for e, v in enumerate(q) if v}, f.mu)
+    return UnitFactorization(rat(Fraction(q[0], d)), 0, tuple(factors), non_unit)
+
+
+def _root_search(f: LaurentPoly) -> UnitFactorization:
+    """`_unit_part` by a search over the roots of unity.
 
     The search is complete.  Let g = f / y^k over K = Q(zeta_c), c the
     conductor of the coefficients, and omega a root of g of order m.  Its

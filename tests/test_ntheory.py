@@ -1,15 +1,39 @@
-"""Number-theory helpers: the proven primality test and the one join."""
+"""Number-theory helpers: the proven primality test, the cyclotomic
+polynomials and the one join."""
 
 from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckefam.ntheory import PSI_13, is_prime, join
+from heckefam.ntheory import PSI_13, cyclotomic_polynomial, divisors, euler_phi, is_prime, join
 
 
 def trial_division(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestCyclotomicPolynomial:
+    def test_the_product_over_the_divisors_is_x_n_minus_1(self):
+        for n in range(1, 301):
+            prod = [1]
+            for d in divisors(n):
+                prod = poly_mul(prod, cyclotomic_polynomial(d))
+            assert prod == [-1] + [0] * (n - 1) + [1], n
+            assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1
+
+    def test_first_coefficient_outside_0_and_1(self):
+        # Phi_105 is the least cyclotomic polynomial with a coefficient -2
+        assert min(cyclotomic_polynomial(105)) == -2
+        assert all(min(cyclotomic_polynomial(n)) >= -1 for n in range(1, 105))
 
 
 class TestIsPrime:
