@@ -276,7 +276,7 @@ def galois_normal_form(v) -> tuple:
     n = lcm(*(c._n for c in values))
     if n == 1:
         return v, 1
-    u = least_unit(n, [_conjugate_residue(c, n) for c in values if c._n > 1])
+    u = least_unit(n, (_conjugate_residue(c, n) for c in values if c._n > 1))
     return (v, 1) if u == 1 else (v.galois(u), pow(u, -1, n))
 
 
