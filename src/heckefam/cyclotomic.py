@@ -174,11 +174,19 @@ def _reduce_dense(raw: list, n: int, phi: int, table) -> dict:
 
 
 def _conjugate_map(c: dict, j: int, n: int) -> dict:
-    raw: dict = {}
+    """The reduced map of sigma_j(c), j a unit modulo n: each zeta_n^(jk)
+    added into one dense array by its row of the reduction table."""
+    table = _reduction_table(n)
+    out = [0] * euler_phi(n)
     for k, v in c.items():
         e = j * k % n
-        raw[e] = raw.get(e, 0) + v
-    return _reduce_map(raw, n, _reduction_table(n))
+        row = table[e]
+        if row is None:
+            out[e] += v
+        else:
+            for i, m in row:
+                out[i] += m * v
+    return {k: v for k, v in enumerate(out) if v}
 
 
 @cache

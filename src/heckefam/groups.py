@@ -13,7 +13,7 @@ from math import lcm
 from pathlib import Path
 
 from .cyclotomic import dot, from_literal, integer, json_list, one, rat, zero, zeta
-from .laurent import LaurentPoly, factor_unit_part, laurent_from_doc, poly_divexact
+from .laurent import LaurentPoly, _root_index, factor_unit_part, laurent_from_doc, poly_divexact
 from .ntheory import join
 from .schur import cyclic_schur, dihedral_schur
 
@@ -512,13 +512,15 @@ def _excess(facts, degrees, mu: int) -> list[dict]:
     polynomial P = prod_d (y^(mu d) - 1)/(y^mu - 1): P/c is a Laurent
     polynomial exactly when it is empty.  Each factor of P is squarefree, so
     m_P(omega) is the number of degrees d with omega^(mu d) = 1, or 0 when
-    omega^mu = 1; it is computed once per distinct omega."""
+    omega^mu = 1; omega^k = 1 exactly when the order of omega divides k, and
+    it is computed once per distinct omega."""
     m_P: dict = {}
     for fact in facts:
         for omega, _m in fact.unit_factors:
             if omega not in m_P:
-                m_P[omega] = (0 if omega ** mu == one
-                              else sum(omega ** (mu * d) == one for d in degrees))
+                order = _root_index(omega)[0]
+                m_P[omega] = (0 if mu % order == 0
+                              else sum(mu * d % order == 0 for d in degrees))
     return [{omega: m - m_P[omega] for omega, m in fact.unit_factors if m > m_P[omega]}
             for fact in facts]
 

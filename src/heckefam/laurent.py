@@ -429,7 +429,8 @@ def _rational_unit_part(f: LaurentPoly) -> UnitFactorization:
             except ArithmeticError:
                 break
             mult += 1
-        factors += [(zeta(m, j), mult) for j in range(m) if mult and gcd(j, m) == 1]
+        if mult:
+            factors += [(zeta(m, j), mult) for j in range(m) if gcd(j, m) == 1]
     non_unit = LaurentPoly({e: Fraction(v, q[0]) for e, v in enumerate(q) if v}, f.mu)
     return UnitFactorization(rat(Fraction(q[0], d)), 0, tuple(factors), non_unit)
 
