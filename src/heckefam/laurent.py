@@ -32,12 +32,11 @@ from .cyclotomic import (
     json_list,
     least_unit,
     one,
-    rat,
     to_literal,
     zeta,
     zero,
 )
-from .ntheory import _poly_divexact, cyclotomic_polynomial, euler_phi, orders_with_phi_at_most
+from .ntheory import euler_phi, orders_with_phi_at_most
 
 
 class LaurentPoly:
@@ -404,39 +403,9 @@ def _conjugate_factorization(fact: UnitFactorization, t: int, n: int) -> UnitFac
                              fact.non_unit.galois(t))
 
 
-def _unit_part(f: LaurentPoly) -> UnitFactorization:
-    """The factorization of `factor_unit_part` for f with lowest exponent 0:
-    one Galois orbit of roots at a time when f is rational, by search
-    otherwise."""
-    return _rational_unit_part(f) if f.conductor_lcm() == 1 else _root_search(f)
-
-
-def _rational_unit_part(f: LaurentPoly) -> UnitFactorization:
-    """`_unit_part` of a rational f.  For rational q, q(zeta_m^j) =
-    sigma_j(q(zeta_m)), so the primitive m-th roots of unity are roots of q
-    together, each with the multiplicity of Phi_m in q, which exact division
-    by Phi_m over Z finds once q is scaled to integer coefficients.  The
-    orders m are those of `_root_search`, phi(m) <= deg q."""
-    a = [v.as_rational() for v in f.dense()]
-    d = lcm(*(v.denominator for v in a))
-    q = [int(v * d) for v in a]
-    factors: list = []
-    for m in orders_with_phi_at_most(len(q) - 1):
-        cyc, mult = cyclotomic_polynomial(m), 0
-        while len(q) >= len(cyc):
-            try:
-                q = _poly_divexact(q, cyc)
-            except ArithmeticError:
-                break
-            mult += 1
-        if mult:
-            factors += [(zeta(m, j), mult) for j in range(m) if gcd(j, m) == 1]
-    non_unit = LaurentPoly({e: Fraction(v, q[0]) for e, v in enumerate(q) if v}, f.mu)
-    return UnitFactorization(rat(Fraction(q[0], d)), 0, tuple(factors), non_unit)
-
-
 def _root_search(f: LaurentPoly) -> UnitFactorization:
-    """`_unit_part` by a search over the roots of unity.
+    """The factorization of `factor_unit_part` for f with lowest exponent
+    0, by a search over the roots of unity.
 
     The search is complete.  Let g = f / y^k over K = Q(zeta_c), c the
     conductor of the coefficients, and omega a root of g of order m.  Its
@@ -502,7 +471,7 @@ def _root_search(f: LaurentPoly) -> UnitFactorization:
     return UnitFactorization(scalar, 0, tuple(factors), non_unit)
 
 
-_unit_part_at = cache(_unit_part)  # by Galois representative
+_unit_part_at = cache(_root_search)  # by Galois representative
 
 
 def common_unit_multiple(facts) -> tuple[LaurentPoly, list[LaurentPoly]]:
@@ -510,43 +479,33 @@ def common_unit_multiple(facts) -> tuple[LaurentPoly, list[LaurentPoly]]:
     factorizations are `facts`, D = prod (y - omega)^max the least common
     multiple of their linear factors, so that sum_i a_i / f_i is
     (sum_i a_i D/f_i) / D.  With f = s y^k prod (y - omega)^m, D/f =
-    s^-1 y^-k D / prod (y - omega)^m, and each of f's linear factors comes
-    off D by one synthetic division.  A factorization with a non-unit part
-    raises ValueError.
+    s^-1 y^-k D / prod (y - omega)^m: D is built once, and each of f's
+    linear factors comes off it by one synthetic division.  A factorization
+    with a non-unit part raises ValueError.
 
-    D is rational exactly when, for each order m, its roots are all the
-    phi(m) primitive m-th roots of unity with one multiplicity e_m; it is
-    then prod Phi_m^e_m.  In that case D / sigma_t(f) = sigma_t(D / f), so
-    each quotient is computed once per Galois orbit of the factorizations,
-    at the representative of `_factorization_normal_form`, and carried
-    exactly.  Otherwise D is expanded root by root."""
+    When D is rational, D / sigma_t(f) = sigma_t(D / f), so each quotient
+    is computed once per Galois orbit of the factorizations, at the
+    representative of `_factorization_normal_form`, and carried exactly."""
     mu = facts[0].non_unit.mu
-    roots: dict = {}  # m -> {j: the largest multiplicity of zeta_m^j}
+    maxmult: dict = {}
     for fact in facts:
         if not fact.is_unit():
             raise ValueError(f"no common unit multiple: {fact.non_unit} is a non-unit part")
-        for omega, e in fact.unit_factors:
-            m, j = _root_index(omega)
-            js = roots.setdefault(m, {})
-            js[j] = max(js.get(j, 0), e)
-    if all(len(js) == euler_phi(m) and len(set(js.values())) == 1 for m, js in roots.items()):
-        D = LaurentPoly.const(one, mu)
-        for m, js in roots.items():
-            D = D * LaurentPoly(dict(enumerate(cyclotomic_polynomial(m))), mu) ** max(js.values())
-        quotients = []
-        for fact in facts:
-            r, t = _factorization_normal_form(fact)
-            q = _unit_quotient_at(D, r)
-            quotients.append(q if t == 1 else q.galois(t))
-        return D, quotients
+        for omega, m in fact.unit_factors:
+            maxmult[omega] = max(maxmult.get(omega, 0), m)
     common = [one]  # D, dense and ascending
-    for m, js in roots.items():
-        for j, e in js.items():
-            omega = zeta(m, j)
-            for _ in range(e):
-                common = [a - omega * b for a, b in zip([zero, *common], [*common, zero])]
+    for omega, m in maxmult.items():
+        for _ in range(m):
+            common = [a - omega * b for a, b in zip([zero, *common], [*common, zero])]
     D = LaurentPoly(dict(enumerate(common)), mu)
-    return D, [_unit_quotient(D, fact) for fact in facts]
+    if D.conductor_lcm() > 1:
+        return D, [_unit_quotient(D, fact) for fact in facts]
+    quotients = []
+    for fact in facts:
+        r, t = _factorization_normal_form(fact)
+        q = _unit_quotient_at(D, r)
+        quotients.append(q if t == 1 else q.galois(t))
+    return D, quotients
 
 
 def _unit_quotient(D: LaurentPoly, fact: UnitFactorization) -> LaurentPoly:

@@ -138,28 +138,13 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
 
 @cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending degree,
-    as prod_{d | n} (x^d - 1)^mu(n/d): the binomials with mu = 1 are
-    multiplied in first, then those with mu = -1 divided out, each in one
-    pass over the coefficients.  Every division is exact, as what remains
-    is Phi_n times the binomials not yet divided out."""
-    primes = list(factorize(n))
-    up, down = [], []
-    for mask in range(1 << len(primes)):
-        k = 1
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                k *= p
-        (down if bin(mask).count("1") % 2 else up).append(n // k)
-    poly = [1]
-    for d in up:  # times x^d - 1
-        poly = [(poly[i - d] if i >= d else 0) - (poly[i] if i < len(poly) else 0)
-                for i in range(len(poly) + d)]
-    for d in down:  # over x^d - 1: poly[i] = q[i - d] - q[i]
-        q = []
-        for i in range(len(poly) - d):
-            q.append((q[i - d] if i >= d else 0) - poly[i])
-        poly = q
+    """Coefficients of the n-th cyclotomic polynomial, ascending degree."""
+    if n == 1:
+        return (-1, 1)
+    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in divisors(n):
+        if d < n:
+            poly = _poly_divexact(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
 
 

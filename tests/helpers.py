@@ -1,11 +1,11 @@
 """Helpers that only the tests use: partition comparisons, reassembly of a
-unit-part factorization and the uncached search behind it, sums of quotients by Schur elements over their
-common unit multiple, serialization of a group to a format-1 document
-(at another mu, or Z2 with chosen Schur elements), restriction to a
-parabolic subgroup, and the reference algorithms that the package's
-table-driven classes, long division, induction by Frobenius reciprocity,
-content from the unit factorization and one-comprehension digit images
-replaced."""
+unit-part factorization and the uncached search behind it, sums of
+quotients by Schur elements over their common unit multiple,
+serialization of a group to a format-1 document (at another mu, or Z2
+with chosen Schur elements), restriction to a parabolic subgroup, and
+the reference algorithms that the package's table-driven classes, long
+division, induction by Frobenius reciprocity, content from the unit
+factorization and one-comprehension digit images replaced."""
 
 from fractions import Fraction
 
@@ -40,7 +40,7 @@ def unit_part_uncached(f) -> "UnitFactorization":
     """factor_unit_part(f) by the search itself, with no cache and no Galois
     carrying."""
     k = f.min_exp()
-    return laurent._unit_part(f.shift(-k))._replace(y_power=k)
+    return laurent._root_search(f.shift(-k))._replace(y_power=k)
 
 
 def schur_sum(W, coefficients) -> tuple:

@@ -294,23 +294,6 @@ class TestRootScreen:
         assert u.non_unit == h * Fraction(1, h0)
 
 
-class TestRationalUnitPart:
-    """A rational polynomial is factored one Galois orbit of roots at a time,
-    by division by Phi_m over Z; the search over single roots is the
-    reference."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any),
-           st.lists(st.tuples(st.integers(1, 15), st.integers(1, 2)), max_size=3),
-           st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
-    def test_agrees_with_the_search(self, tail, planted, s):
-        f = L(tail) * s
-        for m, mult in planted:
-            f = f * L(list(cyclotomic_polynomial(m))) ** mult
-        f = f.shift(-f.min_exp())
-        assert laurent._rational_unit_part(f) == laurent._root_search(f)
-
-
 class TestSerialization:
     def test_round_trip(self):
         f = LaurentPoly({-2: zeta(3), 0: rat(Fraction(1, 2)), 5: one})
