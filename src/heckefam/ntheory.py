@@ -1,6 +1,6 @@
 """Elementary number theory helpers, a primality test that is a proof or
-an error, and the one union-find of the package, used through `join` (and
-by `symbols`); it imports nothing from it."""
+an error, and `join`, the one union-find of the package; it imports
+nothing from it."""
 
 from __future__ import annotations
 
@@ -148,33 +148,24 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def groups(self, n):
-        out = {}
-        for i in range(n):
-            out.setdefault(self.find(i), []).append(i)
-        return [tuple(sorted(g)) for g in out.values()]
-
-
 def join(k: int, pieces) -> list[tuple]:
     """The finest partition of range(k) in which each piece lies inside one
-    part, its parts sorted and listed by their least element."""
-    uf = _UnionFind(k)
+    part, its parts sorted and listed by their least element: a union-find
+    whose root is the least element of its part."""
+    parent = list(range(k))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
     for piece in pieces:
         for a, b in zip(piece, piece[1:]):
-            uf.union(a, b)
-    return uf.groups(k)
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    out: dict = {}
+    for i in range(k):
+        out.setdefault(find(i), []).append(i)
+    return [tuple(part) for part in out.values()]

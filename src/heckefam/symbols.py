@@ -1,14 +1,14 @@
 """Symbol combinatorics for classical-group unipotent characters: shift
 normalization, rank/defect/family invariants, hooks and cohooks, cores and
-cocores, Harish-Chandra series tests, the defect-bridge construction, and
-the finest-partition verification."""
+cocores in closed form on the abacus, Harish-Chandra series tests, the
+defect-bridge construction, and the finest-partition verification, which
+links each family by one `ntheory.join` of its series fibres."""
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import cache
+from collections import Counter, namedtuple
 
-from .ntheory import _UnionFind
+from .ntheory import join
 
 
 class Symbol(namedtuple("Symbol", "S T")):
@@ -130,27 +130,39 @@ def _cohook_moves(sym: Symbol, e: int):
                 yield row, v
 
 
-def _core(sym: Symbol, d: int, moves, remove) -> Symbol:
-    """Apply the first of `moves` with `remove` until none is left."""
-    cur = sym
-    while (move := next(moves(cur, d), None)) is not None:
-        row, v = move
-        cur = remove(cur, d, v, row)
-    return normalize(cur)
-
-
 def d_core(sym: Symbol, d: int) -> Symbol:
-    """Remove hooks of length d (within a row) until none remain."""
+    """Remove hooks of length d (within a row) until none remain.
+
+    On the d-abacus of a row a d-hook slides one bead down its runner, so
+    the core keeps, for each residue r mod d, the count c_r of the row's
+    entries, as r, r + d, ..., r + (c_r - 1)d (James and Kerber, The
+    Representation Theory of the Symmetric Group, 1981, 2.7)."""
     if d < 1:
         raise ValueError("hook length must be positive")
-    return _core(sym, d, _hook_moves, remove_hook)
+
+    def slide(row):
+        counts = Counter(v % d for v in row)
+        return tuple(sorted(r + k * d for r, c in counts.items() for k in range(c)))
+
+    return normalize(Symbol(slide(sym.S), slide(sym.T)))
 
 
 def e_cocore(sym: Symbol, e: int) -> Symbol:
-    """Remove cohooks of length e (across rows) until none remain."""
+    """Remove cohooks of length e (across rows) until none remain.
+
+    A cohook moves v = qe + r from row c to v - e in row 1 - c: it keeps r
+    and the parity of c + q, and lowers q by one.  So the entries are beads
+    on the 2e runners (r, c + q mod 2), level q of runner (r, p) lying in
+    row (p - q) mod 2, and the cocore pushes each runner's beads down to
+    the levels 0, 1, ..."""
     if e < 1:
         raise ValueError("cohook length must be positive")
-    return _core(sym, e, _cohook_moves, remove_cohook)
+    counts = Counter((v % e, (c + v // e) % 2) for c, row in enumerate(sym) for v in row)
+    rows = ([], [])
+    for (r, p), n in counts.items():
+        for q in range(n):
+            rows[(p + q) % 2].append(q * e + r)
+    return normalize(Symbol(*(tuple(sorted(row)) for row in rows)))
 
 
 def core_orders_agree(sym: Symbol, d: int, cocore: bool = False) -> bool:
@@ -173,7 +185,6 @@ def core_orders_agree(sym: Symbol, d: int, cocore: bool = False) -> bool:
 # -- Harish-Chandra series ----------------------------------------------------------
 
 
-@cache
 def _series_key(sym: Symbol, d: int):
     """The unordered normalized d-core (odd d) or (d/2)-cocore (even d)."""
     return unordered_key(d_core(sym, d) if d % 2 == 1 else e_cocore(sym, d // 2))
@@ -259,11 +270,11 @@ PARITIES = {
 def verify_family_finest(rank_bound: int, defect_bound: int, parity=PARITIES["odd"]) -> dict:
     """For every family of symbols of one type (a predicate of PARITIES on the
     defect) of each rank <= rank_bound, defects up to defect_bound, with more
-    than one member: check (i) the join of the same-series relations for
-    d = 1, ..., 2m + 2, m the largest entry of the family key, links the
-    whole family, and (ii) for the odd type, every odd defect up to the
-    family's largest occurs.  Returns a report dict counting families and
-    symbols, with any violations."""
+    than one member: check (i) the join of the same-series fibres for
+    d = 1, ..., 2m + 2, m the largest entry of the family key, is the whole
+    family (joining one d at a time, until it is), and (ii) for the odd
+    type, every odd defect up to the family's largest occurs.  Returns a
+    report dict counting families and symbols, with any violations."""
     report = {"families": 0, "symbols": 0, "violations": []}
     for r in range(0, rank_bound + 1):
         syms = _symbols_of_rank(r, defect_bound, parity)
@@ -275,21 +286,17 @@ def verify_family_finest(rank_bound: int, defect_bound: int, parity=PARITIES["od
             report["families"] += 1
             if len(members) == 1:
                 continue
-            # join of same-series relations over all relevant d
-            max_entry = max(key) if key else 0
-            ds = list(range(1, 2 * max_entry + 3))
-            uf = _UnionFind(len(members))
-            for i, a in enumerate(members):
-                for j in range(i + 1, len(members)):
-                    if uf.find(i) == uf.find(j):
-                        continue
-                    if any(same_series(a, members[j], d) for d in ds):
-                        uf.union(i, j)
-            comps = uf.groups(len(members))
-            if len(comps) > 1:
-                report["violations"].append(
-                    {"rank": r, "family": key, "components": len(comps)}
-                )
+            # join of the same-series fibres for d = 1, 2, ... until one part
+            parts = []
+            for d in range(1, 2 * max(key) + 3):
+                fibres = {}
+                for i, sym in enumerate(members):
+                    fibres.setdefault(_series_key(sym, d), []).append(i)
+                parts = join(len(members), parts + list(fibres.values()))
+                if len(parts) == 1:
+                    break
+            if len(parts) > 1:
+                report["violations"].append({"rank": r, "family": key, "components": len(parts)})
             # every odd defect in {1,...,max} occurs (odd-type families)
             defects = sorted({m.defect() for m in members})
             if parity(1):

@@ -15,9 +15,68 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from heckefam.ntheory import cyclotomic_polynomial, euler_phi, factorize
-
 Rational = Fraction
+
+
+# -- number theory of its own, so that no fault of the package sits on both
+# sides of a comparison -----------------------------------------------------
+
+
+def factorize(n: int) -> dict:
+    """{p: multiplicity} for n >= 1, by trial division."""
+    out: dict = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def euler_phi(n: int) -> int:
+    out = 1
+    for p, a in factorize(n).items():
+        out *= (p - 1) * p ** (a - 1)
+    return out
+
+
+def _mobius(n: int) -> int:
+    f = factorize(n)
+    return 0 if any(a > 1 for a in f.values()) else (-1) ** len(f)
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> tuple:
+    """Phi_n, ascending coefficients, as the Moebius product
+    prod_{d | n} (x^d - 1)^mu(n/d): the factors of exponent 1 multiplied,
+    then divided by the (monic) product of those of exponent -1."""
+    num, den = [1], [1]
+    for d in range(1, n + 1):
+        if n % d == 0 and _mobius(n // d):
+            factor = [-1] + [0] * (d - 1) + [1]
+            if _mobius(n // d) == 1:
+                num = _poly_mul(num, factor)
+            else:
+                den = _poly_mul(den, factor)
+    q = [0] * (len(num) - len(den) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = num[i + len(den) - 1]
+        for j, c in enumerate(den):
+            num[i + j] -= q[i] * c
+    if any(num):
+        raise ArithmeticError(f"the Moebius product for Phi_{n} left a remainder")
+    return tuple(q)
 
 
 @lru_cache(maxsize=None)

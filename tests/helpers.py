@@ -5,7 +5,7 @@ serialization of a group to a format-1 document (at another mu, or Z2
 with chosen Schur elements), restriction to a parabolic subgroup, and
 the reference algorithms that the package's table-driven classes, long
 division, induction by Frobenius reciprocity, content from the unit
-factorization and one-comprehension digit images replaced."""
+factorization, one-comprehension digit images and abacus cores replaced."""
 
 from fractions import Fraction
 
@@ -13,6 +13,7 @@ from heckefam.cyclotomic import dot, one, to_literal, zero
 from heckefam import laurent
 from heckefam.groups import GroupDataError, cyclic_group, enumerate_and_fuse
 from heckefam.laurent import LaurentPoly, common_unit_multiple, factor_unit_part, laurent_to_doc
+from heckefam.symbols import _cohook_moves, _hook_moves, normalize, remove_cohook, remove_hook
 from heckefam.valuation import INF, val
 
 
@@ -246,3 +247,14 @@ def image_reference(comp, coeffs, conductor, L) -> list:
             for i in range(comp.f):
                 ok[i] = (ok[i] + c * row[k * comp.f + i]) % m
     return out
+
+
+def core_by_moves(sym, d, cocore=False):
+    """The normalized d-core of sym (its d-cocore when cocore is set) by
+    removing the first hook (cohook) of length d found, until none is left."""
+    moves, remove = (_cohook_moves, remove_cohook) if cocore else (_hook_moves, remove_hook)
+    cur = sym
+    while (move := next(moves(cur, d), None)) is not None:
+        row, v = move
+        cur = remove(cur, d, v, row)
+    return normalize(cur)

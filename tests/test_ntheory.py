@@ -80,3 +80,16 @@ class TestJoin:
     def test_equals_the_transitive_closure(self, case):
         k, pieces = case
         assert join(k, pieces) == closure(k, pieces)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+        st.lists(st.lists(st.integers(0, k - 1), max_size=4), max_size=4), max_size=4))))
+    def test_rejoining_the_parts_adds_pieces(self, case):
+        """Pieces given in batches: the join of the parts so far with the next
+        batch is the join of every piece so far."""
+        k, batches = case
+        parts, seen = [], []
+        for batch in batches:
+            seen += batch
+            parts = join(k, parts + batch)
+            assert parts == closure(k, seen)

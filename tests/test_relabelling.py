@@ -1,12 +1,15 @@
-"""Relabelling invariance: a group document with its characters, or its
-non-identity classes, listed in another order describes the same group,
-so its families, its blocks at every bad prime and its decomposition
-columns are the same under the induced relabelling of the characters.
+"""Relabelling invariance: a group document with its characters, its
+non-identity classes, its generators or its parabolics listed in another
+order, or with its generators written in another basis, describes the same
+group, so its families, its blocks at every bad prime and its
+decomposition columns are the same under the induced relabelling of the
+characters.
 
 A "first found" choice in the per-prime layer (the prime above p, the
 minimal generators of the candidate monoid, the first lattice point) would
 show here as an answer that depends on the order of the document."""
 
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
@@ -14,8 +17,8 @@ from helpers import group_to_doc
 from hypothesis import given, settings, strategies as st
 
 from heckefam.blocks import families, hecke_blocks
-from heckefam.cyclotomic import from_literal, to_literal
-from heckefam.groups import get_group, load_group
+from heckefam.cyclotomic import dot, from_literal, to_literal
+from heckefam.groups import _det, get_group, load_group
 from heckefam.schur import bad_primes
 
 GROUPS = ["G4", "Z6", "Z8"] + [f"I2.{n}" for n in (5, 12, 14, 20, 30)]
@@ -83,6 +86,73 @@ def test_outputs_follow_the_relabelling(name, data):
     classes = [0] + data.draw(st.permutations(range(1, len(W.classes))), label="classes")
     shuffled = load_group(shuffle_classes(doc, classes))
     assert outputs(shuffled, range(W.n_irr)) == want, classes
+
+
+def reorder_generators(doc, perm):
+    """The document with generator perm[j] listed in place j, and every
+    class word and parabolic generator word spelled in the new numbering."""
+    new = {old + 1: new + 1 for new, old in enumerate(perm)}
+
+    def respell(word):
+        return [new[g] for g in word]
+
+    out = dict(doc)
+    out["generators"] = [doc["generators"][old] for old in perm]
+    out["classes"] = [{**c, "word": respell(c["word"])} for c in doc["classes"]]
+    out["parabolics"] = [{**para, "generators": [respell(w) for w in para["generators"]]}
+                         for para in doc["parabolics"]]
+    return out
+
+
+def conjugate_generators(doc, a):
+    """The document with every generator g written as a g a^-1, for an
+    invertible rational matrix a: the same group in another basis.  The
+    inverse b is the adjugate of a over its determinant."""
+    k, det = len(a), _det(a, Fraction(1))
+    b = [[(-1) ** (i + j) * _det([row[:i] + row[i + 1:] for r, row in enumerate(a) if r != j],
+                                 Fraction(1)) / det for j in range(k)] for i in range(k)]
+
+    def conjugate(g):
+        g = [[from_literal(v) for v in row] for row in g]
+        ag = [[dot(a[i], [g[j][col] for j in range(k)]) for col in range(k)] for i in range(k)]
+        return [[to_literal(dot(ag[i], [b[j][col] for j in range(k)])) for col in range(k)]
+                for i in range(k)]
+
+    return {**doc, "generators": [conjugate(g) for g in doc["generators"]]}
+
+
+def reorders(k):
+    """Permutations of range(k), other than the identity when k > 1."""
+    return st.permutations(range(k)).filter(lambda p: k < 2 or p != sorted(p))
+
+
+@st.composite
+def bases(draw, k):
+    """An invertible rational k x k matrix, not a scalar one when k > 1."""
+    entry = st.fractions(-3, 3, max_denominator=3)
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k)
+             .filter(lambda a: _det(a, Fraction(1)) != 0))
+    if k > 1 and all(a[i][j] == (a[0][0] if i == j else 0) for i in range(k) for j in range(k)):
+        a[0][1] = Fraction(1)
+    return a
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=1, deadline=None)
+@given(data=st.data())
+def test_outputs_follow_generators_and_parabolics(name, data):
+    """Reordered generators (words respelled), reordered parabolics and
+    generators conjugated into another basis leave every output as it is."""
+    W = get_group(name)
+    doc = group_to_doc(W)
+    want = outputs(W, range(W.n_irr))
+    gens = data.draw(reorders(len(doc["generators"])), label="generators")
+    assert outputs(load_group(reorder_generators(doc, gens)), range(W.n_irr)) == want, gens
+    paras = data.draw(reorders(len(doc["parabolics"])), label="parabolics")
+    reordered = {**doc, "parabolics": [doc["parabolics"][old] for old in paras]}
+    assert outputs(load_group(reordered), range(W.n_irr)) == want, paras
+    a = data.draw(bases(W.rank), label="basis")
+    assert outputs(load_group(conjugate_generators(doc, a)), range(W.n_irr)) == want, a
 
 
 def galois_twist(doc, j):

@@ -1,6 +1,7 @@
 """Symbol combinatorics: invariants, hooks/cohooks, cores, series, bridges."""
 
 import pytest
+from helpers import core_by_moves
 from hypothesis import given, settings, strategies as st
 
 from heckefam.symbols import (
@@ -181,6 +182,12 @@ class TestVerify:
         report2 = verify_family_finest(4, 4, parity=TYPES["even2"])
         assert report2["violations"] == []
 
+    @pytest.mark.parametrize("parity,families,symbols", [
+        ("odd", 385, 1687), ("even0", 347, 755), ("even2", 329, 737)])
+    def test_rank10_reports(self, parity, families, symbols):
+        report = verify_family_finest(10, 10, parity=TYPES[parity])
+        assert report == {"families": families, "symbols": symbols, "violations": []}
+
 
 @st.composite
 def symbols(draw):
@@ -241,6 +248,27 @@ def same_rank_pairs(draw):
             s = s.shift()
         pair.append(s.swapped() if draw(st.booleans()) else s)
     return pair
+
+
+class TestAbacusCores:
+    """The closed-form cores equal the hook-by-hook search, as ordered symbols."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(symbols(), st.integers(0, 2), st.booleans(), st.integers(1, 12))
+    def test_equal_the_move_by_move_search(self, s, shifts, swap, d):
+        for _ in range(shifts):
+            s = s.shift()
+        s = s.swapped() if swap else s
+        assert d_core(s, d) == core_by_moves(s, d)
+        assert e_cocore(s, d) == core_by_moves(s, d, cocore=True)
+
+    def test_exhaustive_rank_le_5(self):
+        for syms in _BY_RANK:
+            for base in syms:
+                for s in (base, base.swapped(), base.shift().swapped()):
+                    for d in range(1, 9):
+                        assert d_core(s, d) == core_by_moves(s, d), (s, d)
+                        assert e_cocore(s, d) == core_by_moves(s, d, cocore=True), (s, d)
 
 
 class TestSymbolType:
