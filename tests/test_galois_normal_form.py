@@ -13,6 +13,7 @@ from helpers import poly_divmod_reference, unit_part_uncached
 from hypothesis import assume, given, settings, strategies as st
 
 from heckefam import cyclotomic, laurent
+from heckefam.blocks import families
 from heckefam.cyclotomic import (
     Cyclotomic,
     _conjugate_residue,
@@ -191,3 +192,17 @@ class TestWorkGuard:
             cache.cache_clear()
         dihedral_group.__wrapped__(n)
         assert [c.cache_info().misses for c in caches] == [2, 6, 4]
+
+    @pytest.mark.parametrize("n, quotients", [(17, 1), (19, 1), (24, 11), (30, 11)])
+    def test_families_adds_one_quotient_per_orbit(self, n, quotients):
+        # the quotients D/c of the integrality lattices: on I2(17) and
+        # I2(19) one for the whole orbit of the phi{2,j} at the one bad
+        # prime; the misses are counted after the group is built
+        trivial_group(), cyclic_group(2)
+        for cache in (factor_unit_part, laurent._unit_part_at, laurent._divexact_at,
+                      laurent._unit_quotient_at):
+            cache.cache_clear()
+        W = dihedral_group.__wrapped__(n)
+        before = laurent._unit_quotient_at.cache_info().misses
+        families(W)
+        assert laurent._unit_quotient_at.cache_info().misses - before == quotients
