@@ -99,20 +99,14 @@ def _bounded(k: int, upper, lower) -> BlockPartition:
 
 
 @cache
-def _factorizations(W) -> tuple:
-    """factor_unit_part of each Schur element of W: hits of the cache that
-    validation filled, as it factors every Schur element."""
-    return tuple(factor_unit_part(c) for c in W.schur_elements)
-
-
-@cache
 def _prime(W, p: int):
     """The prime ideal P above p at which every per-prime partition of W is
     read: the first of `primes_above` at the lcm of W's field conductor and
-    the conductors of the roots of unity in its Schur elements."""
+    the conductors of the roots of unity in its Schur elements, whose
+    factorizations validation cached."""
     cond = W.field_conductor
-    for fact in _factorizations(W):
-        for omega, _m in fact.unit_factors:
+    for c in W.schur_elements:
+        for omega, _m in factor_unit_part(c).unit_factors:
             cond = lcm(cond, omega.conductor)
     return primes_above(p, cond)[0]
 
@@ -139,8 +133,7 @@ def _lattice(W, spec, support: tuple):
     integral at spec, D the common multiple of the linear factors of the
     Schur elements c_i (`common_unit_multiple`).  A Schur element with a
     non-unit part raises ValueError."""
-    facts = _factorizations(W)
-    _d, numerators = common_unit_multiple([facts[i] for i in support])
+    _d, numerators = common_unit_multiple([W.schur_elements[i] for i in support])
     slots = sorted({e for npoly in numerators for e in npoly.coeffs})
     columns = [[npoly.coeffs.get(e, zero) for e in slots] for npoly in numerators]
     return _kernel_hnf(*integrality_conditions(spec, columns), len(support))

@@ -113,35 +113,21 @@ def _combine(a, sa, b, sb):
     return out
 
 
-def _reduce_map(raw, n, table):
-    out = {}
+def _reduce_map(raw: dict, n: int, j: int = 1) -> dict:
+    """The reduced map of sigma_j(sum(raw[k] * zeta_n^k)), j a unit modulo
+    n: each zeta_n^(jk) added into one dense array by its row of the
+    reduction table."""
+    table = _reduction_table(n)
+    out = [0] * euler_phi(n)
     for k, v in raw.items():
-        if not v:
-            continue
-        k %= n
-        row = table[k]
+        e = j * k % n
+        row = table[e]
         if row is None:
-            s = out.get(k)
-            if s is None:
-                out[k] = v
-            else:
-                s += v
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            out[e] += v
         else:
-            for j, m in row:
-                s = out.get(j)
-                if s is None:
-                    out[j] = m * v
-                else:
-                    s += m * v
-                    if s:
-                        out[j] = s
-                    else:
-                        del out[j]
-    return out
+            for i, m in row:
+                out[i] += m * v
+    return {k: v for k, v in enumerate(out) if v}
 
 
 def _mul_reduce(a, b, n, table):
@@ -170,22 +156,6 @@ def _reduce_dense(raw: list, n: int, phi: int, table) -> dict:
             else:
                 for j, m in row:
                     out[j] += m * v
-    return {k: v for k, v in enumerate(out) if v}
-
-
-def _conjugate_map(c: dict, j: int, n: int) -> dict:
-    """The reduced map of sigma_j(c), j a unit modulo n: each zeta_n^(jk)
-    added into one dense array by its row of the reduction table."""
-    table = _reduction_table(n)
-    out = [0] * euler_phi(n)
-    for k, v in c.items():
-        e = j * k % n
-        row = table[e]
-        if row is None:
-            out[e] += v
-        else:
-            for i, m in row:
-                out[i] += m * v
     return {k: v for k, v in enumerate(out) if v}
 
 
@@ -250,19 +220,6 @@ def _conjugate_residue(a: "Cyclotomic", n: int):
     return lambda u: sum(v * powers[k * u % n] for k, v in terms) % ell
 
 
-def least_unit(n: int, keys) -> int:
-    """The least unit u modulo n at which the tuple (key(u) for key in keys)
-    is least.  Each key is evaluated only on the units still tied."""
-    units = _units(n)
-    for key in keys:
-        if len(units) == 1:
-            break
-        vals = [key(u) for u in units]
-        least = min(vals)
-        units = [u for u, k in zip(units, vals) if k == least]
-    return units[0]
-
-
 def galois_normal_form(v) -> tuple:
     """(r, t) with r the Galois representative of the Cyclotomic or
     LaurentPoly v and v = sigma_t(r), sigma_t: zeta -> zeta^t fixing y.
@@ -271,7 +228,8 @@ def galois_normal_form(v) -> tuple:
     r = sigma_u(v) for the least unit u modulo n whose conjugate sigma_u(v)
     has the least tuple of residues: the residue of each coefficient, in
     ascending order of exponents, at the evaluation point of n
-    (`_conjugate_residue`).  A residue is a function of the value, and
+    (`_conjugate_residue`), compared one coefficient at a time on the units
+    still tied.  A residue is a function of the value, and
     conjugate values have the same set of conjugates, so they pick the same
     r; when two different conjugates tie, two conjugates may pick different
     representatives, which only loses sharing.  t = u^-1 modulo n.
@@ -284,7 +242,16 @@ def galois_normal_form(v) -> tuple:
     n = lcm(*(c._n for c in values))
     if n == 1:
         return v, 1
-    u = least_unit(n, (_conjugate_residue(c, n) for c in values if c._n > 1))
+    units = _units(n)
+    for c in values:
+        if len(units) == 1:
+            break
+        if c._n > 1:
+            key = _conjugate_residue(c, n)
+            keys = [key(u) for u in units]
+            least = min(keys)
+            units = [u for u, k in zip(units, keys) if k == least]
+    u = units[0]
     return (v, 1) if u == 1 else (v.galois(u), pow(u, -1, n))
 
 
@@ -324,12 +291,11 @@ def _descend_coprime(c: dict, p: int, m: int, a: int, b: int):
         g = groups[k * b % p]
         e = k * a % m
         g[e] = g.get(e, 0) + v
-    table = _reduction_table(m)
-    first = _reduce_map(groups[1], m, table)
+    first = _reduce_map(groups[1], m)
     for j in range(2, p):
-        if _reduce_map(groups[j], m, table) != first:
+        if _reduce_map(groups[j], m) != first:
             return None
-    return _combine(_reduce_map(groups[0], m, table), 1, first, -1)
+    return _combine(_reduce_map(groups[0], m), 1, first, -1)
 
 
 def _minimize(n: int, c: dict) -> tuple[int, dict]:
@@ -395,12 +361,12 @@ def _norm_and_cofactor(c: dict, n: int) -> tuple[int, dict]:
         # F(k) = prod_{i<k} g^i(cur) by doubling; the new cofactor is g(F(r - 1))
         f, k = cur, 1
         for bit in bin(r - 1)[3:]:
-            f = mul(f, _conjugate_map(f, pow(g, k, n), n))
+            f = mul(f, _reduce_map(f, n, pow(g, k, n)))
             k *= 2
             if bit == "1":
-                f = mul(cur, _conjugate_map(f, g, n))
+                f = mul(cur, _reduce_map(f, n, g))
                 k += 1
-        part = _conjugate_map(f, g, n)
+        part = _reduce_map(f, n, g)
         cof = mul(cof, part)
         cur = mul(cur, part)
     if len(cur) != 1 or 0 not in cur:
@@ -572,9 +538,7 @@ class Cyclotomic:
             raise ValueError(f"{j} is not prime to conductor {self._n}")
         if self._n == 1:
             return self
-        return Cyclotomic(
-            self._n, _conjugate_map(self._c, j % self._n, self._n), self._d, _canonical=True
-        )
+        return Cyclotomic(self._n, _reduce_map(self._c, self._n, j), self._d, _canonical=True)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation."""
@@ -708,7 +672,7 @@ def zeta(n: int, k: int = 1) -> Cyclotomic:
     """The root of unity zeta_n^k."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    return _canonical(n, _reduce_map({k % n: 1}, n, _reduction_table(n)), 1)
+    return _canonical(n, _reduce_map({k: 1}, n), 1)
 
 
 def make(n: int, raw: dict) -> Cyclotomic:
@@ -723,7 +687,7 @@ def make(n: int, raw: dict) -> Cyclotomic:
     for v in merged.values():
         d = lcm(d, v.denominator)
     c = {k: int(v * d) for k, v in merged.items()}
-    return _canonical(n, _reduce_map(c, n, _reduction_table(n)), d)
+    return _canonical(n, _reduce_map(c, n), d)
 
 
 # -- textual literal format -------------------------------------------------

@@ -4,13 +4,15 @@ unit-shaped polynomials.
 
 A quotient of Laurent polynomials is never reduced by a gcd here: a Schur
 element is xi y^k prod (y - omega)^m with each omega a root of unity, so a
-sum of such quotients is a numerator over the common multiple of their
-linear factors (`common_unit_multiple`).
+sum of such quotients is a numerator over the common multiple D of their
+linear factors (`common_unit_multiple`), each numerator an exact quotient
+D/f of `poly_divexact`.
 
-The unit factorization, an exact division of a rational dividend and a
-quotient of a rational common multiple commute with the Galois action on
-the coefficients (y fixed), so each is computed once per Galois orbit, at
-the representative of `cyclotomic.galois_normal_form`, and carried.
+The unit factorization and an exact division of a rational dividend
+commute with the Galois action on the coefficients (y fixed), so each is
+computed once per Galois orbit, at the representative of
+`cyclotomic.galois_normal_form`, and carried; a quotient D/f with D
+rational is one of these divisions.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from math import gcd, lcm
 
 from .cyclotomic import (
     Cyclotomic,
-    _conjugate_residue,
     _evaluation_powers,
     _residue,
     coerce,
@@ -30,7 +31,6 @@ from .cyclotomic import (
     galois_normal_form,
     integer,
     json_list,
-    least_unit,
     one,
     to_literal,
     zeta,
@@ -474,21 +474,16 @@ def _root_search(f: LaurentPoly) -> UnitFactorization:
 _unit_part_at = cache(_root_search)  # by Galois representative
 
 
-def common_unit_multiple(facts) -> tuple[LaurentPoly, list[LaurentPoly]]:
-    """(D, [D/f for each f]) for the unit-shaped Laurent polynomials f whose
-    factorizations are `facts`, D = prod (y - omega)^max the least common
-    multiple of their linear factors, so that sum_i a_i / f_i is
-    (sum_i a_i D/f_i) / D.  With f = s y^k prod (y - omega)^m, D/f =
-    s^-1 y^-k D / prod (y - omega)^m: D is built once, and each of f's
-    linear factors comes off it by one synthetic division.  A factorization
-    with a non-unit part raises ValueError.
-
-    When D is rational, D / sigma_t(f) = sigma_t(D / f), so each quotient
-    is computed once per Galois orbit of the factorizations, at the
-    representative of `_factorization_normal_form`, and carried exactly."""
-    mu = facts[0].non_unit.mu
+def common_unit_multiple(polys) -> tuple[LaurentPoly, list[LaurentPoly]]:
+    """(D, [D/f for each f]) for unit-shaped Laurent polynomials f, D =
+    prod (y - omega)^max the least common multiple of their linear factors,
+    so that sum_i a_i / f_i is (sum_i a_i D/f_i) / D.  D is built from the
+    cached factorizations (`factor_unit_part`), and each D/f is
+    `poly_divexact(D, f)`: once per Galois orbit of the f when D is
+    rational.  A polynomial with a non-unit part raises ValueError."""
     maxmult: dict = {}
-    for fact in facts:
+    for f in polys:
+        fact = factor_unit_part(f)
         if not fact.is_unit():
             raise ValueError(f"no common unit multiple: {fact.non_unit} is a non-unit part")
         for omega, m in fact.unit_factors:
@@ -497,46 +492,8 @@ def common_unit_multiple(facts) -> tuple[LaurentPoly, list[LaurentPoly]]:
     for omega, m in maxmult.items():
         for _ in range(m):
             common = [a - omega * b for a, b in zip([zero, *common], [*common, zero])]
-    D = LaurentPoly(dict(enumerate(common)), mu)
-    if D.conductor_lcm() > 1:
-        return D, [_unit_quotient(D, fact) for fact in facts]
-    quotients = []
-    for fact in facts:
-        r, t = _factorization_normal_form(fact)
-        q = _unit_quotient_at(D, r)
-        quotients.append(q if t == 1 else q.galois(t))
-    return D, quotients
-
-
-def _unit_quotient(D: LaurentPoly, fact: UnitFactorization) -> LaurentPoly:
-    """D / f for the unit-shaped f of `fact`, f dividing D."""
-    q = D.dense()
-    for omega, m in fact.unit_factors:
-        for _ in range(m):
-            q, _r = synthetic_division(q, omega)
-    inv = fact.scalar.inverse()
-    return LaurentPoly({e - fact.y_power: v * inv for e, v in enumerate(q) if v}, D.mu, _clean=True)
-
-
-_unit_quotient_at = cache(_unit_quotient)  # by (rational D, representative factorization)
-
-
-def _factorization_normal_form(fact: UnitFactorization) -> tuple:
-    """(r, t) with fact = sigma_t(r), for a unit-shaped factorization, as in
-    `galois_normal_form` but with the key read off the factors: the sorted
-    (m, j u mod m, multiplicity) of the roots zeta_m^j of sigma_u(fact),
-    then the residue of sigma_u(scalar), over the units u modulo the lcm n
-    of the conductor of the scalar and the root orders."""
-    roots = [(_root_index(omega), mult) for omega, mult in fact.unit_factors]
-    n = lcm(fact.scalar.conductor, *(m for (m, _j), _mult in roots))
-    u = least_unit(n, [
-        lambda u: sorted((m, j * u % m, mult) for (m, j), mult in roots),
-        _conjugate_residue(fact.scalar, n),
-    ])
-    if u == 1:
-        return fact, 1
-    t = pow(u, -1, n)
-    return _conjugate_factorization(fact, u, n), t
+    D = LaurentPoly(dict(enumerate(common)), polys[0].mu)
+    return D, [poly_divexact(D, f) for f in polys]
 
 
 # -- serialization ----------------------------------------------------------------

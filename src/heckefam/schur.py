@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import cache
 
 from .cyclotomic import Cyclotomic, one, rat, zeta, zero
-from .laurent import LaurentPoly, common_unit_multiple, derivative_at_one, factor_unit_part
+from .laurent import LaurentPoly, common_unit_multiple, derivative_at_one
 from .ntheory import factorize
 from .valuation import laurent_content_val, primes_above
 
@@ -133,7 +133,7 @@ def relative_trace_scalar(W, P, i: int) -> tuple[LaurentPoly, LaurentPoly]:
     sub = P.subgroup
     if not sub.schur_elements:
         raise ValueError(f"missing Schur data for subgroup {sub.name}")
-    D, quotients = common_unit_multiple([factor_unit_part(c) for c in sub.schur_elements])
+    D, quotients = common_unit_multiple(sub.schur_elements)
     total = LaurentPoly.const(zero, W.mu)
     for si, q in enumerate(quotients):
         mult = P.induction_matrix[si][i]

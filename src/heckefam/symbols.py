@@ -186,8 +186,9 @@ def core_orders_agree(sym: Symbol, d: int, cocore: bool = False) -> bool:
 
 
 def _series_key(sym: Symbol, d: int):
-    """The unordered normalized d-core (odd d) or (d/2)-cocore (even d)."""
-    return unordered_key(d_core(sym, d) if d % 2 == 1 else e_cocore(sym, d // 2))
+    """The unordered normalized d-core (odd d) or (d/2)-cocore (even d);
+    both come out normalized, so only the row order is dropped."""
+    return tuple(sorted(d_core(sym, d) if d % 2 == 1 else e_cocore(sym, d // 2)))
 
 
 def same_series(a: Symbol, b: Symbol, d: int) -> bool:

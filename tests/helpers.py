@@ -12,7 +12,7 @@ from fractions import Fraction
 from heckefam.cyclotomic import dot, one, to_literal, zero
 from heckefam import laurent
 from heckefam.groups import GroupDataError, cyclic_group, enumerate_and_fuse
-from heckefam.laurent import LaurentPoly, common_unit_multiple, factor_unit_part, laurent_to_doc
+from heckefam.laurent import LaurentPoly, common_unit_multiple, laurent_to_doc
 from heckefam.symbols import _cohook_moves, _hook_moves, normalize, remove_cohook, remove_hook
 from heckefam.valuation import INF, val
 
@@ -47,7 +47,7 @@ def unit_part_uncached(f) -> "UnitFactorization":
 def schur_sum(W, coefficients) -> tuple:
     """sum_i coefficients[i] / c_i over the Schur elements c_i of W, as
     (N, D): D their common unit multiple, N = sum_i coefficients[i] D/c_i."""
-    D, quotients = common_unit_multiple([factor_unit_part(c) for c in W.schur_elements])
+    D, quotients = common_unit_multiple(W.schur_elements)
     N = LaurentPoly.const(zero, W.mu)
     for a, q in zip(coefficients, quotients):
         N = N + q * a

@@ -14,7 +14,6 @@ from heckefam.blocks import (
     _bounded,
     _cuts,
     _defect_zero,
-    _factorizations,
     _prime,
     coarse_partition,
     candidate_projectives,
@@ -66,8 +65,7 @@ def components(k, pieces):
 
 def numerators_of(W, support):
     """D/c_i for i in the support, D the common unit multiple."""
-    facts = _factorizations(W)
-    return common_unit_multiple([facts[i] for i in support])[1]
+    return common_unit_multiple([W.schur_elements[i] for i in support])[1]
 
 
 def digit_conditions(W, p, support):
@@ -608,11 +606,16 @@ class TestUnsupportedMembership:
         # simulate an ingested group whose Schur element has a non-unit part:
         # the subset test must answer "unknown", never a silent yes/no
         import heckefam.blocks as blocks
+        import heckefam.laurent as laurent
 
         W = cyclic_group(3)
-        facts = list(blocks._factorizations(W))
-        facts[1] = facts[1]._replace(non_unit=LaurentPoly.from_x_coeffs([1, 1]))
-        monkeypatch.setattr(blocks, "_factorizations", lambda W: facts)
+        real, bad = laurent.factor_unit_part, W.schur_elements[1]
+
+        def with_non_unit(f):
+            fact = real(f)
+            return fact._replace(non_unit=LaurentPoly.from_x_coeffs([1, 1])) if f == bad else fact
+
+        monkeypatch.setattr(laurent, "factor_unit_part", with_non_unit)
         monkeypatch.setattr(blocks, "_lattice", blocks._lattice.__wrapped__)
         verdict, reason = indecomposability_check((0, 1, 1), W, 3)
         assert verdict == "unknown" and "non-unit" in reason

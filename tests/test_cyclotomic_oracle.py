@@ -19,8 +19,8 @@ from heckefam.cyclotomic import (
     _descent_plan,
     _evaluation_point,
     _reduce_map,
-    _reduction_table,
     _residue,
+    _units,
     dot,
     make,
     rat,
@@ -84,6 +84,20 @@ class TestAgainstReference:
         a, A = pair(*x)
         assert_same(a, A)
         assert (a.numerators, a.denominator) == old_int_coeffs(A)
+
+    def test_roots_of_unity(self):
+        # every exponent class twice over, and negative exponents
+        for n in CONDUCTORS:
+            for k in range(-n, 2 * n):
+                assert_same(zeta(n, k), ref.zeta(n, k))
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw_elements(conductors=(24,)))
+    def test_every_conjugate_at_the_drawn_conductor(self, x):
+        # sigma_j for every unit j modulo 24, whatever the value's conductor
+        a, A = pair(*x)
+        for j in _units(24):
+            assert_same(a.galois(j), A.galois(j))
 
     @settings(max_examples=200, deadline=None)
     @given(raw_elements(), raw_elements())
@@ -161,9 +175,7 @@ class TestCoprimeDescent:
                     for k in range(-1, n):
                         x = sub if k < 0 else sub + zeta(n, k)
                         N = n // x.conductor
-                        c = _reduce_map(
-                            {e * N: v for e, v in x.numerators.items()}, n, _reduction_table(n)
-                        )
+                        c = _reduce_map({e * N: v for e, v in x.numerators.items()}, n)
                         got = _descend_coprime(c, p, m, a, b)
                         if m % x.conductor:
                             assert got is None, (x, p)

@@ -3,7 +3,8 @@ what is computed at it and carried back by sigma_t (inverse, norm, unit
 factorization, exact quotients of a rational dividend) is what the direct
 computation gives.  Real values and rationals, which conjugation fixes,
 are drawn too.  A work guard pins the computations at representatives to
-the Galois orbits of I2(17) and I2(19)."""
+the Galois orbits of I2(17) and I2(19), and the quotients D/c that
+`families` adds on I2(17), I2(19), I2(24) and I2(30)."""
 
 from math import gcd, lcm
 
@@ -167,7 +168,7 @@ class TestCarriedValues:
             f = f * LaurentPoly({1: one, 0: -zeta(m, j)})
         N = lcm(n, *(m for m, _j in planted))
         orbit = [f.galois(v) for v in _units(N)]
-        D, quotients = common_unit_multiple([factor_unit_part(g) for g in orbit])
+        D, quotients = common_unit_multiple(orbit)
         assert D.conductor_lcm() == 1
         for g, q in zip(orbit, quotients):
             assert q * g == D
@@ -199,10 +200,9 @@ class TestWorkGuard:
         # I2(19) one for the whole orbit of the phi{2,j} at the one bad
         # prime; the misses are counted after the group is built
         trivial_group(), cyclic_group(2)
-        for cache in (factor_unit_part, laurent._unit_part_at, laurent._divexact_at,
-                      laurent._unit_quotient_at):
+        for cache in (factor_unit_part, laurent._unit_part_at, laurent._divexact_at):
             cache.cache_clear()
         W = dihedral_group.__wrapped__(n)
-        before = laurent._unit_quotient_at.cache_info().misses
+        before = laurent._divexact_at.cache_info().misses
         families(W)
-        assert laurent._unit_quotient_at.cache_info().misses - before == quotients
+        assert laurent._divexact_at.cache_info().misses - before == quotients
