@@ -130,13 +130,23 @@ def _defect_zero(W, spec) -> tuple[bool, ...]:
 def _lattice(W, spec, support: tuple):
     """Hermite normal form of the lattice of vectors s over `support` that
     pass the O_p integrality test: every coefficient of sum_i s_i D/c_i
-    integral at spec, D the common multiple of the linear factors of the
-    Schur elements c_i (`common_unit_multiple`).  A Schur element with a
-    non-unit part raises ValueError."""
-    _d, numerators = common_unit_multiple([W.schur_elements[i] for i in support])
-    slots = sorted({e for npoly in numerators for e in npoly.coeffs})
-    columns = [[npoly.coeffs.get(e, zero) for e in slots] for npoly in numerators]
+    integral at spec (`_numerator_columns`)."""
+    columns = _numerator_columns(tuple(W.schur_elements[i] for i in support))
     return _kernel_hnf(*integrality_conditions(spec, columns), len(support))
+
+
+@cache
+def _numerator_columns(schur_elements: tuple) -> list:
+    """The coefficients of each numerator D/c_i, on the exponents that any
+    of them has, D the common multiple of the linear factors of the Schur
+    elements c_i (`common_unit_multiple`).  They do not depend on the
+    prime, so they are kept by the Schur elements themselves: a support
+    that two bad primes test, or two supports with equal Schur elements,
+    build them once.  A Schur element with a non-unit part raises
+    ValueError."""
+    _d, numerators = common_unit_multiple(list(schur_elements))
+    slots = sorted({e for npoly in numerators for e in npoly.coeffs})
+    return [[npoly.coeffs.get(e, zero) for e in slots] for npoly in numerators]
 
 
 def find_integral_subvector(W, spec, phi):

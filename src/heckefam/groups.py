@@ -12,7 +12,7 @@ from functools import cache
 from math import lcm
 from pathlib import Path
 
-from .cyclotomic import dot, from_literal, integer, json_list, one, rat, zero, zeta
+from .cyclotomic import _unit_generators, dot, from_literal, integer, json_list, one, rat, zero, zeta
 from .laurent import LaurentPoly, _root_index, factor_unit_part, laurent_from_doc, poly_divexact
 from .ntheory import join
 from .schur import cyclic_schur, dihedral_schur
@@ -267,20 +267,50 @@ def induce(P: ParabolicEmbedding, v) -> tuple:
 # -- fake degrees (Molien) -------------------------------------------------------
 
 
-def _molien_terms(W: GroupDatum):
-    """Yield prod(1 - x^d_i) / det(1 - xw) at the representative w of each
-    class, in class order."""
+def _molien_parts(W: GroupDatum) -> tuple:
+    """(prod(1 - x^d_i), [det(1 - xw) at the representative w of each
+    class, in class order]): the Molien term at a class is their quotient."""
     unit = LaurentPoly.const(one, W.mu)
     prod = unit
     for d in W.degrees:
         prod = prod * (unit - LaurentPoly.x_power(d, W.mu))
     r = W.rank
+    dets = []
     for m in W.class_matrices:
         one_minus_xw = [
             [LaurentPoly({0: one if i == j else zero, W.mu: -m[i][j]}, W.mu) for j in range(r)]
             for i in range(r)
         ]
-        yield poly_divexact(prod, _det(one_minus_xw, unit))
+        dets.append(_det(one_minus_xw, unit))
+    return prod, dets
+
+
+def _at_one(f: LaurentPoly):
+    """f at y = 1 (so at x = 1): the sum of its coefficients, in one `dot`."""
+    vals = list(f.coeffs.values())
+    return dot(vals, [one] * len(vals))
+
+
+def _by_exponent(polys) -> dict:
+    """e -> (the y^e coefficients of polys, the positions of their polynomials)."""
+    out: dict = {}
+    for i, f in enumerate(polys):
+        for e, v in f.coeffs.items():
+            vals, rows = out.setdefault(e, ([], []))
+            vals.append(v)
+            rows.append(i)
+    return out
+
+
+def _weighted_sum(by_exp: dict, weights) -> dict:
+    """The nonzero coefficients of sum_i weights[i] f_i for the polynomials
+    f_i of `_by_exponent`: one `dot` per exponent."""
+    out = {}
+    for e, (vals, rows) in by_exp.items():
+        v = dot(vals, [weights[i] for i in rows])
+        if v:
+            out[e] = v
+    return out
 
 
 def _first_invalid(W: GroupDatum, fds) -> int | None:
@@ -294,7 +324,7 @@ def _first_invalid(W: GroupDatum, fds) -> int | None:
             f.is_zero()
             or any(not v.is_rational() or v.as_rational().denominator != 1
                 for v in f.coeffs.values())
-            or f.eval_x(rat(1)) != W.irr[i][0]
+            or _at_one(f) != W.irr[i][0]
             or all(v == one for v in W.irr[i]) and f != unit  # R_triv = 1
             or i == W.det_index and f != top  # det carries the top coinvariant degree
         ):
@@ -315,8 +345,9 @@ def fake_degrees_molien(W: GroupDatum) -> tuple:
     """
     # columns[e][ci] = |class ci| * (prod(1 - x^d_i) / det(1 - xw))[y^e] at w in ci
     columns: dict = {}
-    for ci, ((size, _w), term) in enumerate(zip(W.classes, _molien_terms(W))):
-        for e, v in term.coeffs.items():
+    prod, dets = _molien_parts(W)
+    for ci, ((size, _w), det) in enumerate(zip(W.classes, dets)):
+        for e, v in poly_divexact(prod, det).coeffs.items():
             columns.setdefault(e, [zero] * len(W.classes))[ci] = v * size
     inv_order = Fraction(1, W.order)
     fds = []
@@ -331,7 +362,7 @@ def fake_degrees_molien(W: GroupDatum) -> tuple:
     return tuple(fds)
 
 
-def _stated_fake_degrees_hold(W: GroupDatum, conj_irr) -> bool:
+def _stated_fake_degrees_hold(W: GroupDatum, conj_irr, images) -> bool:
     """Whether the stated fake degrees R are the Molien sums, decided
     without summing: R passes the checks of `fake_degrees_molien`, and at
     every class C
@@ -339,25 +370,99 @@ def _stated_fake_degrees_hold(W: GroupDatum, conj_irr) -> bool:
         sum_chi R_chi conj(chi(C)) = prod(1 - x^d_i) / det(1 - x w_C).
 
     Put into the Molien sum, the identity and row orthogonality (checked
-    before) give R^Molien_chi = sum_psi R_psi <chi, psi> = R_chi."""
+    before) give R^Molien_chi = sum_psi R_psi <chi, psi> = R_chi.
+
+    The checks of `fake_degrees_molien` come first, so R is integral, and
+    sigma_u fixes it.  The identity is then checked at one class per orbit
+    of the Galois generators sigma_u that move whole columns
+    (`_column_permutations`): sigma_u carries it at C to the class C' whose
+    column is sigma_u of C's and det(1 - x w_C') = sigma_u(det(1 - x w_C)).
+    Images are the pairs (u, sigma_u of the table) of `_galois_images`."""
     R = W.fake_degrees
-    if not R:
+    if not R or _first_invalid(W, R) is not None:
         return False
-    by_exp: dict = {}  # e -> (the y^e coefficients of R, their characters)
-    for i, f in enumerate(R):
-        for e, v in f.coeffs.items():
-            vals, rows = by_exp.setdefault(e, ([], []))
-            vals.append(v)
-            rows.append(i)
-    for ci, term in enumerate(_molien_terms(W)):
-        column = {}
-        for e, (vals, rows) in by_exp.items():
-            v = dot(vals, [conj_irr[i][ci] for i in rows])
-            if v:
-                column[e] = v
-        if column != term.coeffs:
+    prod, dets = _molien_parts(W)
+    by_exp = _by_exponent(R)
+    for ci in _orbit_representatives(len(W.classes), _column_permutations(W, dets, images)):
+        column = _weighted_sum(by_exp, [row[ci] for row in conj_irr])
+        if column != poly_divexact(prod, dets[ci]).coeffs:
             return False
-    return _first_invalid(W, R) is None
+    return True
+
+
+def _column_permutations(W: GroupDatum, dets, images) -> list:
+    """The class permutations C -> C' of the Galois generators sigma_u that
+    carry the column identity (`_stated_fake_degrees_hold`) from C to C':
+    sigma_u(chi(C)) = chi(C') for every chi, and det(1 - x w_C') =
+    sigma_u(det(1 - x w_C)).  The images of the table are retaken at a
+    larger conductor when some det(1 - xw) needs one."""
+    n_table = _table_conductor(W.irr)
+    n = lcm(n_table, *(f.conductor_lcm() for f in dets))
+    if n != n_table:
+        images = _galois_images(W.irr, n)
+    columns = list(zip(*W.irr))
+    perms = []
+    for u, table in images:
+        perm = _permutation(list(zip(*table)), columns)
+        if perm is not None and all(det.galois(u) == dets[perm[c]] for c, det in enumerate(dets)):
+            perms.append(perm)
+    return perms
+
+
+# -- Galois orbits of characters, pairs and classes ------------------------------
+
+
+def _table_conductor(irr) -> int:
+    """The lcm of the conductors of the values of a character table."""
+    return lcm(*(v.conductor for row in irr for v in row))
+
+
+def _galois_images(irr, n: int) -> list:
+    """[(u, the table sigma_u(irr))] over the generators u of (Z/n)^*
+    (`_unit_generators`), for n a multiple of every conductor of the table;
+    sigma_u: zeta_n -> zeta_n^u."""
+    return [(u, [tuple(v.galois(u) for v in row) for row in irr])
+            for u, _order in _unit_generators(n)]
+
+
+def _permutation(images, items) -> tuple | None:
+    """The permutation pi of range(len(items)) with images[i] = items[pi[i]]
+    for every i, or None when there is none."""
+    where = {item: i for i, item in enumerate(items)}
+    perm = tuple(where.get(x, -1) for x in images)
+    return perm if sorted(perm) == list(range(len(items))) else None
+
+
+def _orbit_representatives(k: int, perms) -> list[int]:
+    """The least element of each orbit of range(k) under the group that the
+    permutations perms generate, ascending; range(k) when perms is empty."""
+    return [part[0] for part in join(k, [(x, p[x]) for p in perms for x in range(k)])]
+
+
+def _check_orthogonality(W: GroupDatum, conj_irr, images) -> None:
+    """Row orthogonality, sum_C |C| chi_i(C) conj(chi_j(C)) = |W| delta_ij,
+    on one pair {i, j} per orbit of the Galois generators sigma_u that
+    permute the rows: sigma_u(chi_i) = chi_pi(i) for every i.  sigma_u
+    commutes with complex conjugation and fixes |W| delta_ij, so the
+    relation holds at {i, j} exactly when it holds at {pi(i), pi(j)}.  The
+    least pair of each orbit is checked, so the first pair that fails is
+    the first of all pairs that fail, in the order (i, j) with i <= j."""
+    k = W.n_irr
+    perms = [p for p in (_permutation(table, W.irr) for _u, table in images) if p]
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    index = {pair: t for t, pair in enumerate(pairs)}
+    pair_perms = [[index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs] for p in perms]
+    weighted: dict = {}
+    for t in _orbit_representatives(len(pairs), pair_perms):
+        i, j = pairs[t]
+        if j not in weighted:
+            weighted[j] = tuple(v * size for v, (size, _w) in zip(conj_irr[j], W.classes))
+        expect = rat(W.order) if i == j else zero
+        if dot(W.irr[i], weighted[j]) != expect:
+            raise GroupDataError(
+                f"{W.name}: orthogonality fails for characters "
+                f"({W.char_names[i]}, {W.char_names[j]})"
+            )
 
 
 # -- validation --------------------------------------------------------------------
@@ -379,16 +484,8 @@ def _validate(W: GroupDatum) -> GroupDatum:
         raise GroupDataError(f"{name}: product of degrees {deg_prod} != |W| = {W.order}")
     _check_indices(W)
     conj_irr = [tuple(v.conjugate() for v in row) for row in W.irr]
-    # row orthogonality
-    weighted = [tuple(v * size for v, (size, _w) in zip(row, W.classes)) for row in conj_irr]
-    for i in range(k):
-        for j in range(i, k):
-            expect = rat(W.order) if i == j else zero
-            if dot(W.irr[i], weighted[j]) != expect:
-                raise GroupDataError(
-                    f"{name}: orthogonality fails for characters "
-                    f"({W.char_names[i]}, {W.char_names[j]})"
-                )
+    images = _galois_images(W.irr, _table_conductor(W.irr))
+    _check_orthogonality(W, conj_irr, images)
     # identity column = degrees, positive integers
     for i in range(k):
         d = W.irr[i][0]
@@ -420,7 +517,7 @@ def _validate(W: GroupDatum) -> GroupDatum:
         raise GroupDataError(f"{name}: det_index does not match the determinant character")
     # fake degrees: stated ones proved by the column identity; the Molien
     # sum otherwise, and to name the character on a mismatch
-    if not _stated_fake_degrees_hold(W, conj_irr):
+    if not _stated_fake_degrees_hold(W, conj_irr, images):
         molien = fake_degrees_molien(W)
         if W.fake_degrees:
             if tuple(W.fake_degrees) != molien:
@@ -431,10 +528,7 @@ def _validate(W: GroupDatum) -> GroupDatum:
         else:
             W.fake_degrees = molien
     P = W.poincare()
-    tot = LaurentPoly.const(zero, W.mu)
-    for i in range(k):
-        tot = tot + W.fake_degrees[i] * W.irr[i][0]
-    if tot != P:
+    if _weighted_sum(_by_exponent(W.fake_degrees), [row[0] for row in W.irr]) != P.coeffs:
         raise GroupDataError(f"{name}: sum of deg * fake degree != Poincare polynomial")
     _check_schur_elements(W, P)
     # parabolics
@@ -481,7 +575,7 @@ def _check_schur_elements(W: GroupDatum, P: LaurentPoly) -> None:
         raise GroupDataError(f"{name}: expected {W.n_irr} Schur elements")
     facts = []
     for i, c in enumerate(W.schur_elements):
-        val_at_1 = c.eval_y(rat(1))
+        val_at_1 = _at_one(c)
         if val_at_1 != rat(Fraction(W.order, W.char_degree(i))):
             raise GroupDataError(f"{name}: c({chars[i]})(1) != |W|/deg (got {val_at_1})")
         facts.append(factor_unit_part(c))
@@ -499,10 +593,8 @@ def _check_schur_elements(W: GroupDatum, P: LaurentPoly) -> None:
             E[omega] = max(E.get(omega, 0), e)
     for omega, e in E.items():
         P = P * LaurentPoly({1: one, 0: -omega}, W.mu) ** e
-    gate = LaurentPoly.const(zero, W.mu)
-    for c, row in zip(W.schur_elements, W.irr):
-        gate = gate + poly_divexact(P, c) * row[0]
-    if gate != P:
+    quotients = [poly_divexact(P, c) for c in W.schur_elements]
+    if _weighted_sum(_by_exponent(quotients), [row[0] for row in W.irr]) != P.coeffs:
         raise GroupDataError(f"{name}: symmetrizing-form gate sum deg/c != 1 fails")
 
 

@@ -12,7 +12,9 @@ The unit factorization and an exact division of a rational dividend
 commute with the Galois action on the coefficients (y fixed), so each is
 computed once per Galois orbit, at the representative of
 `cyclotomic.galois_normal_form`, and carried; a quotient D/f with D
-rational is one of these divisions.
+rational is one of these divisions.  A polynomial built from its roots
+(`unit_shaped`, as the catalog Schur elements are) is not searched at all:
+its factorization is recorded by value when it is built.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from .cyclotomic import (
     integer,
     json_list,
     one,
+    rat,
     to_literal,
     zeta,
     zero,
 )
-from .ntheory import euler_phi, orders_with_phi_at_most
+from .ntheory import cyclotomic_polynomial, euler_phi, orders_with_phi_at_most
 
 
 class LaurentPoly:
@@ -103,9 +106,6 @@ class LaurentPoly:
 
     def lowest_coeff(self) -> Cyclotomic:
         return self._c[self.min_exp()]
-
-    def leading_coeff(self) -> Cyclotomic:
-        return self._c[self.max_exp()]
 
     def is_x_polynomial(self) -> bool:
         """True when every exponent is divisible by mu (genuinely a function of x)."""
@@ -371,8 +371,67 @@ def factor_unit_part(f: LaurentPoly) -> UnitFactorization:
     y_power = f.min_exp()
     if y_power:
         return factor_unit_part(f.shift(-y_power))._replace(y_power=y_power)
+    stated = _STATED.get(f)
+    if stated is not None:
+        return stated
     r, t = galois_normal_form(f)
     return _conjugate_factorization(_unit_part_at(r), t, f.conductor_lcm())
+
+
+# polynomial with lowest exponent 0 -> its factorization, as `unit_shaped` built it
+_STATED: dict = {}
+
+
+def unit_shaped(scalar, y_power: int, roots: dict, mu: int = 1) -> LaurentPoly:
+    """scalar * y^y_power * prod (y - zeta_m^j)^mult over roots {(m, j):
+    mult}, 0 <= j < m and j prime to m, with its factorization recorded for
+    `factor_unit_part`, which then reads it instead of searching for the
+    roots.  The record is keyed by the value, built from the factorization
+    itself, so it is the factorization of any polynomial equal to it: the
+    factorization is unique."""
+    for (m, j), mult in roots.items():
+        if not (0 <= j < m and gcd(j, m) == 1 and mult > 0):
+            raise ValueError(f"zeta_{m}^{j} with multiplicity {mult} is not a stated root")
+    scalar = coerce(scalar)
+    if not scalar:
+        raise ValueError("a unit-shaped polynomial has a nonzero scalar")
+    roots = {root: (zeta(*root), mult) for root, mult in sorted(roots.items())}
+    g = _unit_product(roots, mu) * scalar
+    factors = tuple(roots.values())
+    _STATED[g] = UnitFactorization(scalar, 0, factors, LaurentPoly.const(one, mu))
+    return g.shift(y_power)
+
+
+def _unit_product(roots: dict, mu: int) -> LaurentPoly:
+    """prod (y - omega)^mult over roots {(m, j): (omega, mult)}, omega =
+    zeta_m^j.  The roots of one order m and one multiplicity that make up
+    the whole Galois orbit {j prime to m} enter as the integer Phi_m^mult
+    (`cyclotomic_polynomial`), the others one linear factor at a time."""
+    orbits: dict = {}
+    for (m, _j), (omega, mult) in roots.items():
+        orbits.setdefault((m, mult), []).append(omega)
+    rational = [1]  # dense and ascending
+    linear = []
+    for (m, mult), omegas in orbits.items():
+        if len(omegas) == euler_phi(m):
+            for _ in range(mult):
+                rational = _int_poly_mul(rational, cyclotomic_polynomial(m))
+        else:
+            linear += omegas * mult
+    dense = [rat(v) for v in rational]
+    for omega in linear:
+        dense = [a - omega * b for a, b in zip([zero, *dense], [*dense, zero])]
+    return LaurentPoly({e: v for e, v in enumerate(dense) if v}, mu, _clean=True)
+
+
+def _int_poly_mul(a, b) -> list[int]:
+    """The product of two dense ascending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _root_index(omega: Cyclotomic) -> tuple[int, int]:
@@ -478,7 +537,8 @@ def common_unit_multiple(polys) -> tuple[LaurentPoly, list[LaurentPoly]]:
     """(D, [D/f for each f]) for unit-shaped Laurent polynomials f, D =
     prod (y - omega)^max the least common multiple of their linear factors,
     so that sum_i a_i / f_i is (sum_i a_i D/f_i) / D.  D is built from the
-    cached factorizations (`factor_unit_part`), and each D/f is
+    cached factorizations (`factor_unit_part`), each whole Galois orbit of
+    its roots as one integer Phi_m (`_unit_product`), and each D/f is
     `poly_divexact(D, f)`: once per Galois orbit of the f when D is
     rational.  A polynomial with a non-unit part raises ValueError."""
     maxmult: dict = {}
@@ -488,11 +548,8 @@ def common_unit_multiple(polys) -> tuple[LaurentPoly, list[LaurentPoly]]:
             raise ValueError(f"no common unit multiple: {fact.non_unit} is a non-unit part")
         for omega, m in fact.unit_factors:
             maxmult[omega] = max(maxmult.get(omega, 0), m)
-    common = [one]  # D, dense and ascending
-    for omega, m in maxmult.items():
-        for _ in range(m):
-            common = [a - omega * b for a, b in zip([zero, *common], [*common, zero])]
-    D = LaurentPoly(dict(enumerate(common)), polys[0].mu)
+    roots = {_root_index(omega): (omega, m) for omega, m in maxmult.items()}
+    D = _unit_product(roots, polys[0].mu)
     return D, [poly_divexact(D, f) for f in polys]
 
 

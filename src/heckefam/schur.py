@@ -7,24 +7,38 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from .cyclotomic import Cyclotomic, one, rat, zeta, zero
-from .laurent import LaurentPoly, common_unit_multiple, derivative_at_one
-from .ntheory import factorize
+from .laurent import LaurentPoly, common_unit_multiple, derivative_at_one, unit_shaped
+from .ntheory import divisors, factorize
 from .valuation import laurent_content_val, primes_above
+
+
+def _nontrivial_roots(n: int) -> dict:
+    """{(m, j): 1} over the roots zeta_m^j != 1 of y^n - 1, those of
+    1 + y + ... + y^(n-1): every order m > 1 dividing n, every j prime to m."""
+    return {(m, j): 1 for m in divisors(n)[1:] for j in range(m) if gcd(j, m) == 1}
+
+
+def _root(n: int, k: int) -> tuple[int, int]:
+    """(m, j) with zeta_n^k = zeta_m^j and j prime to m, for 0 < k < n."""
+    g = gcd(k, n)
+    return n // g, k // g
 
 
 def cyclic_schur(d: int) -> list[LaurentPoly]:
     """Schur elements of the cyclotomic algebra of Z_d, eigenvalue set
     {x, zeta_d, ..., zeta_d^{d-1}}, solving the moment system
-    sum_i lambda_i^k / c_i = delta_{k0}."""
+    sum_i lambda_i^k / c_i = delta_{k0}: c_0 = 1 + x + ... + x^{d-1}, and
+    c_i = gamma (x - z) / x with z = zeta_d^i and gamma = d / (1 - z).  Each
+    is built from its roots (`unit_shaped`)."""
     if d < 2:
         raise ValueError("cyclic_schur expects d >= 2")
-    out = [LaurentPoly.from_x_coeffs([1] * d)]  # c_0 = 1 + x + ... + x^{d-1}
+    out = [unit_shaped(one, 0, _nontrivial_roots(d))]
     for i in range(1, d):
-        z = zeta(d, i)
-        gamma = rat(d) * (one - z).inverse()
-        out.append(LaurentPoly({1: gamma, 0: -gamma * z}).shift(-1))
+        gamma = rat(d) * (one - zeta(d, i)).inverse()
+        out.append(unit_shaped(gamma, -1, {_root(d, i): 1}))
     return out
 
 
@@ -32,21 +46,27 @@ def dihedral_schur(n: int) -> list[LaurentPoly]:
     """Schur elements of I2(n), ordered as the catalog characters:
     trivial, sign, [the two extra linear characters when n is even], rho_j.
 
-    The group validation checks the identity sum deg(chi)/c_chi = 1 on them."""
+    Each is built from its roots (`unit_shaped`): the Poincare polynomial
+    P = (1 + x)(1 + x + ... + x^{n-1}) of the trivial character and, times
+    x^-n, of the sign; (n/2)(x + 1)^2 / x for the extra linear characters;
+    and f (x - z^j)(x - z^-j) / x for rho_j, z = zeta_n and
+    f = n / ((1 - z^j)(1 - z^-j)).  The group validation checks the
+    identity sum deg(chi)/c_chi = 1 on them."""
     if n < 3:
         raise ValueError("dihedral_schur expects n >= 3")
-    # P = (1 + x)(1 + x + ... + x^{n-1}), the Poincare polynomial of I2(n)
-    P = LaurentPoly.from_x_coeffs([1, 1]) * LaurentPoly.from_x_coeffs([1] * n)
+    roots = _nontrivial_roots(n)
+    roots[(2, 1)] = roots.get((2, 1), 0) + 1  # the factor 1 + x
+    P = unit_shaped(one, 0, roots)
     out = [P, P.shift(-n)]
     m = n // 2
     if n % 2 == 0:
-        lin = LaurentPoly.from_x_coeffs([1, 2, 1]).shift(-1) * Fraction(n, 2)
+        lin = unit_shaped(Fraction(n, 2), -1, {(2, 1): 2})
         out += [lin, lin]
     nrot = m if n % 2 == 1 else m - 1
     for j in range(1, nrot + 1):
         trace = zeta(n, j) + zeta(n, -j)
         f = rat(n) * (rat(2) - trace).inverse()  # n / ((1 - z^j)(1 - z^-j))
-        out.append(LaurentPoly({2: one, 1: -trace, 0: one}).shift(-1) * f)
+        out.append(unit_shaped(f, -1, {_root(n, j): 1, _root(n, n - j): 1}))
     return out
 
 

@@ -1,5 +1,6 @@
 """Helpers that only the tests use: partition comparisons, reassembly of a
-unit-part factorization and the uncached search behind it, sums of
+unit-part factorization and the uncached search behind it, the catalog
+Schur elements expanded term by term from their formulas, sums of
 quotients by Schur elements over their common unit multiple,
 serialization of a group to a format-1 document (at another mu, or Z2
 with chosen Schur elements), restriction to a parabolic subgroup, and
@@ -9,7 +10,7 @@ factorization, one-comprehension digit images and abacus cores replaced."""
 
 from fractions import Fraction
 
-from heckefam.cyclotomic import dot, one, to_literal, zero
+from heckefam.cyclotomic import dot, one, rat, to_literal, zero, zeta
 from heckefam import laurent
 from heckefam.groups import GroupDataError, cyclic_group, enumerate_and_fuse
 from heckefam.laurent import LaurentPoly, common_unit_multiple, laurent_to_doc
@@ -42,6 +43,35 @@ def unit_part_uncached(f) -> "UnitFactorization":
     carrying."""
     k = f.min_exp()
     return laurent._root_search(f.shift(-k))._replace(y_power=k)
+
+
+def cyclic_schur_reference(d) -> list:
+    """The Schur elements of Z_d by their formulas, expanded term by term:
+    1 + x + ... + x^{d-1}, then gamma (x - z) / x with z = zeta_d^i and
+    gamma = d / (1 - z)."""
+    out = [LaurentPoly.from_x_coeffs([1] * d)]
+    for i in range(1, d):
+        z = zeta(d, i)
+        gamma = rat(d) * (one - z).inverse()
+        out.append(LaurentPoly({1: gamma, 0: -gamma * z}).shift(-1))
+    return out
+
+
+def dihedral_schur_reference(n) -> list:
+    """The Schur elements of I2(n) by their formulas, expanded term by term:
+    P = (1 + x)(1 + x + ... + x^{n-1}), x^-n P, (n/2)(1 + x)^2 / x twice
+    when n is even, and f (x^2 - (z^j + z^-j) x + 1) / x for rho_j."""
+    P = LaurentPoly.from_x_coeffs([1, 1]) * LaurentPoly.from_x_coeffs([1] * n)
+    out = [P, P.shift(-n)]
+    m = n // 2
+    if n % 2 == 0:
+        lin = LaurentPoly.from_x_coeffs([1, 2, 1]).shift(-1) * Fraction(n, 2)
+        out += [lin, lin]
+    for j in range(1, (m if n % 2 == 1 else m - 1) + 1):
+        trace = zeta(n, j) + zeta(n, -j)
+        f = rat(n) * (rat(2) - trace).inverse()
+        out.append(LaurentPoly({2: one, 1: -trace, 0: one}).shift(-1) * f)
+    return out
 
 
 def schur_sum(W, coefficients) -> tuple:

@@ -617,5 +617,6 @@ class TestUnsupportedMembership:
 
         monkeypatch.setattr(laurent, "factor_unit_part", with_non_unit)
         monkeypatch.setattr(blocks, "_lattice", blocks._lattice.__wrapped__)
+        monkeypatch.setattr(blocks, "_numerator_columns", blocks._numerator_columns.__wrapped__)
         verdict, reason = indecomposability_check((0, 1, 1), W, 3)
         assert verdict == "unknown" and "non-unit" in reason

@@ -3,8 +3,9 @@ what is computed at it and carried back by sigma_t (inverse, norm, unit
 factorization, exact quotients of a rational dividend) is what the direct
 computation gives.  Real values and rationals, which conjugation fixes,
 are drawn too.  A work guard pins the computations at representatives to
-the Galois orbits of I2(17) and I2(19), and the quotients D/c that
-`families` adds on I2(17), I2(19), I2(24) and I2(30)."""
+the Galois orbits of I2(17) and I2(19), and the quotients D/c and the
+common multiples D that `families` adds on I2(17), I2(19), I2(24) and
+I2(30)."""
 
 from math import gcd, lcm
 
@@ -13,7 +14,7 @@ import pytest
 from helpers import poly_divmod_reference, unit_part_uncached
 from hypothesis import assume, given, settings, strategies as st
 
-from heckefam import cyclotomic, laurent
+from heckefam import blocks, cyclotomic, laurent
 from heckefam.blocks import families
 from heckefam.cyclotomic import (
     Cyclotomic,
@@ -175,15 +176,14 @@ class TestCarriedValues:
 
 
 class TestWorkGuard:
-    """Building I2(n), n = 17 or 19, computes at representatives only: one
-    factorization for the Poincare polynomial P (the trivial character, and
-    the sign's y^-n P after its shift) and one for all the phi{2,j}; three
+    """Building I2(n), n = 17 or 19, computes at representatives only: no
+    root search, as `dihedral_schur` states every factorization; three
     Molien divisions (the identity, every rotation class, the reflections)
     and three gate divisions (P/P, P/(y^-n P), and one for all the
-    phi{2,j}); four norms (2 - zeta^j - zeta^-j of `dihedral_schur`, the
-    scalar of the phi{2,j}, and the rationals 1 and -1).  The counts are the
-    misses of the caches at representatives, so a change that stops the
-    sharing raises them."""
+    phi{2,j}); three norms (2 - zeta^j - zeta^-j of `dihedral_schur`, the
+    scalar of the phi{2,j}, which the gate division inverts, and the
+    rational -1).  The counts are the misses of the caches at
+    representatives, so a change that stops the sharing raises them."""
 
     @pytest.mark.parametrize("n", [17, 19])
     def test_misses_are_the_orbit_counts(self, n):
@@ -192,7 +192,7 @@ class TestWorkGuard:
         for cache in (factor_unit_part, Cyclotomic.inverse) + caches:
             cache.cache_clear()
         dihedral_group.__wrapped__(n)
-        assert [c.cache_info().misses for c in caches] == [2, 6, 4]
+        assert [c.cache_info().misses for c in caches] == [0, 6, 3]
 
     @pytest.mark.parametrize("n, quotients", [(17, 1), (19, 1), (24, 11), (30, 11)])
     def test_families_adds_one_quotient_per_orbit(self, n, quotients):
@@ -200,9 +200,23 @@ class TestWorkGuard:
         # I2(19) one for the whole orbit of the phi{2,j} at the one bad
         # prime; the misses are counted after the group is built
         trivial_group(), cyclic_group(2)
-        for cache in (factor_unit_part, laurent._unit_part_at, laurent._divexact_at):
+        for cache in (factor_unit_part, laurent._unit_part_at, laurent._divexact_at,
+                      blocks._numerator_columns):
             cache.cache_clear()
         W = dihedral_group.__wrapped__(n)
         before = laurent._divexact_at.cache_info().misses
         families(W)
         assert laurent._divexact_at.cache_info().misses - before == quotients
+
+    @pytest.mark.parametrize("n, lattices, numerators", [(17, 1, 1), (24, 8, 6), (30, 18, 16)])
+    def test_families_builds_each_common_multiple_once(self, n, lattices, numerators):
+        # the numerators D/c do not depend on the prime, and the extra
+        # linear characters of I2(24) and I2(30) have equal Schur elements,
+        # so two supports that differ only there share their numerators
+        trivial_group(), cyclic_group(2)
+        W = dihedral_group.__wrapped__(n)
+        blocks._numerator_columns.cache_clear()
+        before = blocks._lattice.cache_info().misses
+        families(W)
+        assert (blocks._lattice.cache_info().misses - before,
+                blocks._numerator_columns.cache_info().misses) == (lattices, numerators)

@@ -1,6 +1,7 @@
 """Group catalog, ingestion validation, fusion, induction, fake degrees."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,8 @@ from helpers import (
 from hypothesis import given, settings, strategies as st
 from test_acceptance import BUNDLED
 
-from heckefam.cyclotomic import from_literal, one, rat, zeta, zero
-from heckefam import groups
+from heckefam.cyclotomic import dot, from_literal, one, rat, zeta, zero
+from heckefam import groups, laurent
 from heckefam.groups import (
     GroupDataError,
     GroupDatum,
@@ -613,3 +614,100 @@ class TestEnumerationBound:
         doc = group_to_doc(dihedral_group(8))
         with pytest.raises(GroupDataError, match="enumeration bound"):
             load_group(doc)
+
+
+class TestOrbitValidation:
+    """Orthogonality is checked on one pair of rows, and the column identity
+    at one class, per orbit of the Galois generators sigma_u that validation
+    has verified to permute the rows, and the columns with their
+    det(1 - xw).  A datum that breaks the symmetry loses the generator, so
+    every mutation below raises what the check of every pair and class
+    raises (`check_everything`)."""
+
+    @staticmethod
+    def work(monkeypatch, build):
+        """(orthogonality dots, classes given the column identity) in build()."""
+        counts = {"_check_orthogonality": 0, "_stated_fake_degrees_hold": 0}
+
+        def counting(fn, caller):
+            def wrapped(*args):
+                if sys._getframe(1).f_code.co_name == caller:
+                    counts[caller] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(groups, "dot", counting(dot, "_check_orthogonality"))
+        monkeypatch.setattr(groups, "poly_divexact",
+                            counting(poly_divexact, "_stated_fake_degrees_hold"))
+        build()
+        return tuple(counts.values())
+
+    @staticmethod
+    def check_everything(monkeypatch):
+        monkeypatch.setattr(groups, "_unit_generators", lambda n: ())
+
+    @pytest.mark.parametrize("n, dots, classes", [(17, (10, 55), (3, 10)),
+                                                  (30, (69, 171), (10, 18))])
+    def test_one_pair_and_one_class_per_orbit(self, monkeypatch, n, dots, classes):
+        cyclic_group(2)
+        orbit = self.work(monkeypatch, lambda: dihedral_group.__wrapped__(n))
+        self.check_everything(monkeypatch)
+        every = self.work(monkeypatch, lambda: dihedral_group.__wrapped__(n))
+        assert tuple(zip(orbit, every)) == (dots, classes)
+
+    @pytest.mark.parametrize("ctor, args", [(dihedral_group, range(3, 41)),
+                                            (cyclic_group, range(2, 13))])
+    def test_catalog_groups_run_no_root_search(self, ctor, args):
+        trivial_group(), cyclic_group(2)
+        laurent._unit_part_at.cache_clear()
+        for arg in args:
+            factor_unit_part.cache_clear()
+            ctor.__wrapped__(arg)
+        assert laurent._unit_part_at.cache_info().misses == 0
+
+    @staticmethod
+    def mutated(how):
+        if how == "I2(12) row":  # phi{2,5}, conjugate to phi{2,1}, gets a value of it
+            doc = group_to_doc(dihedral_group(12))
+            rows = doc["characters"]
+            rows[8]["values"][1] = rows[4]["values"][1]
+        elif how == "I2(12) class":  # r^5, conjugate to r, swaps its word with r^2's
+            doc = group_to_doc(dihedral_group(12))
+            c = doc["classes"]
+            c[2]["word"], c[5]["word"] = c[5]["word"], c[2]["word"]
+        elif how == "G4 row":  # phi{2,3}, conjugate to phi{2,1}, gets a value of it
+            doc = group_to_doc(g4_group())
+            rows = doc["characters"]
+            rows[4]["values"][1] = rows[3]["values"][1]
+        elif how == "G4 class":  # class 2, conjugate to class 1, swaps its word with class 3's
+            doc = group_to_doc(g4_group())
+            c = doc["classes"]
+            c[2]["word"], c[3]["word"] = c[3]["word"], c[2]["word"]
+        elif how == "I2(15) classes":  # r^6 and r^7, conjugate to r^3 and r, swap words:
+            # the columns are still permuted, but not their det(1 - xw)
+            doc = group_to_doc(dihedral_group(15))
+            c = doc["classes"]
+            c[6]["word"], c[7]["word"] = c[7]["word"], c[6]["word"]
+        else:  # I2(17) with phi{2,8} negated: no sigma_u permutes the rows
+            doc = group_to_doc(dihedral_group(17))
+            row = doc["characters"][9]
+            row["values"] = [{"n": v["n"], "c": {k: str(-Fraction(x)) for k, x in v["c"].items()}}
+                             for v in row["values"]]
+        return doc
+
+    @pytest.mark.parametrize("how", ["I2(12) row", "I2(12) class", "G4 row", "G4 class",
+                                     "I2(15) classes", "I2(17) negated row"])
+    def test_a_mutation_raises_what_every_check_raises(self, monkeypatch, how):
+        with pytest.raises(GroupDataError) as orbit:
+            load_group(self.mutated(how))
+        self.check_everything(monkeypatch)
+        with pytest.raises(GroupDataError) as every:
+            load_group(self.mutated(how))
+        assert str(orbit.value) == str(every.value)
+
+    def test_a_table_no_sigma_permutes_is_checked_on_every_pair(self, monkeypatch):
+        def build():
+            with pytest.raises(GroupDataError, match=r"phi\{2,8\} has bad degree -2"):
+                load_group(self.mutated("I2(17) negated row"))
+
+        assert self.work(monkeypatch, build) == (55, 0)

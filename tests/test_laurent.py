@@ -19,6 +19,7 @@ from heckefam.laurent import (
     laurent_from_doc,
     laurent_to_doc,
     poly_divmod,
+    unit_shaped,
 )
 
 L = LaurentPoly.from_x_coeffs
@@ -292,6 +293,37 @@ class TestRootScreen:
         assert dict(u.unit_factors) == want
         assert u.y_power == k and u.scalar == s * h0
         assert u.non_unit == h * Fraction(1, h0)
+
+
+class TestUnitShaped:
+    """A polynomial built from its roots (`unit_shaped`) is their product,
+    whole Galois orbits entering as the integer Phi_m, and its recorded
+    factorization is the root search's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scalars,
+        st.integers(-3, 3),
+        st.dictionaries(st.tuples(st.integers(1, 12), st.integers(0, 11)), st.integers(1, 2),
+                        max_size=6),
+        st.sets(st.integers(1, 12), max_size=2),
+    )
+    def test_the_product_of_its_roots(self, s, k, roots, orbits):
+        roots = {(m, j % m): mult for (m, j), mult in roots.items() if gcd(j % m, m) == 1}
+        roots.update({(m, j): 2 for m in orbits for j in range(m) if gcd(j, m) == 1})
+        f = unit_shaped(s, k, roots)
+        want = LaurentPoly.const(s).shift(k)
+        for (m, j), mult in roots.items():
+            want = want * LaurentPoly({1: one, 0: -zeta(m, j)}) ** mult
+        assert f == want
+        assert factor_unit_part(f) == unit_part_uncached(f)
+
+    @pytest.mark.parametrize("scalar, roots", [
+        (1, {(4, 2): 1}), (1, {(3, 3): 1}), (1, {(3, 1): 0}), (0, {(3, 1): 1}),
+    ])
+    def test_rejects_what_is_not_a_factorization(self, scalar, roots):
+        with pytest.raises(ValueError):
+            unit_shaped(scalar, 0, roots)
 
 
 class TestSerialization:

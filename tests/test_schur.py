@@ -3,8 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from helpers import group_to_doc, schur_sum
+from helpers import (
+    cyclic_schur_reference,
+    dihedral_schur_reference,
+    group_to_doc,
+    schur_sum,
+    unit_part_uncached,
+)
 
+from heckefam import laurent
 from heckefam.cyclotomic import one, rat, zeta, zero
 from heckefam.groups import (
     cyclic_group,
@@ -15,7 +22,7 @@ from heckefam.groups import (
 )
 from heckefam.blocks import families
 from heckefam.groups import GroupDataError
-from heckefam.laurent import LaurentPoly, laurent_to_doc, poly_divexact
+from heckefam.laurent import LaurentPoly, factor_unit_part, laurent_to_doc, poly_divexact
 from heckefam.schur import (
     a_plus_A,
     bad_primes,
@@ -55,6 +62,29 @@ class TestCyclicSchur:
             lam_k = [LaurentPoly.x_power(k)] + [z ** (i * k) for i in range(1, d)]
             N, D = schur_sum(W, lam_k)
             assert N == (D if k == 0 else LaurentPoly({})), (d, k)
+
+
+class TestStatedFactorizations:
+    """`cyclic_schur` and `dihedral_schur` build each Schur element from its
+    roots and record its factorization; it is the root search's, factor
+    order included (ascending m, then j), and the element is the one its
+    formula expands to term by term."""
+
+    @staticmethod
+    def check(built, reference):
+        assert built == reference
+        for c in built:
+            g = c.shift(-c.min_exp())
+            assert laurent._STATED[g] == unit_part_uncached(g), c
+            assert factor_unit_part(c) == unit_part_uncached(c), c
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_dihedral(self, n):
+        self.check(dihedral_schur(n), dihedral_schur_reference(n))
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_cyclic(self, d):
+        self.check(cyclic_schur(d), cyclic_schur_reference(d))
 
 
 class TestDihedralSchur:
