@@ -53,11 +53,11 @@ products, and Q(1/a) = Q(a) keeps the conductor.  Each inverse is cached by
 value, so a Schur scalar that several layers divide by is inverted once.
 A sum with a zero operand is the other operand itself.
 
-Galois normal form.  Conjugate values share their work: `galois_normal_form`
-picks one representative r = sigma_u(v) per Galois orbit, by the residues of
-the conjugates at the evaluation point of the conductor, and a result at r
-is carried to v = sigma_t(r), t = u^-1, by the ring automorphism sigma_t,
-so it is exact.  P and N above are computed once per orbit (`_norm_at`).
+Galois normal form.  `galois_normal_form` picks one representative
+r = sigma_u(f) per Galois orbit of a polynomial f, by the residues of the
+conjugates of its coefficients at the evaluation point of the conductor;
+`laurent.poly_divexact` divides a rational dividend by r and carries the
+quotient to f = sigma_t(r), t = u^-1, by the ring automorphism sigma_t.
 """
 
 from __future__ import annotations
@@ -220,28 +220,27 @@ def _conjugate_residue(a: "Cyclotomic", n: int):
     return lambda u: sum(v * powers[k * u % n] for k, v in terms) % ell
 
 
-def galois_normal_form(v) -> tuple:
-    """(r, t) with r the Galois representative of the Cyclotomic or
-    LaurentPoly v and v = sigma_t(r), sigma_t: zeta -> zeta^t fixing y.
+def galois_normal_form(f) -> tuple:
+    """(r, t) with r the Galois representative of the LaurentPoly f
+    and f = sigma_t(r), sigma_t: zeta -> zeta^t on the coefficients, y fixed.
 
-    Let n be the conductor of v (of its coefficients, for a polynomial).
-    r = sigma_u(v) for the least unit u modulo n whose conjugate sigma_u(v)
-    has the least tuple of residues: the residue of each coefficient, in
-    ascending order of exponents, at the evaluation point of n
-    (`_conjugate_residue`), compared one coefficient at a time on the units
-    still tied.  A residue is a function of the value, and
-    conjugate values have the same set of conjugates, so they pick the same
-    r; when two different conjugates tie, two conjugates may pick different
-    representatives, which only loses sharing.  t = u^-1 modulo n.
+    Let n be the conductor of f's coefficients.  r = sigma_u(f) for the
+    least unit u modulo n whose conjugate sigma_u(f) has the least tuple of
+    residues: the residue of each coefficient, in ascending order of
+    exponents, at the evaluation point of n (`_conjugate_residue`),
+    compared one coefficient at a time on the units still tied.  A residue
+    is a function of the value, and conjugate polynomials have the same set
+    of conjugates, so they pick the same r; when two different conjugates
+    tie, two conjugates may pick different representatives, which only
+    loses sharing.  t = u^-1 modulo n.
 
-    sigma_t is a ring automorphism of Q(zeta_n)[y, 1/y] that fixes Q, so a
-    result F(r) of a Galois-equivariant F carries to F(v) = sigma_t(F(r))
-    exactly: the inverse, the unit factorization, and a quotient a / v with
-    a rational."""
-    values = (v,) if isinstance(v, Cyclotomic) else [c for _e, c in sorted(v.coeffs.items())]
+    sigma_t is a ring automorphism of Q(zeta_n)[y, 1/y] that fixes Q, so
+    for a rational a the quotient a / f is sigma_t(a / r) exactly: its one
+    caller, `laurent.poly_divexact`, divides once per orbit."""
+    values = [c for _e, c in sorted(f.coeffs.items())]
     n = lcm(*(c._n for c in values))
     if n == 1:
-        return v, 1
+        return f, 1
     units = _units(n)
     for c in values:
         if len(units) == 1:
@@ -252,7 +251,7 @@ def galois_normal_form(v) -> tuple:
             least = min(keys)
             units = [u for u, k in zip(units, keys) if k == least]
     u = units[0]
-    return (v, 1) if u == 1 else (v.galois(u), pow(u, -1, n))
+    return (f, 1) if u == 1 else (f.galois(u), pow(u, -1, n))
 
 
 @cache
@@ -374,14 +373,6 @@ def _norm_and_cofactor(c: dict, n: int) -> tuple[int, dict]:
     return cur[0], cof
 
 
-@cache
-def _norm_at(r: "Cyclotomic") -> tuple[int, dict]:
-    """`_norm_and_cofactor` of the numerators of a Galois representative r
-    (`galois_normal_form`): computed once per orbit, for its inverse and
-    its norm alike."""
-    return _norm_and_cofactor(r._c, r._n)
-
-
 def _canonical(n: int, c: dict, d: int) -> "Cyclotomic":
     """The reduced map c / d at its minimal conductor."""
     n, c = _minimize(n, c)
@@ -494,19 +485,14 @@ class Cyclotomic:
         conjugates of A and N = A * P its norm; Q(1/a) = Q(a), so the
         conductor is unchanged.  Cached by value: a canonical value is its
         own key, and the same Schur scalar is inverted by every layer that
-        divides by it.  P and N are computed once per Galois orbit, at the
-        representative r of `galois_normal_form` (`_norm_at`): with
-        a = sigma_t(r), 1/a = sigma_t(1/r) exactly, as sigma_t is a field
-        automorphism, and r has the denominator d of a."""
+        divides by it."""
         if not self._c:
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        r, t = galois_normal_form(self)
-        N, cof = _norm_at(r)
+        N, cof = _norm_and_cofactor(self._c, self._n)
         d = self._d
         if N < 0:
             N, d = -N, -d
-        inv = _normalized(self._n, {k: v * d for k, v in cof.items()}, N)
-        return inv if t == 1 else inv.galois(t)
+        return _normalized(self._n, {k: v * d for k, v in cof.items()}, N)
 
     def __truediv__(self, other):
         other = coerce(other)
@@ -546,10 +532,9 @@ class Cyclotomic:
 
     def norm(self, conductor: int | None = None) -> Fraction:
         """Product of all Galois conjugates over Q, by default at the minimal
-        conductor.  N(sigma(a)) = N(a), so it is read off the representative
-        of a's Galois orbit (`galois_normal_form`, `_norm_at`)."""
+        conductor: N / d^phi(n) for a = A/d, N the norm of A."""
         if self._c:
-            N, _ = _norm_at(galois_normal_form(self)[0])
+            N, _ = _norm_and_cofactor(self._c, self._n)
             value = Fraction(N, self._d ** euler_phi(self._n))
         else:
             value = Fraction(0)

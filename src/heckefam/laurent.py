@@ -8,11 +8,11 @@ sum of such quotients is a numerator over the common multiple D of their
 linear factors (`common_unit_multiple`), each numerator an exact quotient
 D/f of `poly_divexact`.
 
-The unit factorization and an exact division of a rational dividend
-commute with the Galois action on the coefficients (y fixed), so each is
-computed once per Galois orbit, at the representative of
-`cyclotomic.galois_normal_form`, and carried; a quotient D/f with D
-rational is one of these divisions.  A polynomial built from its roots
+An exact division of a rational dividend commutes with the Galois action
+on the coefficients (y fixed), so it is computed once per Galois orbit of
+the divisor, at the representative of `cyclotomic.galois_normal_form`, and
+carried; a quotient D/f with D rational is one of these divisions.  The
+unit factorization is cached by value.  A polynomial built from its roots
 (`unit_shaped`, as the catalog Schur elements are) is not searched at all:
 its factorization is recorded by value when it is built.
 """
@@ -35,11 +35,18 @@ from .cyclotomic import (
     json_list,
     one,
     rat,
-    to_literal,
     zeta,
     zero,
 )
 from .ntheory import cyclotomic_polynomial, euler_phi, orders_with_phi_at_most
+
+
+def _coefficient(v) -> Cyclotomic:
+    """v as a Cyclotomic; a value that `coerce` rejects raises TypeError."""
+    c = coerce(v)
+    if c is NotImplemented:
+        raise TypeError(f"bad coefficient {v!r}")
+    return c
 
 
 class LaurentPoly:
@@ -53,9 +60,7 @@ class LaurentPoly:
         if not _clean:
             fixed = {}
             for e, v in coeffs.items():
-                v = coerce(v)
-                if v is NotImplemented:
-                    raise TypeError(f"bad coefficient {coeffs[e]!r}")
+                v = _coefficient(v)
                 if v:
                     fixed[int(e)] = fixed.get(int(e), zero) + v
             coeffs = {e: v for e, v in fixed.items() if v}
@@ -76,7 +81,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(v, mu: int = 1) -> "LaurentPoly":
-        v = coerce(v)
+        v = _coefficient(v)
         return LaurentPoly({0: v} if v else {}, mu, _clean=True)
 
     # -- introspection --------------------------------------------------------
@@ -195,30 +200,12 @@ class LaurentPoly:
         be prime to the conductor of every coefficient."""
         return LaurentPoly({e: v.galois(j) for e, v in self._c.items()}, self.mu, _clean=True)
 
-    # -- evaluation -----------------------------------------------------------
-
-    def eval_y(self, point) -> Cyclotomic:
-        point = coerce(point)
-        if self.is_zero():
-            return zero
-        lo = self.min_exp()
-        if lo < 0:
-            return self.shift(-lo).eval_y(point) * point.inverse() ** (-lo)
-        out = zero
-        # Horner over the dense range
-        for e in range(self.max_exp(), -1, -1):
-            out = out * point + self._c.get(e, zero)
-        return out
-
-    def eval_x(self, point) -> Cyclotomic:
-        if not self.is_x_polynomial():
-            raise ValueError("polynomial has fractional x-exponents")
-        return LaurentPoly({e // self.mu: v for e, v in self._c.items()}, 1, _clean=True).eval_y(point)
-
     # -- protocol -------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
+            if coerce(other) is NotImplemented:
+                return NotImplemented
             other = LaurentPoly.const(other, self.mu)
         return self.mu == other.mu and self._c == other._c
 
@@ -357,25 +344,17 @@ def factor_unit_part(f: LaurentPoly) -> UnitFactorization:
     """Split f into scalar * y^k * prod (y - omega)^m * non_unit, each omega a
     root of unity and non_unit free of root-of-unity zeros (constant term
     1), the factors in ascending order m of omega = zeta_m^j, then ascending
-    j.  For k != 0 this is the factorization of f / y^k, kept once by the
-    cache, with y_power k.
-
-    The factorization is unique, so sigma(f) factors as the image under
-    sigma of the factorization of f: sigma acts on the scalar, the roots and
-    the non-unit part.  It is computed once per Galois orbit, at the
-    representative r of `galois_normal_form` (`_unit_part_at`), and carried
-    to f = sigma_t(r) with its factors re-sorted (`_conjugate_factorization`).
-    """
+    j.  Cached by value.  For k != 0 this is the factorization of f / y^k,
+    kept once by the cache, with y_power k; that of a polynomial built by
+    `unit_shaped` is read off its record, and any other is searched for
+    (`_root_search`)."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     y_power = f.min_exp()
     if y_power:
         return factor_unit_part(f.shift(-y_power))._replace(y_power=y_power)
     stated = _STATED.get(f)
-    if stated is not None:
-        return stated
-    r, t = galois_normal_form(f)
-    return _conjugate_factorization(_unit_part_at(r), t, f.conductor_lcm())
+    return _root_search(f) if stated is None else stated
 
 
 # polynomial with lowest exponent 0 -> its factorization, as `unit_shaped` built it
@@ -443,23 +422,6 @@ def _root_index(omega: Cyclotomic) -> tuple[int, int]:
     e = _evaluation_powers(L)[1].index(_residue(omega, L))
     g = gcd(e, L)
     return L // g, e // g
-
-
-def _conjugate_factorization(fact: UnitFactorization, t: int, n: int) -> UnitFactorization:
-    """sigma_t(fact) for t a unit modulo n, n a multiple of the conductor of
-    the factored polynomial, with the factors re-sorted into the order of
-    `factor_unit_part`.  sigma_t is first lifted to a unit modulo the lcm L
-    of n and the orders of the roots, which every conductor of the
-    factorization divides; any lift gives the same image of f's factors."""
-    if t == 1:
-        return fact
-    roots = [(_root_index(omega), mult) for omega, mult in fact.unit_factors]
-    L = lcm(n, *(m for (m, _j), _mult in roots))
-    t = next(s for s in range(t, t + L, n) if gcd(s, L) == 1)
-    roots = sorted((m, j * t % m, mult) for (m, j), mult in roots)
-    return UnitFactorization(fact.scalar.galois(t), fact.y_power,
-                             tuple((zeta(m, j), mult) for m, j, mult in roots),
-                             fact.non_unit.galois(t))
 
 
 def _root_search(f: LaurentPoly) -> UnitFactorization:
@@ -530,9 +492,6 @@ def _root_search(f: LaurentPoly) -> UnitFactorization:
     return UnitFactorization(scalar, 0, tuple(factors), non_unit)
 
 
-_unit_part_at = cache(_root_search)  # by Galois representative
-
-
 def common_unit_multiple(polys) -> tuple[LaurentPoly, list[LaurentPoly]]:
     """(D, [D/f for each f]) for unit-shaped Laurent polynomials f, D =
     prod (y - omega)^max the least common multiple of their linear factors,
@@ -554,10 +513,6 @@ def common_unit_multiple(polys) -> tuple[LaurentPoly, list[LaurentPoly]]:
 
 
 # -- serialization ----------------------------------------------------------------
-
-
-def laurent_to_doc(f: LaurentPoly):
-    return {"mu": f.mu, "terms": [[e, to_literal(v)] for e, v in sorted(f.coeffs.items())]}
 
 
 def laurent_from_doc(doc) -> LaurentPoly:

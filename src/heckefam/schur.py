@@ -9,8 +9,8 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .cyclotomic import Cyclotomic, one, rat, zeta, zero
-from .laurent import LaurentPoly, common_unit_multiple, derivative_at_one, unit_shaped
+from .cyclotomic import Cyclotomic, one, rat, zeta
+from .laurent import LaurentPoly, derivative_at_one, unit_shaped
 from .ntheory import divisors, factorize
 from .valuation import laurent_content_val, primes_above
 
@@ -135,31 +135,6 @@ def a_plus_A(W, i: int, records=None) -> Fraction:
     Nc = records[i].N
     Nc_star = records[W.conj_perm[i]].N
     return Fraction(Nc + Nc_star, W.char_degree(i))
-
-
-def omega_pi_exponent(W, i: int) -> Fraction:
-    """Exponent of x in the scalar action of the full-twist central element."""
-    n_hyp, n_refl = W.reflection_counts()
-    records = compute_invariants(W)
-    return n_hyp + n_refl - a_plus_A(W, i, records)
-
-
-def relative_trace_scalar(W, P, i: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """c_chi * sum_psi <Res chi, psi> / c_psi for a parabolic embedding P, as
-    the pair (N, D) of its numerator and denominator: D is the common
-    multiple of the linear factors of the parabolic's Schur elements, the
-    same for every chi, and N = c_chi * sum_psi <Res chi, psi> D/c_psi.
-    N(1)/D(1) = [W:W']."""
-    sub = P.subgroup
-    if not sub.schur_elements:
-        raise ValueError(f"missing Schur data for subgroup {sub.name}")
-    D, quotients = common_unit_multiple(sub.schur_elements)
-    total = LaurentPoly.const(zero, W.mu)
-    for si, q in enumerate(quotients):
-        mult = P.induction_matrix[si][i]
-        if mult:
-            total = total + q * mult
-    return W.schur_elements[i] * total, D
 
 
 # -- reporting ---------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Symbol combinatorics for classical-group unipotent characters: shift
-normalization, rank/defect/family invariants, hooks and cohooks, cores and
-cocores in closed form on the abacus, Harish-Chandra series tests, the
-defect-bridge construction, and the finest-partition verification, which
-links each family by one `ntheory.join` of its series fibres."""
+normalization, rank/defect/family invariants, cores and cocores in closed
+form on the abacus, Harish-Chandra series tests, and the finest-partition
+verification, which links each family by one `ntheory.join` of its series
+fibres.  The hook and cohook moves and the defect bridge built from them
+are test references (`tests/helpers.py`)."""
 
 from __future__ import annotations
 
@@ -41,14 +42,6 @@ class Symbol(namedtuple("Symbol", "S T")):
     def entries(self) -> tuple[int, ...]:
         return tuple(sorted(self.S + self.T))
 
-    def swapped(self) -> "Symbol":
-        return Symbol(self.T, self.S)
-
-    def shift(self) -> "Symbol":
-        return Symbol(
-            tuple([0] + [a + 1 for a in self.S]), tuple([0] + [a + 1 for a in self.T])
-        )
-
 
 def normalize(sym: Symbol) -> Symbol:
     """Undo shifts while both rows start with 0."""
@@ -59,75 +52,10 @@ def normalize(sym: Symbol) -> Symbol:
     return Symbol(S, T)
 
 
-def unordered_key(sym: Symbol):
-    """Canonical form ignoring the row order (symbols are unordered pairs)."""
-    n = normalize(sym)
-    return tuple(sorted((n.S, n.T)))
-
-
-def defect(sym: Symbol) -> int:
-    return sym.defect()
-
-
-def rank(sym: Symbol) -> int:
-    return sym.rank()
-
-
 def family_key(sym: Symbol) -> tuple[int, ...]:
     """Multiset union of the rows of the normalized symbol: two symbols lie in
     the same Lusztig family exactly when these agree."""
     return normalize(sym).entries()
-
-
-# -- hooks and cohooks ------------------------------------------------------------
-
-
-def remove_cohook(sym: Symbol, length: int, value: int, row: str) -> Symbol:
-    """Remove a cohook: value moves from its row to the other row as value -
-    length (a negative length adds a cohook)."""
-    if row not in ("S", "T"):
-        raise ValueError("row must be 'S' or 'T'")
-    src = sym.S if row == "S" else sym.T
-    dst = sym.T if row == "S" else sym.S
-    if value not in src:
-        raise ValueError(f"{value} is not in row {row}")
-    if value - length < 0:
-        raise ValueError("cohook length exceeds the entry")
-    if value - length in dst:
-        raise ValueError(f"{value - length} already occupies the other row")
-    new_src = tuple(a for a in src if a != value)
-    new_dst = tuple(sorted(dst + (value - length,)))
-    return Symbol(new_src, new_dst) if row == "S" else Symbol(new_dst, new_src)
-
-
-def add_cohook(sym: Symbol, length: int, value: int, row: str) -> Symbol:
-    """Inverse of remove_cohook: value moves to the other row as value + length."""
-    return remove_cohook(sym, -length, value, row)
-
-
-def _hook_moves(sym: Symbol, d: int):
-    for row in ("S", "T"):
-        src = sym.S if row == "S" else sym.T
-        for v in src:
-            if v - d >= 0 and v - d not in src:
-                yield row, v
-
-
-def remove_hook(sym: Symbol, d: int, value: int, row: str) -> Symbol:
-    src = sym.S if row == "S" else sym.T
-    if value not in src or value - d < 0 or value - d in src:
-        raise ValueError("invalid hook removal")
-    new = tuple(sorted([a for a in src if a != value] + [value - d]))
-    return Symbol(new, sym.T) if row == "S" else Symbol(sym.S, new)
-
-
-def _cohook_moves(sym: Symbol, e: int):
-    for row in ("S", "T"):
-        src = sym.S if row == "S" else sym.T
-        dst = sym.T if row == "S" else sym.S
-        for v in src:
-            if v - e >= 0 and v - e not in dst:
-                yield row, v
 
 
 def d_core(sym: Symbol, d: int) -> Symbol:
@@ -165,23 +93,6 @@ def e_cocore(sym: Symbol, e: int) -> Symbol:
     return normalize(Symbol(*(tuple(sorted(row)) for row in rows)))
 
 
-def core_orders_agree(sym: Symbol, d: int, cocore: bool = False) -> bool:
-    """Exhaustively check removal-order independence of the (co)core."""
-    results = set()
-
-    def explore(cur):
-        moves = list((_cohook_moves if cocore else _hook_moves)(cur, d))
-        if not moves:
-            results.add(unordered_key(cur))
-            return
-        for row, v in moves:
-            nxt = (remove_cohook if cocore else remove_hook)(cur, d, v, row)
-            explore(nxt)
-
-    explore(sym)
-    return len(results) == 1
-
-
 # -- Harish-Chandra series ----------------------------------------------------------
 
 
@@ -199,20 +110,6 @@ def same_series(a: Symbol, b: Symbol, d: int) -> bool:
     if d < 1:
         raise ValueError("d must be positive")
     return _series_key(a, d) == _series_key(b, d)
-
-
-def defect_bridge(sym: Symbol) -> tuple[Symbol, int]:
-    """Move the two smallest S-entries absent from T into T; the output shares
-    the family and the l-cocore (l their difference), and the signed defect
-    drops by 4."""
-    singles = [v for v in sym.S if v not in sym.T]
-    if len(singles) < 2:
-        raise ValueError("need two entries in S absent from T")
-    l1, l2 = singles[0], singles[1]
-    length = l2 - l1
-    mid = remove_cohook(sym, length, l2, "S")
-    out = add_cohook(mid, length, l1, "S")
-    return out, length
 
 
 # -- exhaustive family verification ---------------------------------------------------

@@ -1,6 +1,8 @@
 """Prime ideals of Z[zeta_n] above a rational prime, certified p-adic
-valuations of cyclotomic values, and membership in the localized Rouquier
-ring.
+valuations of cyclotomic values, and the digit conditions for integrality
+at a prime (`integrality_conditions`) that the per-prime layer of the
+localized Rouquier ring solves.  Membership of a quotient num/den in it,
+decided coefficient by coefficient, is a test reference (`tests/helpers.py`).
 
 The valuation of an element is computed in the completion at
 P = (p, h(zeta_{n'})), h the chosen irreducible factor of Phi_{n'} mod p.
@@ -27,8 +29,6 @@ from .laurent import LaurentPoly, factor_unit_part
 from .ntheory import cyclotomic_polynomial, euler_phi, is_prime, multiplicative_order, prime_to_part
 
 INF = math.inf
-
-YES, NO, UNSUPPORTED = "yes", "no", "unsupported"
 
 
 # -- dense polynomial arithmetic over Z/m ------------------------------------
@@ -410,26 +410,3 @@ def laurent_content_val(f: LaurentPoly, spec: PrimeIdealSpec):
         raise ValueError(f"content of {f} unsupported: {fact.non_unit} is a non-unit part")
     return val(spec, fact.scalar)
 
-
-# -- Rouquier-ring membership -------------------------------------------------------
-
-
-def in_ideal(num: LaurentPoly, den: LaurentPoly, spec: PrimeIdealSpec, power: int = 1) -> str:
-    """Decide whether num/den lies in the power-th power of the maximal ideal
-    of O_p, the localized Rouquier ring; power 0 decides num/den in O_p.
-
-    Decidable when den is unit-shaped, xi y^k prod (y - omega)^m with every
-    omega a root of unity, as the common multiples of Schur elements are:
-    all but xi are units of O_p, so num/den lies there exactly when every
-    coefficient of num has valuation at least val(xi) + power.  Any other
-    den answers "unsupported"."""
-    if num.is_zero():
-        return YES
-    fact = factor_unit_part(den)
-    if not fact.is_unit():
-        return UNSUPPORTED
-    v_den = val(spec, fact.scalar)
-    for c in num.coeffs.values():
-        if not val_at_least(spec, c, v_den + power):
-            return NO
-    return YES

@@ -1,21 +1,31 @@
 """Helpers that only the tests use: partition comparisons, reassembly of a
 unit-part factorization and the uncached search behind it, the catalog
 Schur elements expanded term by term from their formulas, sums of
-quotients by Schur elements over their common unit multiple,
-serialization of a group to a format-1 document (at another mu, or Z2
-with chosen Schur elements), restriction to a parabolic subgroup, and
-the reference algorithms that the package's table-driven classes, long
-division, induction by Frobenius reciprocity, content from the unit
-factorization, one-comprehension digit images and abacus cores replaced."""
+quotients by Schur elements over their common unit multiple, evaluation
+and serialization of Laurent polynomials, serialization of a group to a
+format-1 document (at another mu, or Z2 with chosen Schur elements),
+restriction to a parabolic subgroup, and the reference algorithms that the
+package's table-driven classes, long division, induction by Frobenius
+reciprocity, content from the unit factorization, one-comprehension digit
+images and abacus cores replaced.
+
+The invariants that no command computes live here too, as references
+for the tests of the package's own: membership of a quotient in the
+localized Rouquier ring, relative trace scalars and the full-twist
+exponent, the special-character pairing check, and the hook and cohook
+moves of symbols with the defect bridge built from them."""
 
 from fractions import Fraction
 
-from heckefam.cyclotomic import dot, one, rat, to_literal, zero, zeta
 from heckefam import laurent
+from heckefam.blocks import families
+from heckefam.constructible import constructible_chars
+from heckefam.cyclotomic import coerce, dot, one, rat, to_literal, zero, zeta
 from heckefam.groups import GroupDataError, cyclic_group, enumerate_and_fuse
-from heckefam.laurent import LaurentPoly, common_unit_multiple, laurent_to_doc
-from heckefam.symbols import _cohook_moves, _hook_moves, normalize, remove_cohook, remove_hook
-from heckefam.valuation import INF, val
+from heckefam.laurent import LaurentPoly, common_unit_multiple, factor_unit_part
+from heckefam.schur import a_plus_A, compute_invariants
+from heckefam.symbols import Symbol, normalize
+from heckefam.valuation import INF, val, val_at_least
 
 
 def refines(partition, other) -> bool:
@@ -39,10 +49,19 @@ def reassemble(u) -> LaurentPoly:
 
 
 def unit_part_uncached(f) -> "UnitFactorization":
-    """factor_unit_part(f) by the search itself, with no cache and no Galois
-    carrying."""
+    """factor_unit_part(f) by the search itself, with no cache and no stated
+    factorization."""
     k = f.min_exp()
     return laurent._root_search(f.shift(-k))._replace(y_power=k)
+
+
+def count_root_searches(monkeypatch) -> list:
+    """The list that every later root search of `factor_unit_part` appends
+    its polynomial to."""
+    searches = []
+    search = laurent._root_search
+    monkeypatch.setattr(laurent, "_root_search", lambda f: searches.append(f) or search(f))
+    return searches
 
 
 def cyclic_schur_reference(d) -> list:
@@ -279,12 +298,225 @@ def image_reference(comp, coeffs, conductor, L) -> list:
     return out
 
 
+# -- Laurent polynomials ----------------------------------------------------------
+
+
+def eval_y(f, point):
+    """f at y = point: Horner's rule from the top exponent down to the least
+    one k, times point^k."""
+    point = coerce(point)
+    if f.is_zero():
+        return zero
+    lo, c = f.min_exp(), f.coeffs
+    out = zero
+    for e in range(f.max_exp(), lo - 1, -1):
+        out = out * point + c.get(e, zero)
+    return out * point**lo
+
+
+def eval_x(f, point):
+    """f at x = point, for f a genuine function of x."""
+    if not f.is_x_polynomial():
+        raise ValueError("polynomial has fractional x-exponents")
+    return eval_y(LaurentPoly({e // f.mu: v for e, v in f.coeffs.items()}), point)
+
+
+def laurent_to_doc(f) -> dict:
+    """The document literal of f, which `laurent.laurent_from_doc` reads."""
+    return {"mu": f.mu, "terms": [[e, to_literal(v)] for e, v in sorted(f.coeffs.items())]}
+
+
+# -- membership in the localized Rouquier ring ---------------------------------------
+
+YES, NO, UNSUPPORTED = "yes", "no", "unsupported"
+
+
+def in_ideal(num, den, spec, power: int = 1) -> str:
+    """Decide whether num/den lies in the power-th power of the maximal ideal
+    of O_p, the localized Rouquier ring; power 0 decides num/den in O_p.
+
+    Decidable when den is unit-shaped, xi y^k prod (y - omega)^m with every
+    omega a root of unity, as the common multiples of Schur elements are:
+    all but xi are units of O_p, so num/den lies there exactly when every
+    coefficient of num has valuation at least val(xi) + power.  Any other
+    den answers "unsupported"."""
+    if num.is_zero():
+        return YES
+    fact = factor_unit_part(den)
+    if not fact.is_unit():
+        return UNSUPPORTED
+    v_den = val(spec, fact.scalar)
+    for c in num.coeffs.values():
+        if not val_at_least(spec, c, v_den + power):
+            return NO
+    return YES
+
+
+# -- invariants that no command reports ----------------------------------------------
+
+
+def omega_pi_exponent(W, i: int) -> Fraction:
+    """Exponent of x in the scalar action of the full-twist central element."""
+    n_hyp, n_refl = W.reflection_counts()
+    return n_hyp + n_refl - a_plus_A(W, i, compute_invariants(W))
+
+
+def relative_trace_scalar(W, P, i: int) -> tuple:
+    """c_chi * sum_psi <Res chi, psi> / c_psi for a parabolic embedding P, as
+    the pair (N, D) of its numerator and denominator: D is the common
+    multiple of the linear factors of the parabolic's Schur elements, the
+    same for every chi, and N = c_chi * sum_psi <Res chi, psi> D/c_psi.
+    N(1)/D(1) = [W:W']."""
+    sub = P.subgroup
+    if not sub.schur_elements:
+        raise ValueError(f"missing Schur data for subgroup {sub.name}")
+    D, quotients = common_unit_multiple(sub.schur_elements)
+    total = LaurentPoly.const(zero, W.mu)
+    for si, q in enumerate(quotients):
+        mult = P.induction_matrix[si][i]
+        if mult:
+            total = total + q * mult
+    return W.schur_elements[i] * total, D
+
+
+def construc_pairing_check(W, phi, part) -> bool:
+    """Evaluate <phi, chi_s - sum_{chi in F} chi/f_chi> and compare with zero;
+    chi_s is the unique special character of the family F."""
+    recs = compute_invariants(W)
+    specials = [i for i in part if recs[i].special]
+    if len(specials) != 1:
+        raise ValueError(
+            f"{W.name}: family {tuple(part)} has {len(specials)} special characters"
+        )
+    s = specials[0]
+    total = zero + phi[s]
+    for i in part:
+        if phi[i]:
+            total = total - recs[i].f.inverse() * phi[i]
+    return total == zero
+
+
+def special_multiplicities(W) -> list:
+    """(constructible, family index, <phi, chi_s>) triples, reported because
+    multiplicities above 1 occur and carry no normative behavior."""
+    fam = families(W)
+    recs = compute_invariants(W)
+    out = []
+    for phi in constructible_chars(W):
+        support = [i for i, m in enumerate(phi) if m]
+        pi = fam.part_of(support[0])
+        part = fam.parts[pi]
+        specials = [i for i in part if recs[i].special]
+        mult = phi[specials[0]] if len(specials) == 1 else None
+        out.append((phi, pi, mult))
+    return out
+
+
+# -- symbols: hooks, cohooks and the defect bridge -----------------------------------
+
+
+def swapped(sym):
+    """sym with its rows exchanged."""
+    return Symbol(sym.T, sym.S)
+
+
+def shift(sym):
+    """sym shifted once: 0 put in front of both rows, every entry raised by 1."""
+    return Symbol((0, *(a + 1 for a in sym.S)), (0, *(a + 1 for a in sym.T)))
+
+
+def unordered_key(sym):
+    """Canonical form ignoring the row order (symbols are unordered pairs)."""
+    n = normalize(sym)
+    return tuple(sorted((n.S, n.T)))
+
+
+def remove_cohook(sym, length: int, value: int, row: str):
+    """Remove a cohook: value moves from its row to the other row as value -
+    length (a negative length adds a cohook)."""
+    if row not in ("S", "T"):
+        raise ValueError("row must be 'S' or 'T'")
+    src = sym.S if row == "S" else sym.T
+    dst = sym.T if row == "S" else sym.S
+    if value not in src:
+        raise ValueError(f"{value} is not in row {row}")
+    if value - length < 0:
+        raise ValueError("cohook length exceeds the entry")
+    if value - length in dst:
+        raise ValueError(f"{value - length} already occupies the other row")
+    new_src = tuple(a for a in src if a != value)
+    new_dst = tuple(sorted(dst + (value - length,)))
+    return Symbol(new_src, new_dst) if row == "S" else Symbol(new_dst, new_src)
+
+
+def add_cohook(sym, length: int, value: int, row: str):
+    """Inverse of remove_cohook: value moves to the other row as value + length."""
+    return remove_cohook(sym, -length, value, row)
+
+
+def hook_moves(sym, d: int):
+    """(row, value) for every hook of length d that can be removed."""
+    for row in ("S", "T"):
+        src = sym.S if row == "S" else sym.T
+        for v in src:
+            if v - d >= 0 and v - d not in src:
+                yield row, v
+
+
+def remove_hook(sym, d: int, value: int, row: str):
+    """value moves to value - d within its row."""
+    src = sym.S if row == "S" else sym.T
+    if value not in src or value - d < 0 or value - d in src:
+        raise ValueError("invalid hook removal")
+    new = tuple(sorted([a for a in src if a != value] + [value - d]))
+    return Symbol(new, sym.T) if row == "S" else Symbol(sym.S, new)
+
+
+def cohook_moves(sym, e: int):
+    """(row, value) for every cohook of length e that can be removed."""
+    for row in ("S", "T"):
+        src = sym.S if row == "S" else sym.T
+        dst = sym.T if row == "S" else sym.S
+        for v in src:
+            if v - e >= 0 and v - e not in dst:
+                yield row, v
+
+
+def core_orders_agree(sym, d: int, cocore: bool = False) -> bool:
+    """Exhaustively check removal-order independence of the (co)core."""
+    results = set()
+
+    def explore(cur):
+        moves = list((cohook_moves if cocore else hook_moves)(cur, d))
+        if not moves:
+            results.add(unordered_key(cur))
+            return
+        for row, v in moves:
+            explore((remove_cohook if cocore else remove_hook)(cur, d, v, row))
+
+    explore(sym)
+    return len(results) == 1
+
+
 def core_by_moves(sym, d, cocore=False):
     """The normalized d-core of sym (its d-cocore when cocore is set) by
     removing the first hook (cohook) of length d found, until none is left."""
-    moves, remove = (_cohook_moves, remove_cohook) if cocore else (_hook_moves, remove_hook)
+    moves, remove = (cohook_moves, remove_cohook) if cocore else (hook_moves, remove_hook)
     cur = sym
     while (move := next(moves(cur, d), None)) is not None:
         row, v = move
         cur = remove(cur, d, v, row)
     return normalize(cur)
+
+
+def defect_bridge(sym):
+    """Move the two smallest S-entries absent from T into T; the output shares
+    the family and the l-cocore (l their difference), and the signed defect
+    drops by 4."""
+    singles = [v for v in sym.S if v not in sym.T]
+    if len(singles) < 2:
+        raise ValueError("need two entries in S absent from T")
+    l1, l2 = singles[0], singles[1]
+    length = l2 - l1
+    mid = remove_cohook(sym, length, l2, "S")
+    return add_cohook(mid, length, l1, "S"), length

@@ -5,7 +5,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from helpers import as_sets, refines, schur_sum
+from helpers import YES, as_sets, in_ideal, refines, relative_trace_scalar, schur_sum
 
 from heckefam.blocks import (
     EXACT,
@@ -28,10 +28,8 @@ from heckefam.groups import cyclic_group, dihedral_group, g4_group, get_group, t
 from heckefam.cyclotomic import zero
 from heckefam.laurent import LaurentPoly, common_unit_multiple, factor_unit_part, poly_divexact
 from heckefam.ntheory import factorize, join as _join
-from heckefam.schur import bad_primes, compute_invariants, a_plus_A, relative_trace_scalar
+from heckefam.schur import bad_primes, compute_invariants, a_plus_A
 from heckefam.valuation import (
-    YES,
-    in_ideal,
     integrality_conditions,
     primes_above,
     val_at_least,

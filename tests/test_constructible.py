@@ -1,9 +1,10 @@
 """Constructible characters and the special-character pairing."""
 
 import pytest
+from helpers import construc_pairing_check, special_multiplicities
 
 from heckefam.blocks import families
-from heckefam.constructible import construc_pairing_check, constructible_chars, special_multiplicities
+from heckefam.constructible import constructible_chars
 from heckefam.groups import cyclic_group, dihedral_group, g4_group, trivial_group
 from heckefam.schur import compute_invariants
 

@@ -1,20 +1,21 @@
-"""The Galois normal form: conjugate values pick one representative, and
-what is computed at it and carried back by sigma_t (inverse, norm, unit
-factorization, exact quotients of a rational dividend) is what the direct
-computation gives.  Real values and rationals, which conjugation fixes,
-are drawn too.  A work guard pins the computations at representatives to
-the Galois orbits of I2(17) and I2(19), and the quotients D/c and the
-common multiples D that `families` adds on I2(17), I2(19), I2(24) and
-I2(30)."""
+"""The Galois normal form: conjugate polynomials pick one representative,
+and an exact quotient of a rational dividend computed at it and carried
+back by sigma_t is what the direct division gives.  Inverses, norms and
+unit factorizations of conjugates agree with the references.  Real values
+and rationals, which conjugation fixes, are drawn too.  A work guard pins
+the divisions at representatives to the Galois orbits of I2(17) and
+I2(19), the root searches and inverses of building them, and the
+quotients D/c and the common multiples D that `families` adds on I2(17),
+I2(19), I2(24) and I2(30)."""
 
 from math import gcd, lcm
 
 import cyclotomic_reference as ref
 import pytest
-from helpers import poly_divmod_reference, unit_part_uncached
+from helpers import count_root_searches, poly_divmod_reference, unit_part_uncached
 from hypothesis import assume, given, settings, strategies as st
 
-from heckefam import blocks, cyclotomic, laurent
+from heckefam import blocks, laurent
 from heckefam.blocks import families
 from heckefam.cyclotomic import (
     Cyclotomic,
@@ -65,9 +66,9 @@ def polynomials(draw):
     return n, LaurentPoly(coeffs), draw(st.sampled_from(_units(n)))
 
 
-def values_of(v) -> list:
-    """v's coefficients in ascending order of exponents (v itself for a Cyclotomic)."""
-    return [v] if isinstance(v, Cyclotomic) else [c for _e, c in sorted(v.coeffs.items())]
+def values_of(f) -> list:
+    """f's coefficients in ascending order of exponents."""
+    return [c for _e, c in sorted(f.coeffs.items())]
 
 
 def least_key_is_unique(v, n) -> bool:
@@ -91,7 +92,7 @@ class TestRepresentative:
         n, raw, u = case
         a = make(n, raw)
         assume(a)
-        self.check(a, u)
+        self.check(LaurentPoly({0: a}), u)
 
     @settings(max_examples=60, deadline=None)
     @given(polynomials())
@@ -176,23 +177,24 @@ class TestCarriedValues:
 
 
 class TestWorkGuard:
-    """Building I2(n), n = 17 or 19, computes at representatives only: no
-    root search, as `dihedral_schur` states every factorization; three
+    """Building I2(n), n = 17 or 19, searches no roots, as `dihedral_schur`
+    states every factorization, and divides at representatives only: three
     Molien divisions (the identity, every rotation class, the reflections)
     and three gate divisions (P/P, P/(y^-n P), and one for all the
-    phi{2,j}); three norms (2 - zeta^j - zeta^-j of `dihedral_schur`, the
-    scalar of the phi{2,j}, which the gate division inverts, and the
-    rational -1).  The counts are the misses of the caches at
-    representatives, so a change that stops the sharing raises them."""
+    phi{2,j}).  It inverts the (n - 1)/2 values 2 - zeta^j - zeta^-j of
+    `dihedral_schur`, the scalar of the phi{2,j} that the one gate division
+    inverts, and the rational -1.  The divisions and inverses are cache
+    misses, so a change that stops the sharing raises them."""
 
     @pytest.mark.parametrize("n", [17, 19])
-    def test_misses_are_the_orbit_counts(self, n):
+    def test_misses_are_the_orbit_counts(self, monkeypatch, n):
         trivial_group(), cyclic_group(2)  # the parabolic, built outside the count
-        caches = (laurent._unit_part_at, laurent._divexact_at, cyclotomic._norm_at)
-        for cache in (factor_unit_part, Cyclotomic.inverse) + caches:
+        for cache in (factor_unit_part, Cyclotomic.inverse, laurent._divexact_at):
             cache.cache_clear()
+        searches = count_root_searches(monkeypatch)
         dihedral_group.__wrapped__(n)
-        assert [c.cache_info().misses for c in caches] == [0, 6, 3]
+        assert (len(searches), laurent._divexact_at.cache_info().misses,
+                Cyclotomic.inverse.cache_info().misses) == (0, 6, (n - 1) // 2 + 2)
 
     @pytest.mark.parametrize("n, quotients", [(17, 1), (19, 1), (24, 11), (30, 11)])
     def test_families_adds_one_quotient_per_orbit(self, n, quotients):
@@ -200,8 +202,7 @@ class TestWorkGuard:
         # I2(19) one for the whole orbit of the phi{2,j} at the one bad
         # prime; the misses are counted after the group is built
         trivial_group(), cyclic_group(2)
-        for cache in (factor_unit_part, laurent._unit_part_at, laurent._divexact_at,
-                      blocks._numerator_columns):
+        for cache in (factor_unit_part, laurent._divexact_at, blocks._numerator_columns):
             cache.cache_clear()
         W = dihedral_group.__wrapped__(n)
         before = laurent._divexact_at.cache_info().misses

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from helpers import poly_divmod_reference, reassemble, unit_part_uncached
+from helpers import eval_x, laurent_to_doc, poly_divmod_reference, reassemble, unit_part_uncached
 from hypothesis import given, settings, strategies as st
 
 from heckefam import laurent
@@ -17,7 +17,6 @@ from heckefam.laurent import (
     derivative_at_one,
     factor_unit_part,
     laurent_from_doc,
-    laurent_to_doc,
     poly_divmod,
     unit_shaped,
 )
@@ -30,6 +29,24 @@ def z3_schur_pair():
     c1 = LaurentPoly({1: one, 0: -z}) * (1 - z**2)
     c2 = LaurentPoly({1: one, 0: -z**2}) * (1 - z)
     return c1.shift(-1), c2.shift(-1)
+
+
+class TestCoefficients:
+    """`const` and `==` check a coefficient as the constructor does, and warn
+    of nothing: a value that `coerce` rejects is never tested for truth."""
+
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    @pytest.mark.parametrize("bad", [None, "a", 1.5])
+    def test_const_rejects_what_the_constructor_rejects(self, bad):
+        for build in (LaurentPoly.const, lambda v: LaurentPoly({0: v})):
+            with pytest.raises(TypeError, match=f"bad coefficient {bad!r}"):
+                build(bad)
+
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    def test_a_non_coefficient_compares_unequal(self):
+        f = LaurentPoly({0: one})
+        assert (f == "a", f != "a", f == None, f == 1, f != one) == (  # noqa: E711
+            False, True, False, True, False)
 
 
 class TestRatfun:
@@ -51,8 +68,8 @@ class TestRatfun:
         c1, c2 = z3_schur_pair()
         D, (q1, q2) = common_unit_multiple([c1, c2])
         pt = rat(2)
-        want = c1.eval_x(pt).inverse() + c2.eval_x(pt).inverse()
-        assert (q1 + q2).eval_x(pt) / D.eval_x(pt) == want
+        want = eval_x(c1, pt).inverse() + eval_x(c2, pt).inverse()
+        assert eval_x(q1 + q2, pt) / eval_x(D, pt) == want
 
     def test_zero_denominator(self):
         with pytest.raises(ValueError, match="zero polynomial"):

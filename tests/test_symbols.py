@@ -1,24 +1,26 @@
 """Symbol combinatorics: invariants, hooks/cohooks, cores, series, bridges."""
 
 import pytest
-from helpers import core_by_moves
+from helpers import (
+    add_cohook,
+    core_by_moves,
+    core_orders_agree,
+    defect_bridge,
+    remove_cohook,
+    shift,
+    swapped,
+    unordered_key,
+)
 from hypothesis import given, settings, strategies as st
 
 from heckefam.symbols import (
     PARITIES as TYPES,
     Symbol,
-    add_cohook,
-    core_orders_agree,
     d_core,
-    defect,
-    defect_bridge,
     e_cocore,
     family_key,
     normalize,
-    rank,
-    remove_cohook,
     same_series,
-    unordered_key,
     verify_family_finest,
     _symbols_of_rank,
 )
@@ -29,18 +31,18 @@ ODD = TYPES["odd"]
 class TestInvariants:
     def test_rank_defect_example(self):
         s = Symbol((0, 2), (1,))
-        assert rank(s) == 2 and defect(s) == 1
+        assert s.rank() == 2 and s.defect() == 1
 
     def test_shift_invariance(self):
         s = Symbol((0, 2), (1,))
-        sh = s.shift()
-        assert rank(sh) == rank(s)
-        assert defect(sh) == defect(s)
+        sh = shift(s)
+        assert sh.rank() == s.rank()
+        assert sh.defect() == s.defect()
         assert family_key(sh) == family_key(s)
 
     def test_rank_zero_defect_one(self):
         s = Symbol((0,), ())
-        assert rank(s) == 0 and defect(s) == 1
+        assert s.rank() == 0 and s.defect() == 1
 
     def test_normalization(self):
         s = Symbol((0, 1, 3), (0, 2))
@@ -62,7 +64,7 @@ class TestCohooks:
 
     def test_rank_drops_by_length(self):
         s = Symbol((0, 3), (1,))
-        assert rank(s) - rank(remove_cohook(s, 3, 3, "S")) == 3
+        assert s.rank() - remove_cohook(s, 3, 3, "S").rank() == 3
 
     def test_signed_defect_moves_by_two(self):
         s = Symbol((0, 3), (1,))
@@ -101,7 +103,7 @@ class TestCores:
         s = Symbol((1, 4), (0, 2))
         for d in (1, 2, 3):
             c = d_core(s, d)
-            assert (rank(s) - rank(c)) % d == 0
+            assert (s.rank() - c.rank()) % d == 0
 
     def test_confluence_exhaustive_rank_le_4(self):
         for r in range(5):
@@ -127,7 +129,7 @@ class TestSeries:
             syms = _symbols_of_rank(r, 5, ODD)
             for a in syms:
                 for b in syms:
-                    assert same_series(a, b, 1) == (defect(a) == defect(b)), (a, b)
+                    assert same_series(a, b, 1) == (a.defect() == b.defect()), (a, b)
 
 
 class TestBridge:
@@ -150,7 +152,7 @@ class TestBridge:
         checked = 0
         for r in range(6):
             for base in _symbols_of_rank(r, 5, ODD):
-                for s in (base, base.swapped()):
+                for s in (base, swapped(base)):
                     singles = [v for v in s.S if v not in s.T]
                     if len(singles) < 2:
                         continue
@@ -158,7 +160,7 @@ class TestBridge:
                     checked += 1
                     assert family_key(out) == family_key(s)
                     assert s.signed_defect() - out.signed_defect() == 4
-                    assert rank(out) == rank(s)
+                    assert out.rank() == s.rank()
                     assert unordered_key(e_cocore(out, length)) == unordered_key(
                         e_cocore(s, length)
                     )
@@ -200,8 +202,8 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(symbols())
     def test_shift_invariants(self, s):
-        sh = s.shift()
-        assert rank(sh) == rank(s) and defect(sh) == defect(s)
+        sh = shift(s)
+        assert sh.rank() == s.rank() and sh.defect() == s.defect()
         assert family_key(sh) == family_key(s)
         assert normalize(sh) == normalize(s)
 
@@ -245,8 +247,8 @@ def same_rank_pairs(draw):
     for _ in range(2):
         s = draw(st.sampled_from(syms))
         for _ in range(draw(st.integers(0, 2))):
-            s = s.shift()
-        pair.append(s.swapped() if draw(st.booleans()) else s)
+            s = shift(s)
+        pair.append(swapped(s) if draw(st.booleans()) else s)
     return pair
 
 
@@ -257,15 +259,15 @@ class TestAbacusCores:
     @given(symbols(), st.integers(0, 2), st.booleans(), st.integers(1, 12))
     def test_equal_the_move_by_move_search(self, s, shifts, swap, d):
         for _ in range(shifts):
-            s = s.shift()
-        s = s.swapped() if swap else s
+            s = shift(s)
+        s = swapped(s) if swap else s
         assert d_core(s, d) == core_by_moves(s, d)
         assert e_cocore(s, d) == core_by_moves(s, d, cocore=True)
 
     def test_exhaustive_rank_le_5(self):
         for syms in _BY_RANK:
             for base in syms:
-                for s in (base, base.swapped(), base.shift().swapped()):
+                for s in (base, swapped(base), swapped(shift(base))):
                     for d in range(1, 9):
                         assert d_core(s, d) == core_by_moves(s, d), (s, d)
                         assert e_cocore(s, d) == core_by_moves(s, d, cocore=True), (s, d)

@@ -11,20 +11,16 @@ from heckefam.laurent import LaurentPoly, factor_unit_part
 from heckefam.ntheory import cyclotomic_polynomial, divisors, euler_phi, factorize, prime_to_part
 from heckefam.valuation import (
     INF,
-    NO,
-    UNSUPPORTED,
-    YES,
     PrimeIdealSpec,
     _completion,
     integrality_conditions,
-    in_ideal,
     laurent_content_val,
     primes_above,
     reduction,
     val,
     val_at_least,
 )
-from helpers import image_reference, laurent_content_val_reference
+from helpers import NO, UNSUPPORTED, YES, image_reference, in_ideal, laurent_content_val_reference
 
 L = LaurentPoly.from_x_coeffs
 
