@@ -1,5 +1,6 @@
 """Helpers that only the tests use: partition comparisons, reassembly of a
-unit-part factorization and the uncached search behind it, the catalog
+unit-part factorization, the uncached search behind it and a counter of
+its calls, the catalog
 Schur elements expanded term by term from their formulas, sums of
 quotients by Schur elements over their common unit multiple, evaluation
 and serialization of Laurent polynomials, serialization of a group to a
@@ -9,11 +10,11 @@ package's table-driven classes, long division, induction by Frobenius
 reciprocity, content from the unit factorization, one-comprehension digit
 images and abacus cores replaced.
 
-The invariants that no command computes live here too, as references
-for the tests of the package's own: membership of a quotient in the
-localized Rouquier ring, relative trace scalars and the full-twist
-exponent, the special-character pairing check, and the hook and cohook
-moves of symbols with the defect bridge built from them."""
+Code that no command runs lives here too, and the tests check the
+package against it: membership of a quotient in the localized Rouquier
+ring, relative trace scalars and the full-twist exponent, the
+special-character pairing check, and the hook and cohook moves of
+symbols with the defect bridge built from them."""
 
 from fractions import Fraction
 
