@@ -103,11 +103,12 @@ def _prime(W, p: int):
     """The prime ideal P above p at which every per-prime partition of W is
     read: the first of `primes_above` at the lcm of W's field conductor and
     the conductors of the roots of unity in its Schur elements, whose
-    factorizations validation cached."""
+    factorizations validation cached.  zeta_m^j, j prime to m, has
+    conductor m, or m/2 when m = 2 mod 4."""
     cond = W.field_conductor
     for c in W.schur_elements:
-        for omega, _m in factor_unit_part(c).unit_factors:
-            cond = lcm(cond, omega.conductor)
+        for (m, _j), _mult in factor_unit_part(c).unit_factors:
+            cond = lcm(cond, m // 2 if m % 4 == 2 else m)
     return primes_above(p, cond)[0]
 
 
@@ -126,7 +127,6 @@ def _defect_zero(W, spec) -> tuple[bool, ...]:
     return tuple(v == 0 for v in vals)
 
 
-@cache
 def _lattice(W, spec, support: tuple):
     """Hermite normal form of the lattice of vectors s over `support` that
     pass the O_p integrality test: every coefficient of sum_i s_i D/c_i

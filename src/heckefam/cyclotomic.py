@@ -167,24 +167,16 @@ def _primitive_root(q: int) -> int:
 
 
 @cache
-def _evaluation_point(n: int) -> tuple[int, int]:
-    """(l, w): the least prime l = 1 mod n above 2^20 and an element w of
-    order n modulo l, so that zeta_n -> w is a ring map Z[zeta_n] -> F_l."""
+def _evaluation_powers(n: int) -> tuple[int, tuple]:
+    """(l, (w^0, ..., w^(n-1)) mod l): the least prime l = 1 mod n above 2^20
+    and an element w of order n modulo l, so that zeta_n -> w is a ring map
+    Z[zeta_n] -> F_l (the evaluation point of n)."""
     ell = (2**20 // n + 1) * n + 1
     while not is_prime(ell):
         ell += n
     qs = factorize(n)
-    for h in range(2, ell):
-        w = pow(h, (ell - 1) // n, ell)
-        if all(pow(w, n // q, ell) != 1 for q in qs):
-            return ell, w
-    raise ArithmeticError("no element of order n")  # unreachable: F_l^* is cyclic
-
-
-@cache
-def _evaluation_powers(n: int) -> tuple[int, tuple]:
-    """(l, (w^0, ..., w^(n-1)) mod l) for the evaluation point (l, w) of n."""
-    ell, w = _evaluation_point(n)
+    w = next(w for w in (pow(h, (ell - 1) // n, ell) for h in range(2, ell))
+             if all(pow(w, n // q, ell) != 1 for q in qs))  # F_l^* is cyclic
     powers = [1] * n
     for t in range(1, n):
         powers[t] = powers[t - 1] * w % ell
@@ -193,7 +185,7 @@ def _evaluation_powers(n: int) -> tuple[int, tuple]:
 
 def _residue(a: "Cyclotomic", n: int) -> int | None:
     """The image of a under the ring map Z[zeta_n][1/d] -> F_l, zeta_n -> w,
-    of `_evaluation_point(n)`, d the denominator of a; None when l divides d
+    of `_evaluation_powers(n)`, d the denominator of a; None when l divides d
     or the conductor of a does not divide n."""
     ell, powers = _evaluation_powers(n)
     if n % a._n or a._d % ell == 0:
@@ -211,7 +203,7 @@ def _units(n: int) -> tuple:
 
 def _conjugate_residue(a: "Cyclotomic", n: int):
     """u -> the image of the numerators of sigma_u(a) under zeta_n -> w of
-    `_evaluation_point(n)`, which is the numerators of a at w^u; n must be a
+    `_evaluation_powers(n)`, which is the numerators of a at w^u; n must be a
     multiple of the conductor of a.  The denominator is left out, as sigma_u
     fixes it."""
     ell, powers = _evaluation_powers(n)
@@ -530,19 +522,13 @@ class Cyclotomic:
         """Complex conjugation."""
         return self.galois(self._n - 1) if self._n > 1 else self
 
-    def norm(self, conductor: int | None = None) -> Fraction:
-        """Product of all Galois conjugates over Q, by default at the minimal
-        conductor: N / d^phi(n) for a = A/d, N the norm of A."""
-        if self._c:
-            N, _ = _norm_and_cofactor(self._c, self._n)
-            value = Fraction(N, self._d ** euler_phi(self._n))
-        else:
-            value = Fraction(0)
-        if conductor is not None:
-            if conductor % self._n:
-                raise ValueError("norm conductor must be a multiple of the element's conductor")
-            value = value ** (euler_phi(conductor) // euler_phi(self._n))
-        return value
+    def norm(self) -> Fraction:
+        """Product of all Galois conjugates over Q, at the minimal conductor:
+        N / d^phi(n) for a = A/d, N the norm of A."""
+        if not self._c:
+            return Fraction(0)
+        N, _ = _norm_and_cofactor(self._c, self._n)
+        return Fraction(N, self._d ** euler_phi(self._n))
 
     def is_root_of_unity(self) -> bool:
         if not self._c:

@@ -13,9 +13,10 @@ from math import lcm
 from pathlib import Path
 
 from .cyclotomic import _unit_generators, dot, from_literal, integer, json_list, one, rat, zero, zeta
-from .laurent import LaurentPoly, _root_index, factor_unit_part, laurent_from_doc, poly_divexact
+from .laurent import (LaurentPoly, common_unit_multiple, factor_unit_part, laurent_from_doc,
+                      poly_divexact, unit_shaped)
 from .ntheory import join
-from .schur import cyclic_schur, dihedral_schur
+from .schur import cyclic_schur, dihedral_schur, poincare_roots
 
 ENUMERATION_BOUND = 50_000
 
@@ -91,11 +92,9 @@ class GroupDatum:
         return n
 
     def poincare(self) -> LaurentPoly:
-        """prod_i (1 + x + ... + x^(d_i - 1)) over the degrees d_i."""
-        out = LaurentPoly.const(one, self.mu)
-        for d in self.degrees:
-            out = out * LaurentPoly.from_x_coeffs([1] * d, self.mu)
-        return out
+        """prod_i (1 + x + ... + x^(d_i - 1)) over the degrees d_i, built
+        from its roots (`schur.poincare_roots`)."""
+        return unit_shaped(one, 0, poincare_roots(self.degrees, self.mu), self.mu)
 
     # -- enumeration ----------------------------------------------------------
 
@@ -530,7 +529,7 @@ def _validate(W: GroupDatum) -> GroupDatum:
     P = W.poincare()
     if _weighted_sum(_by_exponent(W.fake_degrees), [row[0] for row in W.irr]) != P.coeffs:
         raise GroupDataError(f"{name}: sum of deg * fake degree != Poincare polynomial")
-    _check_schur_elements(W, P)
+    _check_schur_elements(W)
     # parabolics
     paras = []
     for pspec in W.parabolic_specs:
@@ -562,14 +561,14 @@ def _validate(W: GroupDatum) -> GroupDatum:
     return W
 
 
-def _check_schur_elements(W: GroupDatum, P: LaurentPoly) -> None:
+def _check_schur_elements(W: GroupDatum) -> None:
     """The Schur-element rules: one per character, c(1) = |W|/chi(1), each
-    unit-shaped, xi y^k prod (y - omega)^m with every omega a root of unity
-    (Chlouveraki, LNM 1981), and sum_chi chi(1)/c_chi = 1, checked as
-    sum_chi chi(1) (P E)/c_chi = P E with E = prod (y - omega)^e the least
-    product that makes every division exact (`_excess`).  A spetsial
-    document also needs every y-exponent divisible by mu, and E = 1: every
-    P/c a Laurent polynomial, and the divisions those of P itself."""
+    unit-shaped, xi y^k prod (y - zeta_m^j)^mult (Chlouveraki, LNM 1981),
+    and sum_chi chi(1)/c_chi = 1, checked as sum_chi chi(1) D/c_chi = D
+    over their common unit multiple D (`common_unit_multiple`).  A spetsial
+    document also needs every y-exponent divisible by mu, and every P/c a
+    Laurent polynomial: no root of c above its multiplicity in the
+    Poincare polynomial P (`schur.poincare_roots`)."""
     name, chars = W.name, W.char_names
     if len(W.schur_elements) != W.n_irr:
         raise GroupDataError(f"{name}: expected {W.n_irr} Schur elements")
@@ -584,37 +583,15 @@ def _check_schur_elements(W: GroupDatum, P: LaurentPoly) -> None:
         if W.spetsial and not c.is_x_polynomial():
             raise GroupDataError(f"{name}: spetsial flag set but c({chars[i]}) has "
                                  "y-exponents not divisible by mu")
-    E: dict = {}
-    for i, excess in enumerate(_excess(facts, W.degrees, W.mu)):
-        if excess and W.spetsial:
-            raise GroupDataError(f"{name}: generic degree P/c is not a Laurent polynomial "
-                                 f"for {chars[i]}")
-        for omega, e in excess.items():
-            E[omega] = max(E.get(omega, 0), e)
-    for omega, e in E.items():
-        P = P * LaurentPoly({1: one, 0: -omega}, W.mu) ** e
-    quotients = [poly_divexact(P, c) for c in W.schur_elements]
-    if _weighted_sum(_by_exponent(quotients), [row[0] for row in W.irr]) != P.coeffs:
+    if W.spetsial:
+        roots_P = poincare_roots(W.degrees, W.mu)
+        for i, fact in enumerate(facts):
+            if any(mult > roots_P.get(root, 0) for root, mult in fact.unit_factors):
+                raise GroupDataError(f"{name}: generic degree P/c is not a Laurent polynomial "
+                                     f"for {chars[i]}")
+    D, quotients = common_unit_multiple(W.schur_elements)
+    if _weighted_sum(_by_exponent(quotients), [row[0] for row in W.irr]) != D.coeffs:
         raise GroupDataError(f"{name}: symmetrizing-form gate sum deg/c != 1 fails")
-
-
-def _excess(facts, degrees, mu: int) -> list[dict]:
-    """For each factorization xi y^k prod (y - omega)^m, {omega: m - m_P}
-    over the omegas with m above their multiplicity m_P in the Poincare
-    polynomial P = prod_d (y^(mu d) - 1)/(y^mu - 1): P/c is a Laurent
-    polynomial exactly when it is empty.  Each factor of P is squarefree, so
-    m_P(omega) is the number of degrees d with omega^(mu d) = 1, or 0 when
-    omega^mu = 1; omega^k = 1 exactly when the order of omega divides k, and
-    it is computed once per distinct omega."""
-    m_P: dict = {}
-    for fact in facts:
-        for omega, _m in fact.unit_factors:
-            if omega not in m_P:
-                order = _root_index(omega)[0]
-                m_P[omega] = (0 if mu % order == 0
-                              else sum(mu * d % order == 0 for d in degrees))
-    return [{omega: m - m_P[omega] for omega, m in fact.unit_factors if m > m_P[omega]}
-            for fact in facts]
 
 
 def _check_indices(W: GroupDatum) -> None:

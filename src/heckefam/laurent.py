@@ -3,10 +3,11 @@ extraction of root-of-unity linear factors, and common multiples of
 unit-shaped polynomials.
 
 A quotient of Laurent polynomials is never reduced by a gcd here: a Schur
-element is xi y^k prod (y - omega)^m with each omega a root of unity, so a
-sum of such quotients is a numerator over the common multiple D of their
-linear factors (`common_unit_multiple`), each numerator an exact quotient
-D/f of `poly_divexact`.
+element is xi y^k prod (y - zeta_m^j)^mult, so a sum of such quotients is a
+numerator over the common multiple D of their linear factors
+(`common_unit_multiple`), each numerator an exact quotient D/f of
+`poly_divexact`.  Every root of a factorization is the pair (m, j) of
+zeta_m^j, j prime to m.
 
 An exact division of a rational dividend commutes with the Galois action
 on the coefficients (y fixed), so it is computed once per Galois orbit of
@@ -69,11 +70,6 @@ class LaurentPoly:
         self._hash = None
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_x_coeffs(coeffs, mu: int = 1) -> "LaurentPoly":
-        """Dense list of x-coefficients, ascending from x^0."""
-        return LaurentPoly({i * mu: c for i, c in enumerate(coeffs)}, mu)
 
     @staticmethod
     def x_power(k: int, mu: int = 1) -> "LaurentPoly":
@@ -178,19 +174,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers of a Laurent polynomial")
-        out = LaurentPoly.const(one, self.mu)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by y^e."""
         return LaurentPoly({k + e: v for k, v in self._c.items()}, self.mu, _clean=True)
@@ -283,8 +266,8 @@ def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     division is done once per Galois orbit of b, at its representative r
     (`galois_normal_form`), and carried to b = sigma_t(r) exactly: sigma_t
     fixes a and is a ring automorphism.  This covers the Molien terms
-    prod(1 - x^d_i) / det(1 - xw) and the divisions of the Poincare
-    polynomial by the Schur elements in validation."""
+    prod(1 - x^d_i) / det(1 - xw) and the quotients D/c of
+    `common_unit_multiple` with D rational."""
     if a.is_zero():
         return a
     if a.conductor_lcm() > 1:
@@ -319,8 +302,9 @@ def derivative_at_one(f: LaurentPoly) -> Cyclotomic:
 
 
 class UnitFactorization(namedtuple("UnitFactorization", "scalar y_power unit_factors non_unit")):
-    """f = scalar * y^y_power * prod (y - omega)^m * non_unit, with
-    unit_factors the pairs ((omega, m), ...)."""
+    """f = scalar * y^y_power * prod (y - zeta_m^j)^mult * non_unit, with
+    unit_factors the pairs (((m, j), mult), ...), j prime to m, in
+    ascending order of (m, j)."""
 
     __slots__ = ()
 
@@ -341,13 +325,12 @@ def _images(a: list, n: int) -> list | None:
 
 @cache
 def factor_unit_part(f: LaurentPoly) -> UnitFactorization:
-    """Split f into scalar * y^k * prod (y - omega)^m * non_unit, each omega a
-    root of unity and non_unit free of root-of-unity zeros (constant term
-    1), the factors in ascending order m of omega = zeta_m^j, then ascending
-    j.  Cached by value.  For k != 0 this is the factorization of f / y^k,
-    kept once by the cache, with y_power k; that of a polynomial built by
-    `unit_shaped` is read off its record, and any other is searched for
-    (`_root_search`)."""
+    """Split f into scalar * y^k * prod (y - zeta_m^j)^mult * non_unit,
+    non_unit free of root-of-unity zeros (constant term 1), the record of
+    `UnitFactorization`.  Cached by value.  For k != 0 this is the
+    factorization of f / y^k, kept once by the cache, with y_power k; that
+    of a polynomial built by `unit_shaped` is read off its record, and any
+    other is searched for (`_root_search`)."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     y_power = f.min_exp()
@@ -374,29 +357,28 @@ def unit_shaped(scalar, y_power: int, roots: dict, mu: int = 1) -> LaurentPoly:
     scalar = coerce(scalar)
     if not scalar:
         raise ValueError("a unit-shaped polynomial has a nonzero scalar")
-    roots = {root: (zeta(*root), mult) for root, mult in sorted(roots.items())}
     g = _unit_product(roots, mu) * scalar
-    factors = tuple(roots.values())
+    factors = tuple(sorted(roots.items()))
     _STATED[g] = UnitFactorization(scalar, 0, factors, LaurentPoly.const(one, mu))
     return g.shift(y_power)
 
 
 def _unit_product(roots: dict, mu: int) -> LaurentPoly:
-    """prod (y - omega)^mult over roots {(m, j): (omega, mult)}, omega =
-    zeta_m^j.  The roots of one order m and one multiplicity that make up
-    the whole Galois orbit {j prime to m} enter as the integer Phi_m^mult
-    (`cyclotomic_polynomial`), the others one linear factor at a time."""
+    """prod (y - zeta_m^j)^mult over roots {(m, j): mult}.  The roots of
+    one order m and one multiplicity that make up the whole Galois orbit
+    {j prime to m} enter as the integer Phi_m^mult (`cyclotomic_polynomial`),
+    the others one linear factor at a time."""
     orbits: dict = {}
-    for (m, _j), (omega, mult) in roots.items():
-        orbits.setdefault((m, mult), []).append(omega)
+    for (m, j), mult in roots.items():
+        orbits.setdefault((m, mult), []).append(j)
     rational = [1]  # dense and ascending
     linear = []
-    for (m, mult), omegas in orbits.items():
-        if len(omegas) == euler_phi(m):
+    for (m, mult), js in orbits.items():
+        if len(js) == euler_phi(m):
             for _ in range(mult):
                 rational = _int_poly_mul(rational, cyclotomic_polynomial(m))
         else:
-            linear += omegas * mult
+            linear += [zeta(m, j) for j in js] * mult
     dense = [rat(v) for v in rational]
     for omega in linear:
         dense = [a - omega * b for a, b in zip([zero, *dense], [*dense, zero])]
@@ -413,17 +395,6 @@ def _int_poly_mul(a, b) -> list[int]:
     return out
 
 
-def _root_index(omega: Cyclotomic) -> tuple[int, int]:
-    """(m, j) with omega = zeta_m^j and j prime to m, for a root of unity
-    omega.  Its order divides L = lcm(2, conductor), and w of
-    `_evaluation_point(L)` has order L, so the residue of omega is w^e for
-    exactly one e modulo L, and (m, j) = (L, e) / gcd(L, e)."""
-    L = lcm(2, omega.conductor)
-    e = _evaluation_powers(L)[1].index(_residue(omega, L))
-    g = gcd(e, L)
-    return L // g, e // g
-
-
 def _root_search(f: LaurentPoly) -> UnitFactorization:
     """The factorization of `factor_unit_part` for f with lowest exponent
     0, by a search over the roots of unity.
@@ -438,11 +409,11 @@ def _root_search(f: LaurentPoly) -> UnitFactorization:
     phi(lcm(c, m)) > phi(c) deg g for the current g is skipped.
 
     Each candidate omega = zeta_m^j is screened in a finite field before it
-    is tested exactly.  Let L = lcm(c, m) and (l, w) =
-    `_evaluation_point(L)`: l is a prime with l = 1 mod L and w has order L
-    in F_l^*.  Then zeta_L -> w is a ring map Z[zeta_L] -> F_l; it extends
-    to Z[zeta_L][1/d] -> F_l whenever l does not divide d, d the common
-    denominator of the coefficients of g.  Under it zeta_c goes to w^(L/c),
+    is tested exactly.  Let L = lcm(c, m) and (l, w) the evaluation point
+    of `_evaluation_powers(L)`: l is a prime with l = 1 mod L and w has
+    order L in F_l^*.  Then zeta_L -> w is a ring map Z[zeta_L] -> F_l; it
+    extends to Z[zeta_L][1/d] -> F_l whenever l does not divide d, d the
+    common denominator of the coefficients of g.  Under it zeta_c goes to w^(L/c),
     each coefficient goes to its numerator map at w^(L/c) times the inverse
     of its denominator, and omega goes to w^(jL/m).  Since g(omega) lies in
     Z[zeta_L][1/d], its image is the Horner residue of the image of g at
@@ -485,7 +456,7 @@ def _root_search(f: LaurentPoly) -> UnitFactorization:
                 a, mult = q, mult + 1
                 image = _images(a, L)
             if mult:
-                factors.append((omega, mult))
+                factors.append(((m, j), mult))
     scalar = a[0]
     inv = scalar.inverse()
     non_unit = LaurentPoly({e: v * inv for e, v in enumerate(a) if v}, f.mu, _clean=True)
@@ -494,7 +465,7 @@ def _root_search(f: LaurentPoly) -> UnitFactorization:
 
 def common_unit_multiple(polys) -> tuple[LaurentPoly, list[LaurentPoly]]:
     """(D, [D/f for each f]) for unit-shaped Laurent polynomials f, D =
-    prod (y - omega)^max the least common multiple of their linear factors,
+    prod (y - zeta_m^j)^max the least common multiple of their linear factors,
     so that sum_i a_i / f_i is (sum_i a_i D/f_i) / D.  D is built from the
     cached factorizations (`factor_unit_part`), each whole Galois orbit of
     its roots as one integer Phi_m (`_unit_product`), and each D/f is
@@ -505,10 +476,9 @@ def common_unit_multiple(polys) -> tuple[LaurentPoly, list[LaurentPoly]]:
         fact = factor_unit_part(f)
         if not fact.is_unit():
             raise ValueError(f"no common unit multiple: {fact.non_unit} is a non-unit part")
-        for omega, m in fact.unit_factors:
-            maxmult[omega] = max(maxmult.get(omega, 0), m)
-    roots = {_root_index(omega): (omega, m) for omega, m in maxmult.items()}
-    D = _unit_product(roots, polys[0].mu)
+        for root, mult in fact.unit_factors:
+            maxmult[root] = max(maxmult.get(root, 0), mult)
+    D = _unit_product(maxmult, polys[0].mu)
     return D, [poly_divexact(D, f) for f in polys]
 
 

@@ -9,16 +9,23 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .cyclotomic import Cyclotomic, one, rat, zeta
+from .cyclotomic import Cyclotomic, _canonical, _reduce_map, one
 from .laurent import LaurentPoly, derivative_at_one, unit_shaped
 from .ntheory import divisors, factorize
 from .valuation import laurent_content_val, primes_above
 
 
-def _nontrivial_roots(n: int) -> dict:
-    """{(m, j): 1} over the roots zeta_m^j != 1 of y^n - 1, those of
-    1 + y + ... + y^(n-1): every order m > 1 dividing n, every j prime to m."""
-    return {(m, j): 1 for m in divisors(n)[1:] for j in range(m) if gcd(j, m) == 1}
+def poincare_roots(degrees, mu: int = 1) -> dict:
+    """{(m, j): mult} over the roots zeta_m^j of the Poincare polynomial
+    P = prod_d (y^(mu d) - 1)/(y^mu - 1).  Each factor is squarefree, its
+    roots those of every order m dividing mu d but not mu, so mult is the
+    number of degrees d with m | mu d."""
+    orders: dict = {}
+    for d in degrees:
+        for m in divisors(mu * d):
+            if mu % m:
+                orders[m] = orders.get(m, 0) + 1
+    return {(m, j): mult for m, mult in orders.items() for j in range(m) if gcd(j, m) == 1}
 
 
 def _root(n: int, k: int) -> tuple[int, int]:
@@ -30,15 +37,19 @@ def _root(n: int, k: int) -> tuple[int, int]:
 def cyclic_schur(d: int) -> list[LaurentPoly]:
     """Schur elements of the cyclotomic algebra of Z_d, eigenvalue set
     {x, zeta_d, ..., zeta_d^{d-1}}, solving the moment system
-    sum_i lambda_i^k / c_i = delta_{k0}: c_0 = 1 + x + ... + x^{d-1}, and
-    c_i = gamma (x - z) / x with z = zeta_d^i and gamma = d / (1 - z).  Each
-    is built from its roots (`unit_shaped`)."""
+    sum_i lambda_i^k / c_i = delta_{k0}: c_0 = 1 + x + ... + x^{d-1}, the
+    Poincare polynomial, and c_i = gamma (x - w) / x with w = zeta_d^i and
+    gamma = d / (1 - w).  For w of order m > 1,
+    1/(1 - w) = -(1/m) sum_{k<m} k w^k, since (1 - w) sum_{k<m} k w^k =
+    sum_{0<k<m} w^k - (m - 1) w^m = -m; so gamma is built in closed form,
+    with no norm.  Each element is built from its roots (`unit_shaped`)."""
     if d < 2:
         raise ValueError("cyclic_schur expects d >= 2")
-    out = [unit_shaped(one, 0, _nontrivial_roots(d))]
+    out = [unit_shaped(one, 0, poincare_roots((d,)))]
     for i in range(1, d):
-        gamma = rat(d) * (one - zeta(d, i)).inverse()
-        out.append(unit_shaped(gamma, -1, {_root(d, i): 1}))
+        m, j = _root(d, i)
+        gamma = _canonical(m, _reduce_map({k: -d * k for k in range(1, m)}, m, j), m)
+        out.append(unit_shaped(gamma, -1, {(m, j): 1}))
     return out
 
 
@@ -49,24 +60,24 @@ def dihedral_schur(n: int) -> list[LaurentPoly]:
     Each is built from its roots (`unit_shaped`): the Poincare polynomial
     P = (1 + x)(1 + x + ... + x^{n-1}) of the trivial character and, times
     x^-n, of the sign; (n/2)(x + 1)^2 / x for the extra linear characters;
-    and f (x - z^j)(x - z^-j) / x for rho_j, z = zeta_n and
-    f = n / ((1 - z^j)(1 - z^-j)).  The group validation checks the
-    identity sum deg(chi)/c_chi = 1 on them."""
+    and f (x - w)(x - w^-1) / x for rho_j, w = zeta_n^j of order m, and
+    f = n / ((1 - w)(1 - w^-1)).  With 1/(1 - w) of `cyclic_schur` and its
+    conjugate 1/(1 - w^-1) = -(1/m) sum_{0<b<m} (m - b) w^b, the product has
+    the w^s coefficient (1/m^2) sum_{a<m} a ((a - s) mod m) =
+    C + s (s - m) / (2m), C independent of s; since sum_{s<m} w^s = 0,
+    f = -(n/2m) sum_{s<m} s (m - s) w^s, built with no norm.  The group
+    validation checks the identity sum deg(chi)/c_chi = 1 on them."""
     if n < 3:
         raise ValueError("dihedral_schur expects n >= 3")
-    roots = _nontrivial_roots(n)
-    roots[(2, 1)] = roots.get((2, 1), 0) + 1  # the factor 1 + x
-    P = unit_shaped(one, 0, roots)
+    P = unit_shaped(one, 0, poincare_roots((2, n)))
     out = [P, P.shift(-n)]
-    m = n // 2
     if n % 2 == 0:
         lin = unit_shaped(Fraction(n, 2), -1, {(2, 1): 2})
         out += [lin, lin]
-    nrot = m if n % 2 == 1 else m - 1
-    for j in range(1, nrot + 1):
-        trace = zeta(n, j) + zeta(n, -j)
-        f = rat(n) * (rat(2) - trace).inverse()  # n / ((1 - z^j)(1 - z^-j))
-        out.append(unit_shaped(f, -1, {_root(n, j): 1, _root(n, n - j): 1}))
+    for j in range(1, (n + 1) // 2):  # the rho_j, 0 < j < n/2
+        m, k = _root(n, j)
+        f = _canonical(m, _reduce_map({s: -n * s * (m - s) for s in range(1, m)}, m, k), 2 * m)
+        out.append(unit_shaped(f, -1, {(m, k): 1, (m, m - k): 1}))
     return out
 
 

@@ -1,4 +1,5 @@
-"""Helpers that only the tests use: partition comparisons, reassembly of a
+"""Helpers that only the tests use: partition comparisons, polynomials
+from dense x-coefficients or expanded from their roots, reassembly of a
 unit-part factorization, the uncached search behind it and a counter of
 its calls, the catalog
 Schur elements expanded term by term from their formulas, sums of
@@ -8,7 +9,8 @@ format-1 document (at another mu, or Z2 with chosen Schur elements),
 restriction to a parabolic subgroup, and the reference algorithms that the
 package's table-driven classes, long division, induction by Frobenius
 reciprocity, content from the unit factorization, one-comprehension digit
-images and abacus cores replaced.
+images, abacus cores, the Poincare polynomial from its roots and the
+Schur-element gate over the common unit multiple replaced.
 
 Code that no command runs lives here too, and the tests check the
 package against it: membership of a quotient in the localized Rouquier
@@ -18,12 +20,12 @@ symbols with the defect bridge built from them."""
 
 from fractions import Fraction
 
-from heckefam import laurent
+from heckefam import groups, laurent
 from heckefam.blocks import families
 from heckefam.constructible import constructible_chars
 from heckefam.cyclotomic import coerce, dot, one, rat, to_literal, zero, zeta
 from heckefam.groups import GroupDataError, cyclic_group, enumerate_and_fuse
-from heckefam.laurent import LaurentPoly, common_unit_multiple, factor_unit_part
+from heckefam.laurent import LaurentPoly, common_unit_multiple, factor_unit_part, poly_divexact
 from heckefam.schur import a_plus_A, compute_invariants
 from heckefam.symbols import Symbol, normalize
 from heckefam.valuation import INF, val, val_at_least
@@ -38,15 +40,76 @@ def as_sets(partition) -> list:
     return [frozenset(p) for p in partition.parts]
 
 
-def reassemble(u) -> LaurentPoly:
-    """scalar * y^y_power * prod (y - omega)^m * non_unit of a UnitFactorization."""
-    mu = u.non_unit.mu
-    out = (u.non_unit * u.scalar).shift(u.y_power)
-    for omega, mult in u.unit_factors:
-        factor = LaurentPoly({1: one, 0: -omega}, mu)
+def from_x_coeffs(coeffs, mu: int = 1) -> LaurentPoly:
+    """The polynomial of a dense list of x-coefficients, ascending from x^0."""
+    return LaurentPoly({i * mu: c for i, c in enumerate(coeffs)}, mu)
+
+
+def from_roots(roots, mu: int = 1) -> LaurentPoly:
+    """prod (y - zeta_m^j)^mult over the pairs ((m, j), mult) of roots, j
+    any integer, multiplied out one linear factor at a time."""
+    out = LaurentPoly.const(one, mu)
+    for (m, j), mult in roots:
+        factor = LaurentPoly({1: one, 0: -zeta(m, j % m)}, mu)
         for _ in range(mult):
             out = out * factor
     return out
+
+
+def reassemble(u) -> LaurentPoly:
+    """scalar * y^y_power * prod (y - zeta_m^j)^mult * non_unit of a
+    UnitFactorization."""
+    return (u.non_unit * u.scalar).shift(u.y_power) * from_roots(u.unit_factors, u.non_unit.mu)
+
+
+def poincare_reference(degrees, mu: int = 1) -> LaurentPoly:
+    """prod_d (1 + x + ... + x^(d - 1)) over the degrees, multiplied out."""
+    out = LaurentPoly.const(one, mu)
+    for d in degrees:
+        out = out * from_x_coeffs([1] * d, mu)
+    return out
+
+
+def check_schur_elements_reference(W, P) -> None:
+    """`groups._check_schur_elements` through the Poincare polynomial P:
+    the rules on c(1), the unit shape and the y-exponents of a spetsial W,
+    then sum_chi chi(1) (P E)/c_chi = P E with E = prod (y - zeta_m^j)^e
+    the least product that makes every division exact.  The multiplicity
+    of zeta_m^j in P is the number of degrees d with m | mu d, or 0 when
+    m | mu, and e is the excess of its multiplicity in c_chi over it.  A
+    spetsial W needs E = 1: every P/c_chi a Laurent polynomial.  Raises the
+    GroupDataError of the first violated rule."""
+    name, chars = W.name, W.char_names
+    if len(W.schur_elements) != W.n_irr:
+        raise GroupDataError(f"{name}: expected {W.n_irr} Schur elements")
+    facts = []
+    for i, c in enumerate(W.schur_elements):
+        val_at_1 = groups._at_one(c)
+        if val_at_1 != rat(Fraction(W.order, W.char_degree(i))):
+            raise GroupDataError(f"{name}: c({chars[i]})(1) != |W|/deg (got {val_at_1})")
+        facts.append(factor_unit_part(c))
+        if not facts[i].is_unit():
+            raise GroupDataError(f"{name}: c({chars[i]}) has a non-unit part {facts[i].non_unit}")
+        if W.spetsial and not c.is_x_polynomial():
+            raise GroupDataError(f"{name}: spetsial flag set but c({chars[i]}) has "
+                                 "y-exponents not divisible by mu")
+    E: dict = {}
+    for i, fact in enumerate(facts):
+        excess = {}
+        for (m, j), mult in fact.unit_factors:
+            in_P = 0 if W.mu % m == 0 else sum(W.mu * d % m == 0 for d in W.degrees)
+            if mult > in_P:
+                excess[(m, j)] = mult - in_P
+        if excess and W.spetsial:
+            raise GroupDataError(f"{name}: generic degree P/c is not a Laurent polynomial "
+                                 f"for {chars[i]}")
+        for root, e in excess.items():
+            E[root] = max(E.get(root, 0), e)
+    P = P * from_roots(E.items(), W.mu)
+    quotients = [poly_divexact(P, c) for c in W.schur_elements]
+    degrees = [row[0] for row in W.irr]
+    if groups._weighted_sum(groups._by_exponent(quotients), degrees) != P.coeffs:
+        raise GroupDataError(f"{name}: symmetrizing-form gate sum deg/c != 1 fails")
 
 
 def unit_part_uncached(f) -> "UnitFactorization":
@@ -69,7 +132,7 @@ def cyclic_schur_reference(d) -> list:
     """The Schur elements of Z_d by their formulas, expanded term by term:
     1 + x + ... + x^{d-1}, then gamma (x - z) / x with z = zeta_d^i and
     gamma = d / (1 - z)."""
-    out = [LaurentPoly.from_x_coeffs([1] * d)]
+    out = [from_x_coeffs([1] * d)]
     for i in range(1, d):
         z = zeta(d, i)
         gamma = rat(d) * (one - z).inverse()
@@ -81,11 +144,11 @@ def dihedral_schur_reference(n) -> list:
     """The Schur elements of I2(n) by their formulas, expanded term by term:
     P = (1 + x)(1 + x + ... + x^{n-1}), x^-n P, (n/2)(1 + x)^2 / x twice
     when n is even, and f (x^2 - (z^j + z^-j) x + 1) / x for rho_j."""
-    P = LaurentPoly.from_x_coeffs([1, 1]) * LaurentPoly.from_x_coeffs([1] * n)
+    P = from_x_coeffs([1, 1]) * from_x_coeffs([1] * n)
     out = [P, P.shift(-n)]
     m = n // 2
     if n % 2 == 0:
-        lin = LaurentPoly.from_x_coeffs([1, 2, 1]).shift(-1) * Fraction(n, 2)
+        lin = from_x_coeffs([1, 2, 1]).shift(-1) * Fraction(n, 2)
         out += [lin, lin]
     for j in range(1, (m if n % 2 == 1 else m - 1) + 1):
         trace = zeta(n, j) + zeta(n, -j)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from helpers import YES, as_sets, in_ideal, refines, relative_trace_scalar, schur_sum
+from helpers import YES, as_sets, from_roots, in_ideal, refines, relative_trace_scalar, schur_sum
 
 from heckefam.blocks import (
     EXACT,
@@ -390,8 +390,6 @@ class TestIndecomposability:
         from subset_search_reference import passes
 
         W = dihedral_group(5)
-        # the lattice is built afresh, past the cache
-        monkeypatch.setattr(blocks, "_lattice", blocks._lattice.__wrapped__)
         monkeypatch.setattr(valuation, "_ord_int", lambda q, p: ord_M)
         phi = (1, 1, 1, 1)
         rows, moduli = digit_conditions(W, 5, (0, 1, 2, 3))
@@ -419,14 +417,12 @@ class TestTesterNumerators:
         supports.add(tuple(range(W.n_irr)))
         mu = W.schur_elements[0].mu
         for support in sorted(supports):
-            # reference: multiply out D = prod (y - omega)^max, divide by each c_i
+            # reference: multiply out D = prod (y - zeta_m^j)^max, divide by each c_i
             maxmult = {}
             for i in support:
-                for omega, m in factor_unit_part(W.schur_elements[i]).unit_factors:
-                    maxmult[omega] = max(maxmult.get(omega, 0), m)
-            D = LaurentPoly.const(1, mu)
-            for omega, m in maxmult.items():
-                D = D * LaurentPoly({1: 1, 0: -omega}, mu) ** m
+                for root, mult in factor_unit_part(W.schur_elements[i]).unit_factors:
+                    maxmult[root] = max(maxmult.get(root, 0), mult)
+            D = from_roots(maxmult.items(), mu)
             want = [poly_divexact(D, W.schur_elements[i]) for i in support]
             assert numerators_of(W, support) == want, support
 
@@ -611,10 +607,9 @@ class TestUnsupportedMembership:
 
         def with_non_unit(f):
             fact = real(f)
-            return fact._replace(non_unit=LaurentPoly.from_x_coeffs([1, 1])) if f == bad else fact
+            return fact._replace(non_unit=LaurentPoly({0: 1, 1: 1})) if f == bad else fact
 
         monkeypatch.setattr(laurent, "factor_unit_part", with_non_unit)
-        monkeypatch.setattr(blocks, "_lattice", blocks._lattice.__wrapped__)
         monkeypatch.setattr(blocks, "_numerator_columns", blocks._numerator_columns.__wrapped__)
         verdict, reason = indecomposability_check((0, 1, 1), W, 3)
         assert verdict == "unknown" and "non-unit" in reason

@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    check_schur_elements_reference,
     count_root_searches,
     eval_x,
+    from_roots,
+    from_x_coeffs,
     group_to_doc,
     induction_matrix_reference,
     orbit_class_index_map,
+    poincare_reference,
     restrict,
     with_mu,
     z2_doc,
@@ -39,7 +43,7 @@ from heckefam.groups import (
 from heckefam.laurent import LaurentPoly, factor_unit_part, laurent_from_doc, poly_divexact
 from heckefam.ntheory import divisors
 
-L = LaurentPoly.from_x_coeffs
+L = from_x_coeffs
 
 
 class TestCatalog:
@@ -476,14 +480,19 @@ class TestPoincare:
         assert cyclic_group(3).poincare() == L([1, 1, 1])
 
     def test_dihedral5(self):
-        from heckefam.laurent import poly_divexact
-
-        want = poly_divexact(L([-1, 0, 1]) * (LaurentPoly.x_power(5) - 1), L([-1, 1]) ** 2)
+        want = poly_divexact(L([-1, 0, 1]) * (LaurentPoly.x_power(5) - 1), L([1, -2, 1]))
         assert dihedral_group(5).poincare() == want
 
     def test_value_at_one_is_order(self):
         for W in (dihedral_group(8), g4_group(), cyclic_group(7)):
             assert eval_x(W.poincare(), rat(1)) == W.order
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 12), max_size=4), st.sampled_from((1, 2, 3, 4)))
+    def test_drawn_degrees_are_the_reference_product(self, degrees, mu):
+        # the product of its roots, each (y^(mu d) - 1)/(y^mu - 1) multiplied out
+        W = standin(degrees, mu, True, (), 1)
+        assert W.poincare() == poincare_reference(degrees, mu)
 
 
 class TestIngestion:
@@ -538,42 +547,80 @@ def divides(P, c) -> bool:
     return True
 
 
-def poincare(degrees, mu) -> LaurentPoly:
-    out = LaurentPoly.const(one, mu)
-    for d in degrees:
-        out = out * LaurentPoly.from_x_coeffs([1] * d, mu)
-    return out
+def outcome(check) -> str | None:
+    """The message of the GroupDataError that check() raises, or None."""
+    try:
+        check()
+    except GroupDataError as exc:
+        return str(exc)
+    return None
+
+
+def standin(degrees, mu, spetsial, schur_elements, order) -> GroupDatum:
+    """A datum with only what the Schur-element rules read: the degrees, mu,
+    the flag, the Schur elements and |W|, every character linear."""
+    k = len(schur_elements)
+    return GroupDatum(
+        name="W", order=order, mu=mu, rank=1, generators=(), degrees=tuple(degrees),
+        classes=(), char_names=tuple(f"chi{i}" for i in range(k)), irr=((one,),) * k,
+        fake_degrees=(), schur_elements=tuple(schur_elements), spetsial=spetsial,
+    )
 
 
 class TestGenericDegreeCriterion:
-    """`groups._excess`, which reads from the multiplicities of the roots of
-    unity whether P/c is a Laurent polynomial, agrees with whether the
-    division poly_divexact(P, c) raises."""
+    """The Schur-element rules of validation, the spetsial check read off
+    the multiplicities of the roots of c and of P (`schur.poincare_roots`)
+    and the gate over the common unit multiple (`common_unit_multiple`),
+    agree with the reference that divides P E by each c
+    (`check_schur_elements_reference`), and a character is named exactly
+    when poly_divexact(P, c) raises."""
 
     @pytest.mark.parametrize("name", [name for name, _ctor, _arg in BUNDLED])
     def test_bundled_schur_elements(self, name):
         W = get_group(name.replace("(", ".").rstrip(")"))
-        P = W.poincare()
-        facts = [factor_unit_part(c) for c in W.schur_elements]
-        for c, excess in zip(W.schur_elements, groups._excess(facts, W.degrees, W.mu)):
-            assert (not excess) == divides(P, c)
+        P = poincare_reference(W.degrees, W.mu)
+        check_schur_elements_reference(W, P)
+        assert W.spetsial and all(divides(P, c) for c in W.schur_elements)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_drawn_unit_shaped(self, data):
+        # the Schur elements of the Hecke algebra of Z_d with parameters
+        # u_i = zeta_d^i y^(a_i): c_i = prod_{j != i} (1 - u_i/u_j), which
+        # pass the gate and have c_i(1) = d; then a y-shift of one of them,
+        # which breaks the gate, and roots planted in one of them, scaled
+        # so that c(1) stays d, which may break the gate and the spetsial
+        # check
         mu = data.draw(st.sampled_from((1, 2, 3)), label="mu")
+        d = data.draw(st.integers(2, 3), label="d")
+        a = data.draw(st.lists(st.integers(0, 2), min_size=d, max_size=d), label="a")
+        cs = []
+        for i in range(d):
+            c = LaurentPoly.const(one, mu)
+            for j in range(d):
+                if j != i:
+                    c = c * (1 - LaurentPoly({mu * (a[i] - a[j]): zeta(d, i - j)}, mu))
+            cs.append(c)
+        i = data.draw(st.integers(0, d - 1), label="shifted")
+        cs[i] = cs[i].shift(data.draw(st.sampled_from((0, 0, 1, -2)), label="shift"))
         degrees = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3), label="degrees")
         # orders up to 12, half of them among the orders of the roots of P
-        root_orders = sorted({m for d in degrees for m in divisors(mu * d) if m <= 12})
+        root_orders = sorted({m for e in degrees for m in divisors(mu * e) if m <= 12})
         order = st.one_of(st.integers(1, 12), st.sampled_from(root_orders))
-        planted = data.draw(st.lists(st.tuples(order, st.integers(0, 11), st.integers(1, 3)),
-                                     max_size=3), label="planted")
-        scalar = data.draw(st.sampled_from((one, rat(Fraction(3, 2)), 2 + zeta(3))))
-        c = LaurentPoly.const(scalar, mu).shift(data.draw(st.integers(-3, 3)))
-        for m, j, mult in planted:
-            c = c * LaurentPoly({1: one, 0: -zeta(m, j % m)}, mu) ** mult
-        (excess,) = groups._excess([factor_unit_part(c)], tuple(degrees), mu)
-        assert (not excess) == divides(poincare(degrees, mu), c)
+        planted = data.draw(st.lists(st.tuples(order, st.integers(0, 11), st.integers(1, 3))
+                                     .filter(lambda t: t[1] % t[0]), max_size=2), label="planted")
+        i = data.draw(st.integers(0, d - 1), label="planted in")
+        extra = from_roots((((m, j), mult) for m, j, mult in planted), mu)
+        cs[i] = cs[i] * extra * groups._at_one(extra).inverse()
+        W = standin(degrees, mu, data.draw(st.booleans(), label="spetsial"), cs, d)
+        P = poincare_reference(degrees, mu)
+        got = outcome(lambda: groups._check_schur_elements(W))
+        assert got == outcome(lambda: check_schur_elements_reference(W, P))
+        named = [i for i, c in enumerate(cs) if not divides(P, c)]
+        if got is not None and "generic degree" in got:
+            assert got.endswith(f"for chi{named[0]}")
+        elif W.spetsial and all(c.is_x_polynomial() for c in cs):
+            assert not named
 
     CLEARED = {
         "G4": lambda: group_to_doc(g4_group()),

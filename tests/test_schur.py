@@ -7,6 +7,7 @@ from helpers import (
     cyclic_schur_reference,
     dihedral_schur_reference,
     eval_x,
+    from_x_coeffs,
     group_to_doc,
     laurent_to_doc,
     omega_pi_exponent,
@@ -37,7 +38,7 @@ from heckefam.schur import (
 )
 from heckefam.ntheory import factorize
 
-L = LaurentPoly.from_x_coeffs
+L = from_x_coeffs
 
 
 class TestCyclicSchur:
@@ -89,6 +90,25 @@ class TestStatedFactorizations:
         self.check(cyclic_schur(d), cyclic_schur_reference(d))
 
 
+class TestClosedFormScalars:
+    """The scalars that `cyclic_schur` and `dihedral_schur` build in closed
+    form, d/(1 - w) from 1/(1 - w) = -(1/m) sum_{k<m} k w^k for w of order
+    m > 1, and n/((1 - w)(1 - w^-1)), are the inverses computed through the
+    norm, for every root w = zeta_n^j != 1 with n <= 60."""
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_cyclic(self, n):
+        for j, c in enumerate(cyclic_schur(n)[1:], start=1):
+            assert c.coeffs[0] == n * (1 - zeta(n, j)).inverse(), j  # gamma (x - w)/x
+
+    @pytest.mark.parametrize("n", range(3, 61))
+    def test_dihedral(self, n):
+        rho = dihedral_schur(n)[2 if n % 2 else 4:]
+        for j, c in enumerate(rho, start=1):
+            want = n * ((1 - zeta(n, j)) * (1 - zeta(n, -j))).inverse()
+            assert c.coeffs[1] == want, j  # f (x - w)(x - w^-1)/x
+
+
 class TestDihedralSchur:
     def test_n5_f_values(self):
         W = dihedral_group(5)
@@ -122,7 +142,7 @@ class TestDihedralSchur:
         # on the constructor's own output against P = (x^2-1)(x^n-1)/(x-1)^2
         for n in range(3, 16):
             cs = dihedral_schur(n)
-            P = poly_divexact(L([-1, 0, 1]) * (LaurentPoly.x_power(n) - 1), L([-1, 1]) ** 2)
+            P = poly_divexact(L([-1, 0, 1]) * (LaurentPoly.x_power(n) - 1), L([1, -2, 1]))
             nrot = (n - 1) // 2
             degs = [1] * (len(cs) - nrot) + [2] * nrot
             total = LaurentPoly.const(zero)
