@@ -30,7 +30,7 @@ from .valuation import integrality_conditions, laurent_content_val, primes_above
 
 EXACT, UPPER = "exact", "upper-bound"
 
-SUBSET_WEIGHT_CAP = 20
+WALK_BUDGET = 100_000  # nodes that `_box_points` may visit for one column
 
 
 class BlockPartition:
@@ -50,9 +50,6 @@ class BlockPartition:
 
     def all_exact(self) -> bool:
         return all(s == EXACT for s in self.status)
-
-    def __eq__(self, other):
-        return isinstance(other, BlockPartition) and self.parts == other.parts
 
     def __repr__(self):
         bits = [
@@ -152,8 +149,8 @@ def _numerator_columns(schur_elements: tuple) -> list:
 def find_integral_subvector(W, spec, phi):
     """First proper nonzero subvector, in product order, passing the O_p
     integrality test, or None when all fail (proving indecomposability).
-    Raises ValueError when the test is unsupported for this support, or
-    when phi itself fails it.
+    Raises ValueError when the test is unsupported for this support, when
+    phi itself fails it, or when the walk exceeds its budget.
 
     The subvectors that pass are the points in the box [0, phi] of the
     lattice of `_lattice`.  A point x @ h of its Hermite basis h has
@@ -241,16 +238,23 @@ def _in_lattice(hnf, s) -> bool:
 
 def _box_points(hnf, box):
     """The points in [0, box] of the lattice with upper-triangular basis
-    hnf, in lexicographic order."""
+    hnf, in lexicographic order.  Each value a coordinate takes is a node
+    of the walk; the walk raises ValueError at node WALK_BUDGET + 1, so
+    that no verdict rests on a walk that did not finish."""
     k = len(box)
     point = [0] * k
+    nodes = 0
 
     def walk(c, offset):
+        nonlocal nodes
         if c == k:
             yield tuple(point)
             return
         row, d = hnf[c], hnf[c][c]
         for s in range(offset[c] % d, box[c] + 1, d):
+            nodes += 1
+            if nodes > WALK_BUDGET:
+                raise ValueError(f"the subset walk exceeds its budget of {WALK_BUDGET} nodes")
             point[c] = s
             x = (s - offset[c]) // d
             yield from walk(c + 1, [a + x * b for a, b in zip(offset, row)] if x else offset)
@@ -383,8 +387,6 @@ def indecomposability_check(phi, W, p: int):
     weight = sum(phi)
     if weight <= 1:
         return ("indecomposable", None)
-    if weight > SUBSET_WEIGHT_CAP:
-        return ("unknown", f"support weight {weight} exceeds cap {SUBSET_WEIGHT_CAP}")
     spec = _prime(W, p)
     try:
         sub = find_integral_subvector(W, spec, phi)

@@ -52,12 +52,6 @@ integer maps by doubling along generators of (Z/n)^*, with O(log phi(n))
 products, and Q(1/a) = Q(a) keeps the conductor.  Each inverse is cached by
 value, so a Schur scalar that several layers divide by is inverted once.
 A sum with a zero operand is the other operand itself.
-
-Galois normal form.  `galois_normal_form` picks one representative
-r = sigma_u(f) per Galois orbit of a polynomial f, by the residues of the
-conjugates of its coefficients at the evaluation point of the conductor;
-`laurent.poly_divexact` divides a rational dividend by r and carries the
-quotient to f = sigma_t(r), t = u^-1, by the ring automorphism sigma_t.
 """
 
 from __future__ import annotations
@@ -193,57 +187,6 @@ def _residue(a: "Cyclotomic", n: int) -> int | None:
     step = n // a._n
     s = sum(v * powers[k * step] for k, v in a._c.items())
     return s * pow(a._d, -1, ell) % ell
-
-
-@cache
-def _units(n: int) -> tuple:
-    """The units modulo n in ascending order; (1,) for n = 1."""
-    return tuple(u for u in range(1, n) if gcd(u, n) == 1) or (1,)
-
-
-def _conjugate_residue(a: "Cyclotomic", n: int):
-    """u -> the image of the numerators of sigma_u(a) under zeta_n -> w of
-    `_evaluation_powers(n)`, which is the numerators of a at w^u; n must be a
-    multiple of the conductor of a.  The denominator is left out, as sigma_u
-    fixes it."""
-    ell, powers = _evaluation_powers(n)
-    step = n // a._n
-    terms = [(k * step, v) for k, v in a._c.items()]
-    return lambda u: sum(v * powers[k * u % n] for k, v in terms) % ell
-
-
-def galois_normal_form(f) -> tuple:
-    """(r, t) with r the Galois representative of the LaurentPoly f
-    and f = sigma_t(r), sigma_t: zeta -> zeta^t on the coefficients, y fixed.
-
-    Let n be the conductor of f's coefficients.  r = sigma_u(f) for the
-    least unit u modulo n whose conjugate sigma_u(f) has the least tuple of
-    residues: the residue of each coefficient, in ascending order of
-    exponents, at the evaluation point of n (`_conjugate_residue`),
-    compared one coefficient at a time on the units still tied.  A residue
-    is a function of the value, and conjugate polynomials have the same set
-    of conjugates, so they pick the same r; when two different conjugates
-    tie, two conjugates may pick different representatives, which only
-    loses sharing.  t = u^-1 modulo n.
-
-    sigma_t is a ring automorphism of Q(zeta_n)[y, 1/y] that fixes Q, so
-    for a rational a the quotient a / f is sigma_t(a / r) exactly: its one
-    caller, `laurent.poly_divexact`, divides once per orbit."""
-    values = [c for _e, c in sorted(f.coeffs.items())]
-    n = lcm(*(c._n for c in values))
-    if n == 1:
-        return f, 1
-    units = _units(n)
-    for c in values:
-        if len(units) == 1:
-            break
-        if c._n > 1:
-            key = _conjugate_residue(c, n)
-            keys = [key(u) for u in units]
-            least = min(keys)
-            units = [u for u, k in zip(units, keys) if k == least]
-    u = units[0]
-    return (f, 1) if u == 1 else (f.galois(u), pow(u, -1, n))
 
 
 @cache
@@ -491,9 +434,6 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return coerce(other) * self.inverse()
 
     def __pow__(self, k: int):
         if k == 0:

@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .cyclotomic import _unit_generators, dot, from_literal, integer, json_list, one, rat, zero, zeta
 from .laurent import (LaurentPoly, common_unit_multiple, factor_unit_part, laurent_from_doc,
-                      poly_divexact, unit_shaped)
-from .ntheory import join
+                      orbit_quotients, unit_shaped)
+from .ntheory import join, orbit_walk, permutation
 from .schur import cyclic_schur, dihedral_schur, poincare_roots
 
 ENUMERATION_BOUND = 50_000
@@ -345,8 +345,8 @@ def fake_degrees_molien(W: GroupDatum) -> tuple:
     # columns[e][ci] = |class ci| * (prod(1 - x^d_i) / det(1 - xw))[y^e] at w in ci
     columns: dict = {}
     prod, dets = _molien_parts(W)
-    for ci, ((size, _w), det) in enumerate(zip(W.classes, dets)):
-        for e, v in poly_divexact(prod, det).coeffs.items():
+    for ci, ((size, _w), q) in enumerate(zip(W.classes, orbit_quotients(prod, dets))):
+        for e, v in q.coeffs.items():
             columns.setdefault(e, [zero] * len(W.classes))[ci] = v * size
     inv_order = Fraction(1, W.order)
     fds = []
@@ -382,9 +382,9 @@ def _stated_fake_degrees_hold(W: GroupDatum, conj_irr, images) -> bool:
         return False
     prod, dets = _molien_parts(W)
     by_exp = _by_exponent(R)
-    for ci in _orbit_representatives(len(W.classes), _column_permutations(W, dets, images)):
-        column = _weighted_sum(by_exp, [row[ci] for row in conj_irr])
-        if column != poly_divexact(prod, dets[ci]).coeffs:
+    reps = _orbit_representatives(len(W.classes), _column_permutations(W, dets, images))
+    for ci, q in zip(reps, orbit_quotients(prod, [dets[ci] for ci in reps])):
+        if _weighted_sum(by_exp, [row[ci] for row in conj_irr]) != q.coeffs:
             return False
     return True
 
@@ -402,7 +402,7 @@ def _column_permutations(W: GroupDatum, dets, images) -> list:
     columns = list(zip(*W.irr))
     perms = []
     for u, table in images:
-        perm = _permutation(list(zip(*table)), columns)
+        perm = permutation(list(zip(*table)), columns)
         if perm is not None and all(det.galois(u) == dets[perm[c]] for c, det in enumerate(dets)):
             perms.append(perm)
     return perms
@@ -424,18 +424,10 @@ def _galois_images(irr, n: int) -> list:
             for u, _order in _unit_generators(n)]
 
 
-def _permutation(images, items) -> tuple | None:
-    """The permutation pi of range(len(items)) with images[i] = items[pi[i]]
-    for every i, or None when there is none."""
-    where = {item: i for i, item in enumerate(items)}
-    perm = tuple(where.get(x, -1) for x in images)
-    return perm if sorted(perm) == list(range(len(items))) else None
-
-
 def _orbit_representatives(k: int, perms) -> list[int]:
     """The least element of each orbit of range(k) under the group that the
     permutations perms generate, ascending; range(k) when perms is empty."""
-    return [part[0] for part in join(k, [(x, p[x]) for p in perms for x in range(k)])]
+    return [x for x, y, _g in orbit_walk(k, perms) if y is None]
 
 
 def _check_orthogonality(W: GroupDatum, conj_irr, images) -> None:
@@ -447,7 +439,7 @@ def _check_orthogonality(W: GroupDatum, conj_irr, images) -> None:
     least pair of each orbit is checked, so the first pair that fails is
     the first of all pairs that fail, in the order (i, j) with i <= j."""
     k = W.n_irr
-    perms = [p for p in (_permutation(table, W.irr) for _u, table in images) if p]
+    perms = [p for p in (permutation(table, W.irr) for _u, table in images) if p]
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     index = {pair: t for t, pair in enumerate(pairs)}
     pair_perms = [[index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs] for p in perms]

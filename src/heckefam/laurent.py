@@ -5,17 +5,18 @@ unit-shaped polynomials.
 A quotient of Laurent polynomials is never reduced by a gcd here: a Schur
 element is xi y^k prod (y - zeta_m^j)^mult, so a sum of such quotients is a
 numerator over the common multiple D of their linear factors
-(`common_unit_multiple`), each numerator an exact quotient D/f of
-`poly_divexact`.  Every root of a factorization is the pair (m, j) of
-zeta_m^j, j prime to m.
+(`common_unit_multiple`), each numerator an exact quotient D/f.  Every
+root of a factorization is the pair (m, j) of zeta_m^j, j prime to m.
 
-An exact division of a rational dividend commutes with the Galois action
-on the coefficients (y fixed), so it is computed once per Galois orbit of
-the divisor, at the representative of `cyclotomic.galois_normal_form`, and
-carried; a quotient D/f with D rational is one of these divisions.  The
-unit factorization is cached by value.  A polynomial built from its roots
-(`unit_shaped`, as the catalog Schur elements are) is not searched at all:
-its factorization is recorded by value when it is built.
+The quotients a/b of one dividend by several divisors share their long
+divisions across the Galois action on the coefficients (y fixed): a
+generator sigma_u of (Z/n)^* that fixes a and permutes the divisors
+carries a/b to a/sigma_u(b) exactly (`orbit_quotients`).  The Molien terms
+prod(1 - x^d_i) / det(1 - xw) and the quotients D/f of
+`common_unit_multiple` are computed this way.  The unit factorization is
+cached by value.  A polynomial built from its roots (`unit_shaped`, as the
+catalog Schur elements are) is not searched at all: its factorization is
+recorded by value when it is built.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .cyclotomic import (
     Cyclotomic,
     _evaluation_powers,
     _residue,
+    _unit_generators,
     coerce,
     from_literal,
-    galois_normal_form,
     integer,
     json_list,
     one,
@@ -39,7 +40,8 @@ from .cyclotomic import (
     zeta,
     zero,
 )
-from .ntheory import cyclotomic_polynomial, euler_phi, orders_with_phi_at_most
+from .ntheory import (cyclotomic_polynomial, euler_phi, orbit_walk, orders_with_phi_at_most,
+                      permutation)
 
 
 def _coefficient(v) -> Cyclotomic:
@@ -260,24 +262,10 @@ def synthetic_division(a: list, omega: Cyclotomic) -> tuple[list, Cyclotomic]:
 
 
 def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact Laurent division (remainder must vanish).
-
-    With a rational dividend, a / sigma_t(r) = sigma_t(a / r), so the long
-    division is done once per Galois orbit of b, at its representative r
-    (`galois_normal_form`), and carried to b = sigma_t(r) exactly: sigma_t
-    fixes a and is a ring automorphism.  This covers the Molien terms
-    prod(1 - x^d_i) / det(1 - xw) and the quotients D/c of
-    `common_unit_multiple` with D rational."""
+    """Exact Laurent division a / b by one long division (`poly_divmod`);
+    a nonzero remainder raises ArithmeticError."""
     if a.is_zero():
         return a
-    if a.conductor_lcm() > 1:
-        return _divexact(a, b)
-    r, t = galois_normal_form(b)
-    q = _divexact_at(a, r)
-    return q if t == 1 else q.galois(t)
-
-
-def _divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     sa, sb = a.min_exp(), b.min_exp()
     q, r = poly_divmod(a.shift(-sa), b.shift(-sb))
     if not r.is_zero():
@@ -285,7 +273,31 @@ def _divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return q.shift(sa - sb)
 
 
-_divexact_at = cache(_divexact)  # by (rational dividend, representative divisor)
+def orbit_quotients(a: LaurentPoly, divisors) -> list[LaurentPoly]:
+    """[poly_divexact(a, b) for b in divisors], with one long division per
+    orbit of the distinct divisors under the generators sigma_u of (Z/n)^*
+    (`_unit_generators`, n the lcm of the conductors) that fix a and
+    permute the distinct divisors.  sigma_u, zeta_n -> zeta_n^u on the
+    coefficients with y fixed, is a ring automorphism of Q(zeta_n)[y, 1/y],
+    so sigma_u(a) = a gives a / sigma_u(b) = sigma_u(a / b): the first
+    divisor of each orbit is divided, and every other quotient is carried
+    from an earlier one along a generator (`orbit_walk`)."""
+    distinct = list(dict.fromkeys(divisors))
+    n = lcm(a.conductor_lcm(), *(b.conductor_lcm() for b in distinct))
+    moves = []
+    for u, _order in _unit_generators(n):
+        if a.galois(u) == a:
+            perm = permutation([b.galois(u) for b in distinct], distinct)
+            if perm is not None:
+                moves.append((u, perm))
+    quotients = [None] * len(distinct)
+    for x, y, g in orbit_walk(len(distinct), [perm for _u, perm in moves]):
+        if y is None:
+            quotients[x] = poly_divexact(a, distinct[x])
+        else:
+            quotients[x] = quotients[y].galois(moves[g][0])
+    by_value = dict(zip(distinct, quotients))
+    return [by_value[b] for b in divisors]
 
 
 def derivative_at_one(f: LaurentPoly) -> Cyclotomic:
@@ -468,9 +480,10 @@ def common_unit_multiple(polys) -> tuple[LaurentPoly, list[LaurentPoly]]:
     prod (y - zeta_m^j)^max the least common multiple of their linear factors,
     so that sum_i a_i / f_i is (sum_i a_i D/f_i) / D.  D is built from the
     cached factorizations (`factor_unit_part`), each whole Galois orbit of
-    its roots as one integer Phi_m (`_unit_product`), and each D/f is
-    `poly_divexact(D, f)`: once per Galois orbit of the f when D is
-    rational.  A polynomial with a non-unit part raises ValueError."""
+    its roots as one integer Phi_m (`_unit_product`), and the D/f are
+    `orbit_quotients(D, polys)`: one long division per orbit of the f under
+    the Galois generators that fix D, equal f sharing one.  A polynomial
+    with a non-unit part raises ValueError."""
     maxmult: dict = {}
     for f in polys:
         fact = factor_unit_part(f)
@@ -479,7 +492,7 @@ def common_unit_multiple(polys) -> tuple[LaurentPoly, list[LaurentPoly]]:
         for root, mult in fact.unit_factors:
             maxmult[root] = max(maxmult.get(root, 0), mult)
     D = _unit_product(maxmult, polys[0].mu)
-    return D, [poly_divexact(D, f) for f in polys]
+    return D, orbit_quotients(D, polys)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Elementary number theory helpers, a primality test that is a proof or
-an error, and `join`, the one union-find of the package; it imports
-nothing from it."""
+an error, `join`, the one union-find of the package, and `orbit_walk`, the
+one walk over the orbits of a group of permutations; it imports nothing
+from it."""
 
 from __future__ import annotations
 
@@ -169,3 +170,35 @@ def join(k: int, pieces) -> list[tuple]:
     for i in range(k):
         out.setdefault(find(i), []).append(i)
     return [tuple(part) for part in out.values()]
+
+
+def permutation(images, items) -> tuple | None:
+    """The permutation pi of range(len(items)) with images[i] = items[pi[i]]
+    for every i, or None when there is none; the items must be distinct."""
+    where = {item: i for i, item in enumerate(items)}
+    perm = tuple(where.get(x, -1) for x in images)
+    return perm if sorted(perm) == list(range(len(items))) else None
+
+
+def orbit_walk(k: int, perms) -> list[tuple]:
+    """Every x in range(k) once, orbit by orbit under the group that the
+    permutations perms generate: (x, None, None) for the least element of
+    its orbit, then (x, y, g) with x = perms[g][y] for a y listed before it.
+    The orbits come in ascending order of their least elements."""
+    out: list = []
+    seen = [False] * k
+    for rep in range(k):
+        if seen[rep]:
+            continue
+        seen[rep] = True
+        i = len(out)
+        out.append((rep, None, None))
+        while i < len(out):
+            y = out[i][0]
+            for g, perm in enumerate(perms):
+                x = perm[y]
+                if not seen[x]:
+                    seen[x] = True
+                    out.append((x, y, g))
+            i += 1
+    return out

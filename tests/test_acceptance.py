@@ -20,7 +20,7 @@ from helpers import (
     unordered_key,
 )
 
-from heckefam import cli
+from heckefam import blocks, cli
 from heckefam.blocks import families, hecke_blocks, indecomposability_check
 from heckefam.constructible import constructible_chars
 from heckefam.cyclotomic import from_literal, one, rat, zeta, zero
@@ -274,7 +274,7 @@ def test_criterion_6_ingestion(tmp_path):
               "files compute end to end (G23 file remains data-conditional)")
 
 
-def test_criterion_7_honest_ambiguity():
+def test_criterion_7_honest_ambiguity(monkeypatch):
     # a projective available only as a sum must stay unresolved
     W = cyclic_group(3)
     verdict, detail = indecomposability_check((0, 2, 2), W, 3)
@@ -287,7 +287,9 @@ def test_criterion_7_honest_ambiguity():
         for res, note in zip(decomp.resolved, decomp.notes):
             assert res == ("proved indecomposable" in note)
 
-    # the weight cap degrades to "unknown", never to a silent resolution
+    # a walk cut off by its budget degrades to "unknown", never to a
+    # silent resolution
+    monkeypatch.setattr(blocks, "WALK_BUDGET", 2)
     verdict, reason = indecomposability_check((0, 15, 15), W, 3)
-    assert verdict == "unknown" and "cap" in reason
+    assert verdict == "unknown" and "budget" in reason
     report(7, "columns are marked resolved only after a completed subset proof")

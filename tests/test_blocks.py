@@ -371,10 +371,21 @@ class TestIndecomposability:
         verdict, reason = indecomposability_check((0, 0, 1, 1), W, 5)
         assert verdict == "unknown" and "fails the integrality test" in reason
 
-    def test_weight_cap(self):
+    def test_walk_budget_degrades_to_unknown(self, monkeypatch):
+        # a walk cut off by its budget proves nothing: with a budget of one
+        # node, no column of weight 2 or more is proved indecomposable
+        import heckefam.blocks as blocks
+
         W = dihedral_group(5)
-        verdict, reason = indecomposability_check((0, 0, 30, 30), W, 5)
-        assert verdict == "unknown" and "cap" in reason
+        assert indecomposability_check((0, 0, 1, 1), W, 5) == ("indecomposable", None)
+        cases = [(V, p, col) for V, p in ((W, 5), (g4_group(), 2), (g4_group(), 3),
+                                          (dihedral_group(12), 2), (dihedral_group(12), 3))
+                 for col in hecke_blocks(V, p)[1].columns if sum(col) > 1]
+        assert len(cases) >= 5
+        monkeypatch.setattr(blocks, "WALK_BUDGET", 1)
+        for V, p, col in cases:
+            verdict, reason = indecomposability_check(col, V, p)
+            assert verdict == "unknown" and "budget of 1 nodes" in reason, (V.name, p, col)
 
     @pytest.mark.parametrize("ord_M, modulus", [(40, "5^42"), (25, "5^27")])
     def test_int64_overflow_degrades_to_unknown(self, monkeypatch, ord_M, modulus):
@@ -497,7 +508,9 @@ class TestFamilies:
             ("phi{2,1}", "phi{2,3}"), ("phi{3,2}",),
         ]
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 9, 12])
+    # 43 and 49 have a column heavier than 20, which the weight cap this
+    # walk budget replaced left as an upper bound
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 9, 12, 43, 49])
     def test_dihedral(self, n):
         W = dihedral_group(n)
         fam = families(W)

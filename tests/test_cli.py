@@ -205,7 +205,7 @@ class TestAmbiguityExit:
             part = BlockPartition([(0,), (1,), tuple(range(2, W.n_irr))],
                                   ["exact", "exact", UPPER])
             cols = [tuple(int(i >= 2) for i in range(W.n_irr))]
-            return part, DecompApprox(cols, [False], ["support weight exceeds cap"])
+            return part, DecompApprox(cols, [False], ["the subset walk exceeds its budget of 100000 nodes"])
 
         monkeypatch.setattr(blocks, "hecke_blocks", fake_hecke_blocks)
         code = cli.main(["decomp", "--group", "I2.5", "--prime", "5"])

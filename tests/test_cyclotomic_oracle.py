@@ -20,7 +20,6 @@ from heckefam.cyclotomic import (
     _evaluation_powers,
     _reduce_map,
     _residue,
-    _units,
     dot,
     make,
     rat,
@@ -96,7 +95,7 @@ class TestAgainstReference:
     def test_every_conjugate_at_the_drawn_conductor(self, x):
         # sigma_j for every unit j modulo 24, whatever the value's conductor
         a, A = pair(*x)
-        for j in _units(24):
+        for j in (1, 5, 7, 11, 13, 17, 19, 23):
             assert_same(a.galois(j), A.galois(j))
 
     @settings(max_examples=200, deadline=None)

@@ -1,12 +1,12 @@
-"""The Galois normal form: conjugate polynomials pick one representative,
-and an exact quotient of a rational dividend computed at it and carried
-back by sigma_t is what the direct division gives.  Inverses, norms and
-unit factorizations of conjugates agree with the references.  Real values
-and rationals, which conjugation fixes, are drawn too.  A work guard pins
-the divisions at representatives to the Galois orbits of I2(17) and
-I2(19), the root searches and inverses of building them, and the
-quotients D/c and the common multiples D that `families` adds on I2(17),
-I2(19), I2(24) and I2(30)."""
+"""Quotients carried along the Galois action: `laurent.orbit_quotients`
+divides once per orbit of the divisors under the generators sigma_u that
+fix the dividend, and carries the rest as sigma_u(a/b) = a/sigma_u(b); each
+quotient is what the direct long division gives.  Inverses, norms and unit
+factorizations of conjugates agree with the references.  Real values and
+rationals, which conjugation fixes, are drawn too.  A work guard pins the
+long divisions of building I2(17) and I2(19) to their Galois orbits, with
+the root searches and inverses of building them, and the long divisions
+that `families` adds on I2(17), I2(19), I2(24) and I2(30)."""
 
 from math import gcd, lcm
 
@@ -17,22 +17,20 @@ from hypothesis import assume, given, settings, strategies as st
 
 from heckefam import blocks, laurent
 from heckefam.blocks import families
-from heckefam.cyclotomic import (
-    Cyclotomic,
-    _conjugate_residue,
-    _units,
-    galois_normal_form,
-    make,
-    one,
-    zeta,
-)
+from heckefam.cyclotomic import Cyclotomic, _unit_generators, make, one, rat, zeta
 from heckefam.groups import cyclic_group, dihedral_group, trivial_group
-from heckefam.laurent import LaurentPoly, common_unit_multiple, factor_unit_part, poly_divexact
+from heckefam.laurent import (LaurentPoly, common_unit_multiple, factor_unit_part, orbit_quotients,
+                              poly_divexact, poly_divmod)
 from heckefam.ntheory import euler_phi
 
 CONDUCTORS = (5, 7, 8, 12, 15, 17, 20, 24)
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def units(n: int) -> tuple:
+    """The units modulo n in ascending order; (1,) for n = 1."""
+    return tuple(u for u in range(1, n) if gcd(u, n) == 1) or (1,)
 
 
 @st.composite
@@ -53,7 +51,7 @@ def raw_values(draw, n):
 def conjugated(draw):
     """(n, raw, u): a raw value at conductor n and a unit u modulo n."""
     n = draw(st.sampled_from(CONDUCTORS))
-    return n, draw(raw_values(n)), draw(st.sampled_from(_units(n)))
+    return n, draw(raw_values(n)), draw(st.sampled_from(units(n)))
 
 
 @st.composite
@@ -64,51 +62,76 @@ def polynomials(draw):
     exponents = draw(st.sets(st.integers(-2, 4), min_size=1, max_size=3))
     coeffs = {e: make(n, draw(raw_values(n))) for e in exponents}
     assume(any(coeffs.values()))
-    return n, LaurentPoly(coeffs), draw(st.sampled_from(_units(n)))
+    return n, LaurentPoly(coeffs), draw(st.sampled_from(units(n)))
 
 
-def values_of(f) -> list:
-    """f's coefficients in ascending order of exponents."""
-    return [c for _e, c in sorted(f.coeffs.items())]
+@st.composite
+def shared_quotients(draw):
+    """(a, divisors): a = y R prod O, O the distinct conjugates under the
+    powers of sigma_h of one or two linear polynomials y - beta, R a
+    polynomial over Q or over Q(zeta_n); h is a generator of `_unit_generators` or
+    any unit, so sigma_h fixes a when it fixes R, and a need not be
+    rational then.  The divisors are
+    drawn from O, y O and the constants, with repeats; half the time they
+    are closed under sigma_h."""
+    n = draw(st.sampled_from(CONDUCTORS))
+    h = draw(st.one_of(st.sampled_from([g for g, _order in _unit_generators(n)]),
+                       st.sampled_from(units(n))))
+    orbit: list = []
+    for _ in range(draw(st.integers(1, 2))):
+        beta = make(n, draw(raw_values(n)))
+        g = LaurentPoly({1: one, 0: -beta})
+        while g not in orbit:
+            orbit.append(g)
+            g = g.galois(h)
+    coefficient = small if draw(st.booleans()) else raw_values(n).map(lambda raw: make(n, raw))
+    R = LaurentPoly(dict(enumerate(draw(st.lists(coefficient, min_size=1, max_size=3)))))
+    assume(R)
+    a = R.shift(1)
+    for g in orbit:
+        a = a * g
+    pool = orbit + [g.shift(1) for g in orbit] + [LaurentPoly.const(rat(2)), LaurentPoly.const(one)]
+    divisors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    if draw(st.booleans()):  # closed under sigma_h
+        for b in list(divisors):
+            g = b.galois(h)
+            while g != b:
+                divisors.append(g)
+                g = g.galois(h)
+        divisors = draw(st.permutations(divisors))
+    return a, divisors
 
 
-def least_key_is_unique(v, n) -> bool:
-    """Whether one conjugate of v alone has the least residue tuple; two
-    different conjugates that tie may pick different representatives."""
-    keys = {}
-    for u in _units(n):
-        w = v.galois(u)
-        keys.setdefault(tuple(_conjugate_residue(c, n)(1) for c in values_of(w)), set()).add(w)
-    return len(keys[min(keys)]) == 1
-
-
-def conductor(v) -> int:
-    return lcm(*(c.conductor for c in values_of(v)))
-
-
-class TestRepresentative:
-    @settings(max_examples=80, deadline=None)
-    @given(conjugated())
-    def test_conjugate_values_pick_one_representative(self, case):
-        n, raw, u = case
-        a = make(n, raw)
-        assume(a)
-        self.check(LaurentPoly({0: a}), u)
-
+class TestOrbitQuotients:
     @settings(max_examples=60, deadline=None)
-    @given(polynomials())
-    def test_conjugate_polynomials_pick_one_representative(self, case):
-        _n, f, u = case
-        self.check(f, u)
+    @given(shared_quotients())
+    def test_equal_to_direct_division(self, case):
+        a, divisors = case
+        for b, q in zip(divisors, orbit_quotients(a, divisors), strict=True):
+            want, r = poly_divmod(a, b)
+            assert r.is_zero()
+            assert q == want
 
-    @staticmethod
-    def check(v, u):
-        r, t = galois_normal_form(v)
-        assert r.galois(t) == v
-        assert galois_normal_form(r) == (r, 1)
-        n = conductor(v)
-        if least_key_is_unique(v, n):
-            assert galois_normal_form(v.galois(u % n))[0] == r
+    def test_a_dividend_that_is_not_rational_shares_its_quotients(self, monkeypatch):
+        # sigma_7 fixes zeta_3 and maps i = zeta_12^3 to -i, and 7 is a
+        # generator of (Z/12)^*: the two quotients take one long division
+        i, w = zeta(4), zeta(3)
+        a = LaurentPoly({0: -w, 1: one}) * LaurentPoly({0: one, 2: one})
+        assert 7 in [g for g, _order in _unit_generators(12)] and a.conductor_lcm() == 3
+        calls = count_long_divisions(monkeypatch)
+        quotients = orbit_quotients(a, [LaurentPoly({0: -i, 1: one}), LaurentPoly({0: i, 1: one}),
+                                        LaurentPoly({0: -i, 1: one})])
+        assert len(calls) == 1
+        assert quotients[0] == quotients[2] == quotients[1].galois(7)
+
+
+def count_long_divisions(monkeypatch) -> list:
+    """The list that every later long division (`laurent.poly_divmod`)
+    appends its operands to."""
+    calls = []
+    divmod_ = laurent.poly_divmod
+    monkeypatch.setattr(laurent, "poly_divmod", lambda a, b: calls.append((a, b)) or divmod_(a, b))
+    return calls
 
 
 class TestCarriedValues:
@@ -147,7 +170,7 @@ class TestCarriedValues:
         beta = make(n, raw)
         B = LaurentPoly({1: one, 0: -beta}).shift(k)
         A = LaurentPoly({i: c for i, c in enumerate(tail)})
-        for v in _units(n):
+        for v in units(n):
             A = A * LaurentPoly({1: one, 0: -beta.galois(v % beta.conductor)})
         assume(A)
         assert A.conductor_lcm() == 1
@@ -156,6 +179,7 @@ class TestCarriedValues:
         want = q.shift(-k)
         for t in (1, u):
             assert poly_divexact(A, B.galois(t)) == want.galois(t)
+        assert orbit_quotients(A, [B, B.galois(u)]) == [want, want.galois(u)]
 
     @settings(max_examples=30, deadline=None)
     @given(conjugated(), st.integers(-2, 2),
@@ -171,7 +195,7 @@ class TestCarriedValues:
         for m, j in planted:
             f = f * LaurentPoly({1: one, 0: -zeta(m, j)})
         N = lcm(n, *(m for m, _j in planted))
-        orbit = [f.galois(v) for v in _units(N)]
+        orbit = [f.galois(v) for v in units(N)]
         D, quotients = common_unit_multiple(orbit)
         assert D.conductor_lcm() == 1
         for g, q in zip(orbit, quotients):
@@ -180,37 +204,37 @@ class TestCarriedValues:
 
 class TestWorkGuard:
     """Building I2(n), n = 17 or 19, searches no roots, as `dihedral_schur`
-    states every factorization, and divides at representatives only: three
-    Molien divisions (the identity, every rotation class, the reflections)
-    and three gate divisions (D/P, D/(y^-n P), and one for all the
-    phi{2,j}, D = P the common unit multiple).  `dihedral_schur` builds its
-    scalars in closed form, so the only inverses are the scalar of the
-    phi{2,j} that the one gate division inverts and the rational -1.  The
-    divisions and inverses are cache misses, so a change that stops the
-    sharing raises them."""
+    states every factorization, and takes one long division per Galois
+    orbit: three Molien divisions (the identity, every rotation class, the
+    reflections) and three gate divisions (D/P, D/(y^-n P), and one for
+    all the phi{2,j}, D = P the common unit multiple).  `dihedral_schur`
+    builds its scalars in closed form, so the only inverses are the scalar
+    of the phi{2,j} that the one gate division inverts and the rational
+    -1.  A change that stops the sharing raises these counts."""
 
     @pytest.mark.parametrize("n", [17, 19])
     def test_misses_are_the_orbit_counts(self, monkeypatch, n):
         trivial_group(), cyclic_group(2)  # the parabolic, built outside the count
-        for cache in (factor_unit_part, Cyclotomic.inverse, laurent._divexact_at):
+        for cache in (factor_unit_part, Cyclotomic.inverse):
             cache.cache_clear()
         searches = count_root_searches(monkeypatch)
+        divisions = count_long_divisions(monkeypatch)
         dihedral_group.__wrapped__(n)
-        assert (len(searches), laurent._divexact_at.cache_info().misses,
+        assert (len(searches), len(divisions),
                 Cyclotomic.inverse.cache_info().misses) == (0, 6, 2)
 
-    @pytest.mark.parametrize("n, quotients", [(17, 1), (19, 1), (24, 11), (30, 11)])
-    def test_families_adds_one_quotient_per_orbit(self, n, quotients):
-        # the quotients D/c of the integrality lattices: on I2(17) and
-        # I2(19) one for the whole orbit of the phi{2,j} at the one bad
-        # prime; the misses are counted after the group is built
+    @pytest.mark.parametrize("n, quotients", [(17, 1), (19, 1), (24, 15), (30, 31)])
+    def test_families_adds_one_quotient_per_orbit(self, monkeypatch, n, quotients):
+        # the long divisions D/c of the integrality lattices, counted after
+        # the group is built: on I2(17) and I2(19) one for the whole orbit
+        # of the phi{2,j} at the one bad prime
         trivial_group(), cyclic_group(2)
-        for cache in (factor_unit_part, laurent._divexact_at, blocks._numerator_columns):
+        for cache in (factor_unit_part, blocks._numerator_columns):
             cache.cache_clear()
         W = dihedral_group.__wrapped__(n)
-        before = laurent._divexact_at.cache_info().misses
+        divisions = count_long_divisions(monkeypatch)
         families(W)
-        assert laurent._divexact_at.cache_info().misses - before == quotients
+        assert len(divisions) == quotients
 
     @pytest.mark.parametrize("n, lattices, numerators", [(17, 1, 1), (24, 8, 6), (30, 18, 16)])
     def test_families_builds_each_common_multiple_once(self, monkeypatch, n, lattices, numerators):

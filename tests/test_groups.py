@@ -686,8 +686,8 @@ class TestOrbitValidation:
             return wrapped
 
         monkeypatch.setattr(groups, "dot", counting(dot, "_check_orthogonality"))
-        monkeypatch.setattr(groups, "poly_divexact",
-                            counting(poly_divexact, "_stated_fake_degrees_hold"))
+        monkeypatch.setattr(groups, "_weighted_sum",
+                            counting(groups._weighted_sum, "_stated_fake_degrees_hold"))
         build()
         return tuple(counts.values())
 

@@ -1,12 +1,13 @@
 """Number-theory helpers: the proven primality test, the cyclotomic
-polynomials and the one join."""
+polynomials, the one join and the one orbit walk."""
 
 from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckefam.ntheory import PSI_13, cyclotomic_polynomial, divisors, euler_phi, is_prime, join
+from heckefam.ntheory import (PSI_13, cyclotomic_polynomial, divisors, euler_phi, is_prime, join,
+                              orbit_walk, permutation)
 
 
 def trial_division(n: int) -> bool:
@@ -93,3 +94,27 @@ class TestJoin:
             seen += batch
             parts = join(k, parts + batch)
             assert parts == closure(k, seen)
+
+
+class TestOrbitWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.permutations(range(k)), max_size=3))))
+    def test_walks_each_orbit_from_its_least_element(self, case):
+        # the orbits are the closure of the pieces {x, perm[x]}; each element
+        # comes once, the least of its orbit first, and every other one as
+        # the image of one listed before it
+        k, perms = case
+        walk = orbit_walk(k, perms)
+        assert sorted(x for x, _y, _g in walk) == list(range(k))
+        orbits = closure(k, [(x, p[x]) for p in perms for x in range(k)])
+        assert [x for x, y, _g in walk if y is None] == [orbit[0] for orbit in orbits]
+        listed = set()
+        for x, y, g in walk:
+            assert y is None or (y in listed and perms[g][y] == x)
+            listed.add(x)
+
+    def test_permutation(self):
+        assert permutation(["c", "a", "b"], ["a", "b", "c"]) == (2, 0, 1)
+        assert permutation(["a", "a", "b"], ["a", "b", "c"]) is None
+        assert permutation(["a", "b", "d"], ["a", "b", "c"]) is None
