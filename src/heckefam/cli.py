@@ -9,7 +9,6 @@ remains, 3 golden-file mismatch.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 SCHEMA_VERSION = 1
@@ -19,6 +18,10 @@ PARITY_NAMES = ["odd", "even0", "even2"]
 
 # the names that groups.get_group resolves, written out so that list imports no layer
 BUILTIN_NAMES = ["G4", "Z<d> (d >= 2)", "I2.<n> (n >= 3)", "1"]
+
+# the subcommands of build_parser, so that main builds only the one it runs
+COMMANDS = ("list", "validate", "families", "decomp", "invariants", "bad-primes",
+            "constructible", "symbols", "verify-paper")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,6 +52,8 @@ def _columns_doc(W, decomp):
 
 def _emit(doc, fmt, md_renderer):
     if fmt == "json":
+        import json
+
         print(json.dumps(doc, indent=1, sort_keys=True))
     else:
         print(md_renderer(doc))
@@ -63,6 +68,8 @@ def cmd_list(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    import json
+
     from .groups import GroupDataError, load_group
 
     try:
@@ -151,6 +158,8 @@ def cmd_bad_primes(args) -> int:
     W = get_group(args.group)
     primes = sorted(bad_primes(W))
     if args.format == "json":
+        import json
+
         print(json.dumps({"schema": SCHEMA_VERSION, "group": W.name, "bad_primes": primes}))
     else:
         print(f"{W.name}: bad primes {', '.join(map(str, primes)) if primes else '(none)'}")
@@ -226,6 +235,8 @@ def cmd_verify_paper(args) -> int:
 
 
 def _verify_g4() -> int:
+    import json
+
     from .blocks import families, hecke_blocks
     from .cyclotomic import from_literal
     from .groups import _data_dir, get_group
@@ -300,15 +311,22 @@ def _verify_dihedral(W) -> int:
     return 3
 
 
-def build_parser() -> _Parser:
+def build_parser(command=None) -> _Parser:
+    """The argument parser: every subcommand, or only `command`'s when it
+    names one, so that a run builds only the subparser it parses with."""
     ap = _Parser(prog="heckefam", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list built-in groups").set_defaults(func=cmd_list)
+    def wanted(name):
+        return command is None or command == name
 
-    v = sub.add_parser("validate", help="validate an external group data file")
-    v.add_argument("file")
-    v.set_defaults(func=cmd_validate)
+    if wanted("list"):
+        sub.add_parser("list", help="list built-in groups").set_defaults(func=cmd_list)
+
+    if wanted("validate"):
+        v = sub.add_parser("validate", help="validate an external group data file")
+        v.add_argument("file")
+        v.set_defaults(func=cmd_validate)
 
     for cname, fn, needs_prime in (
         ("families", cmd_families, False),
@@ -317,6 +335,8 @@ def build_parser() -> _Parser:
         ("bad-primes", cmd_bad_primes, False),
         ("constructible", cmd_constructible, False),
     ):
+        if not wanted(cname):
+            continue
         c = sub.add_parser(cname)
         c.add_argument("--group", required=True)
         if cname == "families":
@@ -326,23 +346,27 @@ def build_parser() -> _Parser:
         c.add_argument("--format", choices=["md", "json"], default="md")
         c.set_defaults(func=fn)
 
-    s = sub.add_parser("symbols", help="symbol combinatorics checks")
-    ssub = s.add_subparsers(dest="symcmd", required=True)
-    sv = ssub.add_parser("verify")
-    sv.add_argument("--rank", type=int, required=True)
-    sv.add_argument("--defect", type=int, required=True)
-    sv.add_argument("--parity", choices=[*PARITY_NAMES, "all"], default="odd",
-                    help="symbol type by defect; all runs each type in turn")
-    sv.set_defaults(func=cmd_symbols)
+    if wanted("symbols"):
+        s = sub.add_parser("symbols", help="symbol combinatorics checks")
+        ssub = s.add_subparsers(dest="symcmd", required=True)
+        sv = ssub.add_parser("verify")
+        sv.add_argument("--rank", type=int, required=True)
+        sv.add_argument("--defect", type=int, required=True)
+        sv.add_argument("--parity", choices=[*PARITY_NAMES, "all"], default="odd",
+                        help="symbol type by defect; all runs each type in turn")
+        sv.set_defaults(func=cmd_symbols)
 
-    vp = sub.add_parser("verify-paper", help="compare against bundled golden tables")
-    vp.add_argument("--group", required=True)
-    vp.set_defaults(func=cmd_verify_paper)
+    if wanted("verify-paper"):
+        vp = sub.add_parser("verify-paper", help="compare against bundled golden tables")
+        vp.add_argument("--group", required=True)
+        vp.set_defaults(func=cmd_verify_paper)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # includes GroupDataError and JSONDecodeError

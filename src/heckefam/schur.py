@@ -7,11 +7,11 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
-from .cyclotomic import Cyclotomic, _canonical, _reduce_map, one
+from .cyclotomic import Cyclotomic, _canonical, _reduce_map, _unit_generators, one
 from .laurent import LaurentPoly, derivative_at_one, unit_shaped
-from .ntheory import divisors, factorize
+from .ntheory import divisors, factorize, orbit_walk, permutation
 from .valuation import laurent_content_val, primes_above
 
 
@@ -88,12 +88,29 @@ def f_of(c: LaurentPoly) -> Cyclotomic:
     return c.lowest_coeff()
 
 
+def _scalar_norms(scalars) -> list[Fraction]:
+    """The norm of each distinct scalar, taken once per orbit under the
+    generators sigma_u of (Z/n)^* (`_unit_generators`, n the lcm of the
+    conductors) that permute the distinct scalars: conjugates have equal
+    norms, so each other member of an orbit reads its representative's."""
+    distinct = list(dict.fromkeys(scalars))
+    n = lcm(*(a.conductor for a in distinct))
+    perms = []
+    for u, _order in _unit_generators(n):
+        perm = permutation([a.galois(u) for a in distinct], distinct)
+        if perm is not None:
+            perms.append(perm)
+    norms = [None] * len(distinct)
+    for x, y, _g in orbit_walk(len(distinct), perms):
+        norms[x] = distinct[x].norm() if y is None else norms[y]
+    return norms
+
+
 @cache
 def bad_primes(W) -> frozenset[int]:
     """Primes dividing some Schur element (positive content at a prime above p)."""
     candidates: set[int] = set()
-    for c in W.schur_elements:
-        nrm = f_of(c).norm()
+    for nrm in _scalar_norms(f_of(c) for c in W.schur_elements):
         candidates |= set(factorize(abs(nrm.numerator)))
     out = set()
     ncond = W.field_conductor

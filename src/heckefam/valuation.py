@@ -9,10 +9,13 @@ P = (p, h(zeta_{n'})), h the chosen irreducible factor of Phi_{n'} mod p.
 The unramified part is the Galois ring (Z/p^L)[t]/(h), the same ring for
 every monic lift of h; zeta_{n'} maps to the root of x^{n'} - 1 that
 Newton's method lifts from t.  The ramified part is written in powers of the
-uniformizer 1 - zeta_{p^a}.  Precision is raised (starting at 32 digits,
-doubling) until a nonzero digit certifies the answer; congruence tests
-against a fixed threshold are exact at a fixed precision and never need
-certification.  At precision 1 the pi^0 row is the residue map onto
+uniformizer 1 - zeta_{p^a}.  Each power-basis exponent has a table row of
+e f digits, packed into one integer with room for every sum
+(`packed_tables`), so an image costs one big-integer multiply-add per
+coefficient and one read of its digits.  Precision is raised (starting at
+32 digits, doubling) until a nonzero digit certifies the answer; congruence
+tests against a fixed threshold are exact at a fixed precision and never
+need certification.  At precision 1 the pi^0 row is the residue map onto
 O/P = F_p[t]/(h) (`reduction`), which turns congruence modulo P into
 equality of keys.
 """
@@ -254,19 +257,31 @@ class _Completion:
             tables.append(tuple(s * t % m for s in scalars for t in t_rows[a]))
         return tables
 
+    @cache
+    def packed_tables(self, conductor: int, L: int) -> tuple:
+        """(w, rows): each flat row of `image_tables` packed into one integer,
+        digit j at bit j w.  A sum of phi(conductor) products of residues
+        mod p^L is below phi(conductor) p^(2L) < 2^w, so no digit of a sum
+        of coefficients times packed rows carries into the next."""
+        w = (euler_phi(conductor) * self.p ** (2 * L)).bit_length()
+        rows = tuple(sum(t << (j * w) for j, t in enumerate(row))
+                     for row in self.image_tables(conductor, L))
+        return w, rows
+
     def image(self, coeffs: dict[int, int], conductor: int, L: int) -> list[list[int]]:
         """Digit matrix (e rows, f cols) mod p^L of an integer-coefficient
-        element: the sum of each coefficient times its flat table row,
-        reduced mod p^L once and cut into rows."""
+        element: one big-integer multiply-add per coefficient on the packed
+        table rows (Kronecker substitution), then the e f digits read off
+        once, reduced mod p^L and cut into rows."""
         m = self.p**L
-        tables = self.image_tables(conductor, L)
-        flat = [0] * (self.e * self.f)
+        w, rows = self.packed_tables(conductor, L)
+        acc = 0
         for idx, c in coeffs.items():
-            c %= m
-            if c:
-                flat = [x + c * t for x, t in zip(flat, tables[idx])]
+            acc += c % m * rows[idx]
+        mask = (1 << w) - 1
+        flat = [(acc >> (j * w) & mask) % m for j in range(self.e * self.f)]
         f = self.f
-        return [[x % m for x in flat[k:k + f]] for k in range(0, len(flat), f)]
+        return [flat[k:k + f] for k in range(0, len(flat), f)]
 
 
 @cache

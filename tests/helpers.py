@@ -26,9 +26,10 @@ from heckefam.constructible import constructible_chars
 from heckefam.cyclotomic import coerce, dot, one, rat, to_literal, zero, zeta
 from heckefam.groups import GroupDataError, cyclic_group, enumerate_and_fuse
 from heckefam.laurent import LaurentPoly, common_unit_multiple, factor_unit_part, poly_divexact
-from heckefam.schur import a_plus_A, compute_invariants
+from heckefam.ntheory import factorize
+from heckefam.schur import a_plus_A, compute_invariants, f_of
 from heckefam.symbols import Symbol, normalize
-from heckefam.valuation import INF, val, val_at_least
+from heckefam.valuation import INF, laurent_content_val, primes_above, val, val_at_least
 
 
 def refines(partition, other) -> bool:
@@ -155,6 +156,19 @@ def dihedral_schur_reference(n) -> list:
         f = rat(n) * (rat(2) - trace).inverse()
         out.append(LaurentPoly({2: one, 1: -trace, 0: one}).shift(-1) * f)
     return out
+
+
+def bad_primes_reference(W) -> frozenset:
+    """`schur.bad_primes` with one norm per Schur element: the primes of
+    the norms of the scalars f_of(c), kept when some Schur element has
+    positive content at a prime above them."""
+    candidates = set()
+    for c in W.schur_elements:
+        candidates |= set(factorize(abs(f_of(c).norm().numerator)))
+    return frozenset(
+        p for p in candidates
+        if any(laurent_content_val(c, spec) > 0
+               for c in W.schur_elements for spec in primes_above(p, W.field_conductor)))
 
 
 def schur_sum(W, coefficients) -> tuple:

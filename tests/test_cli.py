@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 from helpers import group_to_doc
+from test_cli_digests import commands
 
 from heckefam import cli, groups
 from heckefam.groups import dihedral_group
@@ -252,6 +255,12 @@ class TestStartup:
         assert code == 0 and "heckefam.cli" in added
         assert not added & self.ARITHMETIC, sorted(added & self.ARITHMETIC)
 
+    @pytest.mark.parametrize("argv", [["list"], ["symbols", "verify", "--rank", "2", "--defect", "2"]],
+                             ids=lambda argv: argv[0])
+    def test_no_json_without_json_output(self, argv):
+        code, added = _fresh_run(argv)
+        assert code == 0 and "heckefam.cli" in added and "json" not in added
+
     @pytest.mark.parametrize("argv", [
         ["list"],
         ["families", "--group", "G4"],
@@ -264,6 +273,31 @@ class TestStartup:
     def test_no_command_imports_dataclasses(self, argv):
         code, added = _fresh_run(argv)
         assert code == 0 and not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+def _parse(parser, argv):
+    """The namespace that parser gives argv, or its exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+
+
+class TestOneParserPerCommand:
+    """`main` builds only the subparser that its first argument names."""
+
+    def test_commands_are_the_subcommands(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert tuple(sub.choices) == cli.COMMANDS
+
+    def test_same_namespace_or_exit_on_every_digest_command(self):
+        full = cli.build_parser()
+        for argv in commands() + [[], ["nonexistent"], ["list", "--format", "md"]]:
+            command = argv[0] if argv and argv[0] in cli.COMMANDS else None
+            assert _parse(cli.build_parser(command), argv) == _parse(full, argv), argv
 
 
 class TestParityNames:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from helpers import group_to_doc
+from helpers import bad_primes_reference, group_to_doc
 from hypothesis import given, settings, strategies as st
 
 from heckefam.blocks import families, hecke_blocks
@@ -200,3 +200,17 @@ def test_outputs_are_galois_invariant(name, data):
     j = data.draw(st.sampled_from([u for u in range(1, n) if gcd(u, n) == 1]), label="unit")
     twisted = load_group(galois_twist(group_to_doc(W), j))
     assert outputs(twisted, range(W.n_irr)) == outputs(W, range(W.n_irr)), j
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_bad_primes_match_per_element_norms(name):
+    """The norms that `bad_primes` takes once per Galois orbit give the
+    primes of one norm per Schur element on the reordered and on the
+    twisted documents, whose scalars come in another order or conjugated."""
+    W = get_group(name)
+    doc = group_to_doc(W)
+    n = document_conductor(W)
+    docs = [shuffle_characters(doc, list(reversed(range(W.n_irr))))]
+    docs += [galois_twist(doc, j) for j in range(2, n) if gcd(j, n) == 1]
+    for twisted in map(load_group, docs):
+        assert bad_primes(twisted) == bad_primes_reference(twisted) == bad_primes(W)

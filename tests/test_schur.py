@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    bad_primes_reference,
     cyclic_schur_reference,
     dihedral_schur_reference,
     eval_x,
@@ -17,7 +18,7 @@ from helpers import (
 )
 
 from heckefam import laurent
-from heckefam.cyclotomic import one, rat, zeta, zero
+from heckefam.cyclotomic import Cyclotomic, one, rat, zeta, zero
 from heckefam.groups import (
     cyclic_group,
     dihedral_group,
@@ -242,6 +243,27 @@ class TestBadPrimes:
             stripped = {p for p in factorize(num)} if num > 1 else set()
             oracle |= stripped
         assert bad_primes(W) == oracle
+
+    @pytest.mark.parametrize("name", ["G4"] + [f"Z{d}" for d in range(2, 13)]
+                             + [f"I2.{n}" for n in range(3, 41)])
+    def test_matches_per_element_norms(self, name):
+        W = get_group(name)
+        assert bad_primes(W) == bad_primes_reference(W)
+
+    @pytest.mark.parametrize("n", [17, 19])
+    def test_one_norm_per_galois_orbit(self, n, monkeypatch):
+        """The scalars f of I2(n), n prime, are 1 (trivial and sign) and
+        the n/|1 - w|^2 of the rho_j, all conjugate: two norms."""
+        calls = []
+        norm = Cyclotomic.norm
+
+        def counted(a):
+            calls.append(a)
+            return norm(a)
+
+        monkeypatch.setattr(Cyclotomic, "norm", counted)
+        assert bad_primes.__wrapped__(dihedral_group(n)) == {n}
+        assert len(calls) == 2
 
 
 class TestInvariants:

@@ -451,13 +451,32 @@ class TestImage:
     """`_Completion.image` equals the e x f indexed updates it replaced."""
 
     @settings(max_examples=120, deadline=None)
-    @given(st.sampled_from(((2, 24), (3, 21), (19, 19))), st.sampled_from((1, 3, 32)), st.data())
-    def test_matches_indexed_updates(self, case, precision, data):
+    @given(st.sampled_from(((2, 24), (3, 21), (19, 19), (17, 17), (97, 97))), st.data())
+    def test_matches_indexed_updates(self, case, data):
+        """Up to e = 96 (p = n = 97); coefficients = -1 mod p^L make the
+        largest sums, which the packing width must hold."""
         p, n = case
+        precision = data.draw(st.sampled_from((1, 3) if p == 97 else (1, 3, 32)))
         spec = data.draw(st.sampled_from(primes_above(p, n)))
         conductor = data.draw(st.sampled_from(divisors(n)))
+        m = p**precision
+        coefficient = st.one_of(st.integers(-10**40, 10**40),
+                                st.integers(-10**30, 10**30).map(lambda k: k * m - 1))
         coeffs = data.draw(st.dictionaries(
-            st.integers(0, euler_phi(conductor) - 1), st.integers(-10**40, 10**40), max_size=8))
+            st.integers(0, euler_phi(conductor) - 1), coefficient, max_size=8))
         comp = _completion(spec)
         assert (comp.image(coeffs, conductor, precision)
                 == image_reference(comp, coeffs, conductor, precision))
+
+    @pytest.mark.parametrize("p, n", [(2, 24), (17, 17), (97, 97)])
+    def test_every_coefficient_minus_one(self, p, n):
+        """Every exponent at once, each coefficient = -1 mod p^L: the most
+        terms a packed sum adds, each with the largest residue."""
+        for spec in primes_above(p, n):
+            comp = _completion(spec)
+            for conductor in divisors(n):
+                for precision in (1, 3):
+                    m = p**precision
+                    coeffs = {k: k * m - 1 for k in range(euler_phi(conductor))}
+                    assert (comp.image(coeffs, conductor, precision)
+                            == image_reference(comp, coeffs, conductor, precision))
