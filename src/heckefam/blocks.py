@@ -13,6 +13,11 @@ Per prime the upper pieces are the coarse parts; for the families they are
 the per-prime parts over every bad prime, and the lower pieces the
 per-prime cuts.  Columns are never marked resolved without a completed
 subset-search proof.
+
+A subset search walks a lattice (`_lattice`) whose conditions are read
+off the group's numerators D/c_i, kept once per group by validation
+(`groups.schur_numerators`) and cut to the window of exponents that the
+support's own numerators can have: no support divides a polynomial.
 """
 
 from __future__ import annotations
@@ -21,9 +26,8 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from .cyclotomic import zero
-from .groups import induce
-from .laurent import common_unit_multiple, factor_unit_part
+from .groups import induce, schur_numerators
+from .laurent import factor_unit_part
 from .ntheory import join
 from .schur import a_plus_A, bad_primes, compute_invariants
 from .valuation import integrality_conditions, laurent_content_val, primes_above, reduction
@@ -126,24 +130,39 @@ def _defect_zero(W, spec) -> tuple[bool, ...]:
 
 def _lattice(W, spec, support: tuple):
     """Hermite normal form of the lattice of vectors s over `support` that
-    pass the O_p integrality test: every coefficient of sum_i s_i D/c_i
-    integral at spec (`_numerator_columns`)."""
-    columns = _numerator_columns(tuple(W.schur_elements[i] for i in support))
+    pass the O_p integrality test: every coefficient of
+    N_S = sum_i s_i D_S/c_i integral at spec, D_S the common unit multiple
+    of the Schur elements c_i of the support.
+
+    The conditions are read off the group's numerators D/c_i
+    (`groups.schur_numerators`), cut to the window [lo, hi] of exponents
+    that N_S can have.  With c_i = xi_i y^k_i prod (y - omega)^m, of degree
+    d_i in y after the y^k_i, from the cached factorizations, D_S/c_i spans
+    y^-k_i .. y^(-k_i + deg D_S - d_i), so lo = min(-k_i), hi =
+    max(-k_i + deg D_S - d_i), and deg D_S is the sum over the roots of
+    their largest multiplicity in the support.
+
+    The group's numerators of the support sum to N = E N_S, E = D/D_S a
+    product of factors y - omega: its coefficients are integral and E(0)
+    is a root of unity up to sign, so E^-1 is a power series in y with
+    integral coefficients.  N_S has no exponent outside [lo, hi], and
+    y^-lo N_S = E^-1 y^-lo N, so its coefficients are integral exactly
+    when those of N at lo .. hi are: the window gives the same lattice,
+    with one condition per exponent of it.  A Schur element with a
+    non-unit part raises ValueError."""
+    facts = [factor_unit_part(W.schur_elements[i]) for i in support]
+    roots: dict = {}
+    for fact in facts:
+        if not fact.is_unit():
+            raise ValueError(f"no integrality lattice: {fact.non_unit} is a non-unit part")
+        for root, mult in fact.unit_factors:
+            roots[root] = max(roots.get(root, 0), mult)
+    degree = sum(roots.values())
+    lo = min(-fact.y_power for fact in facts)
+    hi = max(-fact.y_power + degree - sum(m for _r, m in fact.unit_factors) for fact in facts)
+    _D, start, rows = schur_numerators(W)
+    columns = [rows[i][lo - start:hi - start + 1] for i in support]
     return _kernel_hnf(*integrality_conditions(spec, columns), len(support))
-
-
-@cache
-def _numerator_columns(schur_elements: tuple) -> list:
-    """The coefficients of each numerator D/c_i, on the exponents that any
-    of them has, D the common multiple of the linear factors of the Schur
-    elements c_i (`common_unit_multiple`).  They do not depend on the
-    prime, so they are kept by the Schur elements themselves: a support
-    that two bad primes test, or two supports with equal Schur elements,
-    build them once.  A Schur element with a non-unit part raises
-    ValueError."""
-    _d, numerators = common_unit_multiple(list(schur_elements))
-    slots = sorted({e for npoly in numerators for e in npoly.coeffs})
-    return [[npoly.coeffs.get(e, zero) for e in slots] for npoly in numerators]
 
 
 def find_integral_subvector(W, spec, phi):

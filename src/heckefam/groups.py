@@ -557,10 +557,11 @@ def _check_schur_elements(W: GroupDatum) -> None:
     """The Schur-element rules: one per character, c(1) = |W|/chi(1), each
     unit-shaped, xi y^k prod (y - zeta_m^j)^mult (Chlouveraki, LNM 1981),
     and sum_chi chi(1)/c_chi = 1, checked as sum_chi chi(1) D/c_chi = D
-    over their common unit multiple D (`common_unit_multiple`).  A spetsial
-    document also needs every y-exponent divisible by mu, and every P/c a
-    Laurent polynomial: no root of c above its multiplicity in the
-    Poincare polynomial P (`schur.poincare_roots`)."""
+    over their common unit multiple D, one `dot` per exponent of the
+    numerators of `schur_numerators`.  A spetsial document also needs every
+    y-exponent divisible by mu, and every P/c a Laurent polynomial: no root
+    of c above its multiplicity in the Poincare polynomial P
+    (`schur.poincare_roots`)."""
     name, chars = W.name, W.char_names
     if len(W.schur_elements) != W.n_irr:
         raise GroupDataError(f"{name}: expected {W.n_irr} Schur elements")
@@ -581,9 +582,27 @@ def _check_schur_elements(W: GroupDatum) -> None:
             if any(mult > roots_P.get(root, 0) for root, mult in fact.unit_factors):
                 raise GroupDataError(f"{name}: generic degree P/c is not a Laurent polynomial "
                                      f"for {chars[i]}")
-    D, quotients = common_unit_multiple(W.schur_elements)
-    if _weighted_sum(_by_exponent(quotients), [row[0] for row in W.irr]) != D.coeffs:
+    D, lo, rows = schur_numerators(W)
+    degrees = [row[0] for row in W.irr]
+    total = {lo + j: v for j, column in enumerate(zip(*rows)) if (v := dot(column, degrees))}
+    if total != D.coeffs:
         raise GroupDataError(f"{name}: symmetrizing-form gate sum deg/c != 1 fails")
+
+
+@cache
+def schur_numerators(W: GroupDatum) -> tuple:
+    """(D, lo, rows): D the common unit multiple of W's Schur elements c_i
+    (`common_unit_multiple`), and rows[i][e - lo] the y^e coefficient of
+    the numerator D/c_i, every row dense over the one exponent range that
+    holds all of them.  Kept per group: validation checks the
+    symmetrizing-form gate on it, and every integrality lattice of the
+    per-prime layer (`blocks._lattice`) reads its window of it.  A Schur
+    element with a non-unit part raises ValueError."""
+    D, quotients = common_unit_multiple(W.schur_elements)
+    lo = min(q.min_exp() for q in quotients)
+    hi = max(q.max_exp() for q in quotients)
+    dicts = [q.coeffs for q in quotients]
+    return D, lo, tuple(tuple(c.get(e, zero) for e in range(lo, hi + 1)) for c in dicts)
 
 
 def _check_indices(W: GroupDatum) -> None:

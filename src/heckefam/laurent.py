@@ -13,10 +13,12 @@ divisions across the Galois action on the coefficients (y fixed): a
 generator sigma_u of (Z/n)^* that fixes a and permutes the divisors
 carries a/b to a/sigma_u(b) exactly (`orbit_quotients`).  The Molien terms
 prod(1 - x^d_i) / det(1 - xw) and the quotients D/f of
-`common_unit_multiple` are computed this way.  The unit factorization is
-cached by value.  A polynomial built from its roots (`unit_shaped`, as the
-catalog Schur elements are) is not searched at all: its factorization is
-recorded by value when it is built.
+`common_unit_multiple` are computed this way.  Nothing here keeps a
+quotient; a group keeps those of its Schur elements
+(`groups.schur_numerators`).  The unit factorization is cached by value.
+A polynomial built from its roots (`unit_shaped`, as the catalog Schur
+elements are) is not searched at all: its factorization is recorded by
+value when it is built.
 """
 
 from __future__ import annotations

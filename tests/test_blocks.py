@@ -24,7 +24,8 @@ from heckefam.blocks import (
     indecomposability_check,
     monoid_minimal_generators,
 )
-from heckefam.groups import cyclic_group, dihedral_group, g4_group, get_group, trivial_group
+from heckefam.groups import (cyclic_group, dihedral_group, g4_group, get_group, schur_numerators,
+                             trivial_group)
 from heckefam.cyclotomic import zero
 from heckefam.laurent import LaurentPoly, common_unit_multiple, factor_unit_part, poly_divexact
 from heckefam.ntheory import factorize, join as _join
@@ -66,10 +67,12 @@ def numerators_of(W, support):
     return common_unit_multiple([W.schur_elements[i] for i in support])[1]
 
 
-def digit_conditions(W, p, support):
+def digit_conditions(W, p, support, numerators=None):
     """The (rows, moduli) whose kernel `_lattice` builds: the digit
-    conditions on the coefficients of the tester numerators."""
-    numerators = numerators_of(W, support)
+    conditions on the coefficients of the tester numerators D_S/c_i of
+    the support (`numerators_of`, unless they are given)."""
+    if numerators is None:
+        numerators = numerators_of(W, support)
     slots = sorted({e for npoly in numerators for e in npoly.coeffs})
     columns = [[npoly.coeffs.get(e, zero) for e in slots] for npoly in numerators]
     return integrality_conditions(_prime(W, p), columns)
@@ -438,6 +441,69 @@ class TestTesterNumerators:
             assert numerators_of(W, support) == want, support
 
 
+def visited_supports(W):
+    """(V, p, support) for every support whose lattice `families(W)` asks
+    for: the columns of weight 2 or more at each bad prime of W and,
+    through `candidate_projectives`, of each parabolic subgroup."""
+    out, todo = set(), [W]
+    while todo:
+        V = todo.pop()
+        todo += [P.subgroup for P in V.parabolics]
+        for p in bad_primes(W):
+            for col in hecke_blocks(V, p)[1].columns:
+                if sum(col) > 1:
+                    out.add((V, p, tuple(i for i, m in enumerate(col) if m)))
+    return out
+
+
+class TestWindowedLattice:
+    """`_lattice` reads each support's conditions off the group's numerators
+    D/c_i, cut to the support's window of exponents; the Hermite form must
+    be that of the per-support construction over D_S/c_i, the reference
+    `digit_conditions`."""
+
+    @staticmethod
+    def check(cases, monkeypatch):
+        import heckefam.blocks as blocks
+
+        widths = []
+        conditions = blocks.integrality_conditions
+        monkeypatch.setattr(blocks, "integrality_conditions",
+                            lambda spec, columns: widths.append(len(columns[0]))
+                            or conditions(spec, columns))
+        by_support = {}
+        for W, p, support in cases:
+            by_support.setdefault((W, support), []).append(p)
+        narrower = 0
+        for (W, support), primes in by_support.items():
+            numerators = numerators_of(W, support)
+            span = max(map(LaurentPoly.max_exp, numerators)) \
+                - min(map(LaurentPoly.min_exp, numerators)) + 1
+            for p in primes:
+                want = blocks._kernel_hnf(*digit_conditions(W, p, support, numerators),
+                                          len(support))
+                assert blocks._lattice(W, _prime(W, p), support) == want, (W.name, p, support)
+                assert widths.pop() == span, (W.name, p, support)
+            narrower += span < len(schur_numerators(W)[2][0])
+        return narrower
+
+    @pytest.mark.parametrize("name", ["G4"] + [f"Z{d}" for d in range(3, 9)]
+                             + ["I2.5", "I2.8", "I2.12"])
+    def test_every_subset_at_every_bad_prime(self, monkeypatch, name):
+        from itertools import combinations
+
+        W = get_group(name)
+        cases = [(W, p, support) for p in bad_primes(W)
+                 for r in range(1, W.n_irr + 1) for support in combinations(range(W.n_irr), r)]
+        assert self.check(cases, monkeypatch) > 0
+
+    def test_every_support_that_families_visits(self, monkeypatch):
+        cases = set()
+        for n in range(3, 41):
+            cases |= visited_supports(dihedral_group(n))
+        assert self.check(cases, monkeypatch) > 0
+
+
 class TestHeckeBlocks:
     def test_g4_p3_exact(self):
         W = g4_group()
@@ -571,6 +637,64 @@ class TestFamilies:
         assert all(len(p) == 1 for p in fam.parts) and fam.all_exact()
 
 
+# every bad prime of groups whose per-prime parts are not all singletons
+STARVED_CASES = [("G4", 2), ("G4", 3), ("I2.5", 5), ("I2.12", 2), ("I2.12", 3), ("Z3", 3), ("Z4", 2)]
+
+
+@pytest.fixture
+def starved(monkeypatch):
+    """The blocks module with a walk budget of one node, so that no column
+    of weight 2 or more is proved, and a fresh cache of `hecke_blocks`, so
+    that no per-prime result of the real budget is read."""
+    from functools import cache
+
+    import heckefam.blocks as blocks
+
+    monkeypatch.setattr(blocks, "WALK_BUDGET", 1)
+    monkeypatch.setattr(blocks, "hecke_blocks", cache(blocks.hecke_blocks.__wrapped__))
+    return blocks
+
+
+def linked_statuses(k, parts, proofs):
+    """The status of each part, rebuilt: exact exactly when the cuts of the
+    resolved columns by the parts (`proofs`, pairs of parts and columns)
+    link all of it, by a naive union over those cuts (`components`)."""
+    cuts = [[i for i in part if col[i]] for part_list, col in proofs for part in part_list]
+    linked = components(k, [cut for cut in cuts if cut])
+    return [EXACT if part in linked else UPPER for part in parts]
+
+
+class TestStatusesFollowProofs:
+    """Every status is read off the cuts of resolved columns only.  With the
+    walk starved, the columns of weight 2 or more stay unresolved, so a
+    status built from every column would call parts exact that no proof
+    links."""
+
+    @pytest.mark.parametrize("name, p", STARVED_CASES)
+    def test_per_prime(self, starved, name, p):
+        W = get_group(name)
+        assert p in bad_primes(W)
+        partition, decomp = starved.hecke_blocks(W, p)
+        assert partition.parts == coarse_partition(W, p).parts
+        proofs = [(partition.parts, c) for c, r in zip(decomp.columns, decomp.resolved) if r]
+        assert list(partition.status) == linked_statuses(W.n_irr, partition.parts, proofs)
+        assert UPPER in partition.status
+
+    @pytest.mark.parametrize("name", sorted({name for name, _p in STARVED_CASES}))
+    def test_families(self, starved, name):
+        W = get_group(name)
+        upper, proofs = [], []
+        for p in sorted(bad_primes(W)):
+            partition, decomp = starved.hecke_blocks(W, p)
+            upper += partition.parts
+            proofs += [(partition.parts, c) for c, r in zip(decomp.columns, decomp.resolved) if r]
+        assert {p for n, p in STARVED_CASES if n == name} == bad_primes(W)
+        fam = starved.families(W)
+        assert list(fam.parts) == components(W.n_irr, upper)
+        assert list(fam.status) == linked_statuses(W.n_irr, fam.parts, proofs)
+        assert UPPER in fam.status
+
+
 class TestRelativeProjectivity:
     def test_trace_scalar_constant_mod_p_on_blocks(self):
         # within an exact block, the relative-trace scalars agree modulo the
@@ -612,18 +736,18 @@ class TestHonestAmbiguity:
 class TestUnsupportedMembership:
     def test_non_unit_schur_degrades_to_unknown(self, monkeypatch):
         # simulate an ingested group whose Schur element has a non-unit part:
-        # the subset test must answer "unknown", never a silent yes/no
+        # the subset test must answer "unknown", never a silent yes/no.  The
+        # lattice reads its window off the factorizations, so it is there
+        # that the non-unit part shows
         import heckefam.blocks as blocks
-        import heckefam.laurent as laurent
 
         W = cyclic_group(3)
-        real, bad = laurent.factor_unit_part, W.schur_elements[1]
+        real, bad = blocks.factor_unit_part, W.schur_elements[1]
 
         def with_non_unit(f):
             fact = real(f)
             return fact._replace(non_unit=LaurentPoly({0: 1, 1: 1})) if f == bad else fact
 
-        monkeypatch.setattr(laurent, "factor_unit_part", with_non_unit)
-        monkeypatch.setattr(blocks, "_numerator_columns", blocks._numerator_columns.__wrapped__)
+        monkeypatch.setattr(blocks, "factor_unit_part", with_non_unit)
         verdict, reason = indecomposability_check((0, 1, 1), W, 3)
         assert verdict == "unknown" and "non-unit" in reason

@@ -216,6 +216,21 @@ class TestAmbiguityExit:
         assert code == 2 and "??" in out
 
 
+    def test_starved_walk_leaves_families_upper_bounds(self, capsys, monkeypatch):
+        # the real hecke_blocks with a walk budget of one node, in a fresh
+        # cache: G4's columns of weight 2 or more stay unproved, so its
+        # families are upper bounds and the run exits 2
+        from functools import cache
+
+        from heckefam import blocks
+
+        monkeypatch.setattr(blocks, "WALK_BUDGET", 1)
+        monkeypatch.setattr(blocks, "hecke_blocks", cache(blocks.hecke_blocks.__wrapped__))
+        code = cli.main(["families", "--group", "G4"])
+        out = capsys.readouterr().out
+        assert code == 2 and "(upper bound)" in out
+
+
 def _fresh_run(argv):
     """Import cli and run argv in a fresh interpreter: the exit code and the
     modules that the import and the run added to sys.modules."""

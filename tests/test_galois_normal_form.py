@@ -5,8 +5,8 @@ quotient is what the direct long division gives.  Inverses, norms and unit
 factorizations of conjugates agree with the references.  Real values and
 rationals, which conjugation fixes, are drawn too.  A work guard pins the
 long divisions of building I2(17) and I2(19) to their Galois orbits, with
-the root searches and inverses of building them, and the long divisions
-that `families` adds on I2(17), I2(19), I2(24) and I2(30)."""
+the root searches and inverses of building them; `families` adds no long
+division on I2(17), I2(19), I2(24) and I2(30)."""
 
 from math import gcd, lcm
 
@@ -15,7 +15,7 @@ import pytest
 from helpers import count_root_searches, from_roots, poly_divmod_reference, unit_part_uncached
 from hypothesis import assume, given, settings, strategies as st
 
-from heckefam import blocks, laurent
+from heckefam import blocks, groups, laurent
 from heckefam.blocks import families
 from heckefam.cyclotomic import Cyclotomic, _unit_generators, make, one, rat, zeta
 from heckefam.groups import cyclic_group, dihedral_group, trivial_group
@@ -210,7 +210,9 @@ class TestWorkGuard:
     all the phi{2,j}, D = P the common unit multiple).  `dihedral_schur`
     builds its scalars in closed form, so the only inverses are the scalar
     of the phi{2,j} that the one gate division inverts and the rational
-    -1.  A change that stops the sharing raises these counts."""
+    -1.  The lattices of `families` read the gate's quotients, kept with
+    the group, so `families` then divides nothing and builds no common
+    multiple.  A change that stops the sharing raises these counts."""
 
     @pytest.mark.parametrize("n", [17, 19])
     def test_misses_are_the_orbit_counts(self, monkeypatch, n):
@@ -223,29 +225,30 @@ class TestWorkGuard:
         assert (len(searches), len(divisions),
                 Cyclotomic.inverse.cache_info().misses) == (0, 6, 2)
 
-    @pytest.mark.parametrize("n, quotients", [(17, 1), (19, 1), (24, 15), (30, 31)])
-    def test_families_adds_one_quotient_per_orbit(self, monkeypatch, n, quotients):
-        # the long divisions D/c of the integrality lattices, counted after
-        # the group is built: on I2(17) and I2(19) one for the whole orbit
-        # of the phi{2,j} at the one bad prime
+    @pytest.mark.parametrize("n", [17, 19, 24, 30])
+    def test_families_adds_no_long_division(self, monkeypatch, n):
+        # the numerators D/c of the integrality lattices are those of the
+        # symmetrizing-form gate, kept per group when it is built
         trivial_group(), cyclic_group(2)
-        for cache in (factor_unit_part, blocks._numerator_columns):
-            cache.cache_clear()
+        factor_unit_part.cache_clear()
         W = dihedral_group.__wrapped__(n)
         divisions = count_long_divisions(monkeypatch)
         families(W)
-        assert len(divisions) == quotients
+        assert divisions == []
 
-    @pytest.mark.parametrize("n, lattices, numerators", [(17, 1, 1), (24, 8, 6), (30, 18, 16)])
-    def test_families_builds_each_common_multiple_once(self, monkeypatch, n, lattices, numerators):
-        # the numerators D/c do not depend on the prime, and the extra
-        # linear characters of I2(24) and I2(30) have equal Schur elements,
-        # so two supports that differ only there share their numerators
+    @pytest.mark.parametrize("n, lattices", [(17, 1), (24, 8), (30, 18)])
+    def test_families_builds_no_common_multiple(self, monkeypatch, n, lattices):
+        # every lattice reads its window of the group's numerators, so no
+        # support builds a common multiple of its own
         trivial_group(), cyclic_group(2)
         W = dihedral_group.__wrapped__(n)
-        blocks._numerator_columns.cache_clear()
-        calls = []
+        calls, multiples = [], []
         lattice = blocks._lattice
         monkeypatch.setattr(blocks, "_lattice", lambda *args: calls.append(args) or lattice(*args))
+        for module in (laurent, groups):
+            multiple = module.common_unit_multiple
+            monkeypatch.setattr(module, "common_unit_multiple",
+                                lambda polys, multiple=multiple: multiples.append(polys)
+                                or multiple(polys))
         families(W)
-        assert (len(calls), blocks._numerator_columns.cache_info().misses) == (lattices, numerators)
+        assert (len(calls), multiples) == (lattices, [])
