@@ -16,7 +16,7 @@ subset-search proof.
 
 A subset search walks a lattice (`_lattice`) whose conditions are read
 off the group's numerators D/c_i, kept once per group by validation
-(`groups.schur_numerators`) and cut to the window of exponents that the
+(`schur.schur_numerators`) and cut to the window of exponents that the
 support's own numerators can have: no support divides a polynomial.
 """
 
@@ -26,10 +26,10 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from .groups import induce, schur_numerators
+from .groups import induce
 from .laurent import factor_unit_part
 from .ntheory import join
-from .schur import a_plus_A, bad_primes, compute_invariants
+from .schur import a_plus_A, bad_primes, compute_invariants, schur_numerators
 from .valuation import integrality_conditions, laurent_content_val, primes_above, reduction
 
 EXACT, UPPER = "exact", "upper-bound"
@@ -135,7 +135,7 @@ def _lattice(W, spec, support: tuple):
     of the Schur elements c_i of the support.
 
     The conditions are read off the group's numerators D/c_i
-    (`groups.schur_numerators`), cut to the window [lo, hi] of exponents
+    (`schur.schur_numerators`), cut to the window [lo, hi] of exponents
     that N_S can have.  With c_i = xi_i y^k_i prod (y - omega)^m, of degree
     d_i in y after the y^k_i, from the cached factorizations, D_S/c_i spans
     y^-k_i .. y^(-k_i + deg D_S - d_i), so lo = min(-k_i), hi =

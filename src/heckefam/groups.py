@@ -13,10 +13,9 @@ from math import lcm
 from pathlib import Path
 
 from .cyclotomic import _unit_generators, dot, from_literal, integer, json_list, one, rat, zero, zeta
-from .laurent import (LaurentPoly, common_unit_multiple, factor_unit_part, laurent_from_doc,
-                      orbit_quotients, unit_shaped)
+from .laurent import LaurentPoly, factor_unit_part, laurent_from_doc, orbit_quotients, unit_shaped
 from .ntheory import join, orbit_walk, permutation
-from .schur import cyclic_schur, dihedral_schur, poincare_roots
+from .schur import cyclic_schur, dihedral_schur, poincare_roots, schur_numerators
 
 ENUMERATION_BOUND = 50_000
 
@@ -558,9 +557,9 @@ def _check_schur_elements(W: GroupDatum) -> None:
     unit-shaped, xi y^k prod (y - zeta_m^j)^mult (Chlouveraki, LNM 1981),
     and sum_chi chi(1)/c_chi = 1, checked as sum_chi chi(1) D/c_chi = D
     over their common unit multiple D, one `dot` per exponent of the
-    numerators of `schur_numerators`.  A spetsial document also needs every
-    y-exponent divisible by mu, and every P/c a Laurent polynomial: no root
-    of c above its multiplicity in the Poincare polynomial P
+    numerators of `schur.schur_numerators`.  A spetsial document also needs
+    every y-exponent divisible by mu, and every P/c a Laurent polynomial:
+    no root of c above its multiplicity in the Poincare polynomial P
     (`schur.poincare_roots`)."""
     name, chars = W.name, W.char_names
     if len(W.schur_elements) != W.n_irr:
@@ -587,22 +586,6 @@ def _check_schur_elements(W: GroupDatum) -> None:
     total = {lo + j: v for j, column in enumerate(zip(*rows)) if (v := dot(column, degrees))}
     if total != D.coeffs:
         raise GroupDataError(f"{name}: symmetrizing-form gate sum deg/c != 1 fails")
-
-
-@cache
-def schur_numerators(W: GroupDatum) -> tuple:
-    """(D, lo, rows): D the common unit multiple of W's Schur elements c_i
-    (`common_unit_multiple`), and rows[i][e - lo] the y^e coefficient of
-    the numerator D/c_i, every row dense over the one exponent range that
-    holds all of them.  Kept per group: validation checks the
-    symmetrizing-form gate on it, and every integrality lattice of the
-    per-prime layer (`blocks._lattice`) reads its window of it.  A Schur
-    element with a non-unit part raises ValueError."""
-    D, quotients = common_unit_multiple(W.schur_elements)
-    lo = min(q.min_exp() for q in quotients)
-    hi = max(q.max_exp() for q in quotients)
-    dicts = [q.coeffs for q in quotients]
-    return D, lo, tuple(tuple(c.get(e, zero) for e in range(lo, hi + 1)) for c in dicts)
 
 
 def _check_indices(W: GroupDatum) -> None:

@@ -15,7 +15,7 @@ carries a/b to a/sigma_u(b) exactly (`orbit_quotients`).  The Molien terms
 prod(1 - x^d_i) / det(1 - xw) and the quotients D/f of
 `common_unit_multiple` are computed this way.  Nothing here keeps a
 quotient; a group keeps those of its Schur elements
-(`groups.schur_numerators`).  The unit factorization is cached by value.
+(`schur.schur_numerators`).  The unit factorization is cached by value.
 A polynomial built from its roots (`unit_shaped`, as the catalog Schur
 elements are) is not searched at all: its factorization is recorded by
 value when it is built.

@@ -24,12 +24,11 @@ from heckefam.blocks import (
     indecomposability_check,
     monoid_minimal_generators,
 )
-from heckefam.groups import (cyclic_group, dihedral_group, g4_group, get_group, schur_numerators,
-                             trivial_group)
+from heckefam.groups import cyclic_group, dihedral_group, g4_group, get_group, trivial_group
 from heckefam.cyclotomic import zero
 from heckefam.laurent import LaurentPoly, common_unit_multiple, factor_unit_part, poly_divexact
 from heckefam.ntheory import factorize, join as _join
-from heckefam.schur import bad_primes, compute_invariants, a_plus_A
+from heckefam.schur import bad_primes, compute_invariants, a_plus_A, schur_numerators
 from heckefam.valuation import (
     integrality_conditions,
     primes_above,

@@ -15,7 +15,7 @@ import pytest
 from helpers import count_root_searches, from_roots, poly_divmod_reference, unit_part_uncached
 from hypothesis import assume, given, settings, strategies as st
 
-from heckefam import blocks, groups, laurent
+from heckefam import blocks, laurent, schur
 from heckefam.blocks import families
 from heckefam.cyclotomic import Cyclotomic, _unit_generators, make, one, rat, zeta
 from heckefam.groups import cyclic_group, dihedral_group, trivial_group
@@ -245,7 +245,7 @@ class TestWorkGuard:
         calls, multiples = [], []
         lattice = blocks._lattice
         monkeypatch.setattr(blocks, "_lattice", lambda *args: calls.append(args) or lattice(*args))
-        for module in (laurent, groups):
+        for module in (laurent, schur):
             multiple = module.common_unit_multiple
             monkeypatch.setattr(module, "common_unit_multiple",
                                 lambda polys, multiple=multiple: multiples.append(polys)
