@@ -139,19 +139,13 @@ def schur_numerators(W) -> tuple:
     holds all of them.  Kept per group: validation checks the
     symmetrizing-form gate on it (`groups._check_schur_elements`), and
     every integrality lattice of the per-prime layer (`blocks._lattice`)
-    reads its window of it.  Equal coefficients are one object, so the
-    table keeps only the distinct ones (17 of the 407 nonzero entries of
-    I2(30)).  A Schur element with a non-unit part raises ValueError."""
+    reads its window of it.  A Schur element with a non-unit part raises
+    ValueError."""
     D, quotients = common_unit_multiple(W.schur_elements)
     lo = min(q.min_exp() for q in quotients)
     hi = max(q.max_exp() for q in quotients)
-    distinct: dict = {}
-    rows = []
-    for q in quotients:
-        coeffs = q.coeffs
-        rows.append(tuple(distinct.setdefault(v, v)
-                          for v in (coeffs.get(e, zero) for e in range(lo, hi + 1))))
-    return D, lo, tuple(rows)
+    rows = tuple(tuple(q.coeffs.get(e, zero) for e in range(lo, hi + 1)) for q in quotients)
+    return D, lo, rows
 
 
 @cache
